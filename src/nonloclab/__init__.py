@@ -64,12 +64,8 @@ from .solvers import (
     SolverConfig,
     SolverDivergedError,
     TrajectoryRecord,
-    free_energy,
     run,
-    step_local_ac,
-    step_local_ch,
-    step_nonlocal_ac,
-    step_nonlocal_ch,
+    step,
 )
 
 __version__ = "0.1.0"

@@ -31,6 +31,7 @@ from .experiments import (
 from .grid import Field, UniformGrid, l2_norm, save_field
 from .kernels import (
     Kernel,
+    adaptive_gauss_legendre,
     eval_J,
     make_mollifier,
     moment_first,
@@ -41,6 +42,7 @@ from .kernels import (
 )
 from .nonlocal_ops import apply_direct, apply_fft, l2_inner, pair_difference_double_sum
 from .potentials import parse_potential
+from .reports import write_loglog_svg, write_rate_csv, write_series_csv, write_summary_json
 from .solvers import SolverConfig, run
 
 PASS, BAND_FAIL, USAGE_ERROR = 0, 1, 2
@@ -100,8 +102,6 @@ def _band_verdict(slope: float, lo, hi) -> bool:
 
 
 def _emit_rate_outputs(outdir: Path, name: str, table, band, extra=None) -> int:
-    from .reports import write_loglog_svg, write_rate_csv, write_summary_json
-
     lo, hi = band
     ok = _band_verdict(table.fitted_slope, lo, hi)
     summary = {
@@ -131,13 +131,9 @@ def _emit_rate_outputs(outdir: Path, name: str, table, band, extra=None) -> int:
 # subcommands
 
 def _cmd_check_kernel(args, outdir: Path) -> int:
-    from .reports import write_summary_json
-
     mollifier = make_mollifier(args.n, args.profile)
     kernel = Kernel(mollifier, args.eps)
     target = radial_mass_target(args.n)
-    from .kernels import adaptive_gauss_legendre
-
     radial = adaptive_gauss_legendre(
         lambda r: mollifier.rho_scaled(r, args.eps) * r ** (args.n - 1),
         0.0, kernel.support_radius,
@@ -200,8 +196,6 @@ def _cmd_operator_rate(args, outdir: Path) -> int:
 
 
 def _cmd_energy_rate(args, outdir: Path) -> int:
-    from .reports import write_loglog_svg, write_series_csv, write_summary_json
-
     grid = _make_grid(args)
     mollifier = make_mollifier(grid.dimension, args.profile)
     result = energy_rate_study(grid, mollifier, args.func, args.eps, workers=args.workers)
@@ -229,8 +223,6 @@ def _cmd_energy_rate(args, outdir: Path) -> int:
 
 
 def _cmd_remainder_rate(args, outdir: Path) -> int:
-    from .reports import write_loglog_svg, write_series_csv, write_summary_json
-
     grid = _make_grid(args)
     mollifier = make_mollifier(grid.dimension, args.profile)
     result = remainder_rate_study(grid, mollifier, args.func, args.eps,
@@ -284,16 +276,22 @@ def _cmd_solve(args, outdir: Path) -> int:
     return PASS
 
 
-def _cmd_solution_rate(args, outdir: Path) -> int:
+def _solution_study(args):
+    """Shared setup of ``solution-rate`` and ``gronwall``: the study result
+    and the mollifier it ran with."""
     grid = _make_grid(args)
     mollifier = make_mollifier(grid.dimension, args.profile)
-    potential = parse_potential(args.potential)
     config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
                           record_every=args.record_every)
     result = solution_convergence_study(
-        grid, config, potential, mollifier, args.eps, args.initial,
+        grid, config, parse_potential(args.potential), mollifier, args.eps, args.initial,
         equation=args.eq, perturbation_scale=args.perturbation, workers=args.workers,
     )
+    return result, mollifier
+
+
+def _cmd_solution_rate(args, outdir: Path) -> int:
+    result, _ = _solution_study(args)
     code = PASS
     extra = {"equation": args.eq, "reference_h3_max": result.reference_h3_max}
     primary = "l2_sup" if args.eq.endswith("ac") else "hminus1_sup"
@@ -305,8 +303,6 @@ def _cmd_solution_rate(args, outdir: Path) -> int:
 
 
 def _cmd_oracle_check(args, outdir: Path) -> int:
-    from .reports import write_summary_json
-
     grid = _make_grid(args)
     mollifier = make_mollifier(grid.dimension, args.profile)
     kernel = Kernel(mollifier, args.eps_value)
@@ -335,17 +331,7 @@ def _cmd_oracle_check(args, outdir: Path) -> int:
 
 
 def _cmd_gronwall(args, outdir: Path) -> int:
-    from .reports import write_series_csv, write_summary_json
-
-    grid = _make_grid(args)
-    mollifier = make_mollifier(grid.dimension, args.profile)
-    potential = parse_potential(args.potential)
-    config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
-                          record_every=args.record_every)
-    result = solution_convergence_study(
-        grid, config, potential, mollifier, args.eps, args.initial,
-        equation=args.eq, perturbation_scale=args.perturbation, workers=args.workers,
-    )
+    result, mollifier = _solution_study(args)
     eps0 = args.eps[min(1, len(args.eps) - 1)]
     trace = gronwall_trace(result.records[eps0], result.reference, Kernel(mollifier, eps0))
     m = len(trace.derivative)

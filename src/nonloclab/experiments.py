@@ -43,7 +43,6 @@ __all__ = [
     "RemainderRateResult",
     "solution_convergence_study",
     "SolutionStudyResult",
-    "perturbation_profile",
     "gronwall_trace",
     "GronwallTrace",
     "TEST_FUNCTIONS",
@@ -88,17 +87,18 @@ class RateTable:
 
 def fit_rate(pairs, included=None) -> RateTable:
     """Least-squares power-law fit of (scale, error) pairs in log-log space."""
-    pairs = sorted(((float(e), float(v)) for e, v in pairs), key=lambda p: -p[0])
-    eps = tuple(p[0] for p in pairs)
-    err = tuple(p[1] for p in pairs)
+    pairs = [(float(e), float(v)) for e, v in pairs]
+    if included is None:
+        included = [True] * len(pairs)
+    elif len(included) != len(pairs):
+        raise ValueError("included mask length mismatch")
+    # the mask travels with its pair through the sort
+    rows = sorted(((e, v, bool(m)) for (e, v), m in zip(pairs, included)), key=lambda r: -r[0])
+    eps = tuple(r[0] for r in rows)
+    err = tuple(r[1] for r in rows)
+    mask = tuple(r[2] for r in rows)
     if any(v <= 0 for v in err):
         raise ValueError("rate fitting needs positive error values")
-    if included is None:
-        mask = tuple(True for _ in eps)
-    else:
-        if len(included) != len(eps):
-            raise ValueError("included mask length mismatch")
-        mask = tuple(bool(b) for b in included)
     if sum(mask) < 3:
         raise ValueError("need at least 3 included points to fit a rate")
 
@@ -451,21 +451,11 @@ def _trajectory_errors(times, fields_eps, fields_ref):
     }
 
 
-def perturbation_profile(grid: UniformGrid) -> np.ndarray:
-    """Fixed mean-zero, boundary-compatible profile used to seed the
-    square-root initial offset of the nonlocal runs."""
-    coords = grid.meshgrid()
-    out = np.ones(grid.shape)
-    for a, x in enumerate(coords):
-        out = out * np.cos(np.pi * x / grid.lengths[a])
-    return out
-
-
 def _solution_point(args):
     (mollifier, initial_values, grid, config, potential, equation, eps,
      perturbation_scale, ref_times, ref_stack) = args
     kernel = Kernel(mollifier, eps)
-    start = initial_values + perturbation_scale * math.sqrt(eps) * perturbation_profile(grid)
+    start = initial_values + perturbation_scale * math.sqrt(eps) * _f_cospix(grid)
     record = run(Field(grid, start), config, potential, equation, kernel)
     if record.times.shape != ref_times.shape or not np.allclose(record.times, ref_times,
                                                                 rtol=1e-12, atol=1e-14):

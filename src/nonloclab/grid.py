@@ -8,6 +8,7 @@ stack as the solvers, keeping norm and solver errors consistent.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -261,21 +262,36 @@ def save_field(field: Field, path) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
+def _unpack(fh, fmt: str):
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise ValueError("checkpoint header is truncated")
+    return struct.unpack(fmt, raw)
+
+
 def load_field(path) -> Field:
+    """Read a checkpoint written by :func:`save_field`; any malformed or
+    truncated file raises ``ValueError``."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a field checkpoint file")
-        version, bcode, ndim = struct.unpack("<BBB", fh.read(3))
+        version, bcode, ndim = _unpack(fh, "<BBB")
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
+        if bcode not in _BOUNDARY_NAMES:
+            raise ValueError(f"unknown boundary code {bcode} in checkpoint")
         cells, lengths = [], []
         for _ in range(ndim):
-            N, L = struct.unpack("<Qd", fh.read(16))
+            N, L = _unpack(fh, "<Qd")
             cells.append(N)
             lengths.append(L)
         grid = UniformGrid(tuple(lengths), tuple(cells), _BOUNDARY_NAMES[bcode])
-        payload = fh.read(8 * grid.node_count)
-        values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
+        # size check before reading, so a corrupt header cannot ask for a huge buffer
+        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload_bytes != 8 * grid.node_count:
+            raise ValueError(f"checkpoint payload has {payload_bytes} bytes; "
+                             f"its grid needs {8 * grid.node_count}")
+        values = np.frombuffer(fh.read(payload_bytes), dtype="<f8").reshape(grid.shape)
     return Field(grid, values.copy())
 
 

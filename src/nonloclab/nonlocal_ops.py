@@ -11,13 +11,13 @@ kernel sees beyond the boundary.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
     NEUMANN,
@@ -195,7 +195,21 @@ def degree_function(kernel: Kernel, grid: UniformGrid) -> Field:
     return Field(grid, data.degree.copy())
 
 
-def apply_direct(kernel: Kernel, field: Field, block_rows: int = 2048) -> Field:
+def _pair_weight_blocks(kernel: Kernel, grid: UniformGrid, block: int):
+    """Yield ``(start, stop, J(x_i - x_j))`` for consecutive row blocks of
+    node pairs, with periodic grids using the nearest image."""
+    coords = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
+    lengths = np.asarray(grid.lengths)
+    for start in range(0, coords.shape[0], block):
+        stop = min(start + block, coords.shape[0])
+        diff = coords[start:stop, None, :] - coords[None, :, :]
+        if grid.boundary == PERIODIC:
+            diff -= lengths * np.round(diff / lengths)
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        yield start, stop, kernel.value_radial(dist)
+
+
+def apply_direct(kernel: Kernel, field: Field) -> Field:
     """Reference O(N^2) summation of the defining double integral.
 
     Midpoint weights throughout; this is the oracle that the FFT fast path
@@ -205,18 +219,11 @@ def apply_direct(kernel: Kernel, field: Field, block_rows: int = 2048) -> Field:
     if kernel.dimension != grid.dimension:
         raise ValueError("kernel and grid dimensions differ")
     _check_resolution(kernel, grid)
-    coords = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
     v = field.values.ravel()
-    lengths = np.asarray(grid.lengths)
     out = np.empty_like(v)
     vol = grid.cell_volume
-    for start in range(0, coords.shape[0], block_rows):
-        stop = min(start + block_rows, coords.shape[0])
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        if grid.boundary == PERIODIC:
-            diff -= lengths * np.round(diff / lengths)
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        w = kernel.value_radial(dist) * vol
+    for start, stop, w in _pair_weight_blocks(kernel, grid, 2048):
+        w *= vol  # in place: a second block-sized array would raise peak memory
         # summed in difference form so constants cancel exactly
         out[start:stop] = np.sum(w * (v[start:stop, None] - v[None, :]), axis=1)
     return Field(grid, out.reshape(grid.shape))
@@ -282,33 +289,65 @@ def pair_difference_double_sum(kernel: Kernel, field: Field) -> float:
     it serves as the independent oracle for the energy identities.
     """
     grid = field.grid
-    coords = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
     v = field.values.ravel()
-    lengths = np.asarray(grid.lengths)
     vol = grid.cell_volume
     total = 0.0
-    block = 1024
-    for start in range(0, coords.shape[0], block):
-        stop = min(start + block, coords.shape[0])
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        if grid.boundary == PERIODIC:
-            diff -= lengths * np.round(diff / lengths)
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        w = kernel.value_radial(dist)
+    for start, stop, J in _pair_weight_blocks(kernel, grid, 1024):
         dv = v[start:stop, None] - v[None, :]
-        total += float(np.sum(w * dv * dv))
+        total += float(np.sum(J * dv * dv))
     return total * vol * vol
 
 
 # ---------------------------------------------------------------------------
 # interior remainder
 
+def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
+                     box: tuple) -> np.ndarray:
+    """Reflected minus true stencil operator on the node sub-box ``box`` (one
+    ``slice`` per axis): the sum, over the stencil offsets that land on a
+    ghost node of the reflected extension, of weight * (node value - ghost
+    value).
+
+    Only wall layers within ``reach`` have ghost offsets, and each term is
+    formed from the two values themselves, so a field that is flat wherever
+    the stencil reaches past a wall gives exactly zero there.
+    """
+    reach = data.reach
+    padded = np.pad(values, [(k, k) for k in reach], mode="symmetric")
+    out = np.zeros(tuple(s.stop - s.start for s in box))
+    for a, (N, k) in enumerate(zip(grid.cells, reach)):
+        # wall axis first; in 2D the other axis is slid over as a window
+        v_a, p_a, w_a, out_a = (np.moveaxis(arr, a, 0)
+                                for arr in (values, padded, data.weights, out))
+        offsets = np.arange(-k, k + 1)
+        for i in range(box[a].start, box[a].stop):
+            ghost = (i + offsets < 0) | (i + offsets >= N)
+            if not ghost.any():
+                continue
+            rows = p_a[i + k + offsets[ghost]]
+            if grid.dimension == 1:
+                out_a[i - box[a].start] += w_a[ghost] @ (v_a[i] - rows)
+                continue
+            b = 1 - a
+            nodes, kb = box[b], reach[b]
+            diff = (v_a[i, nodes][None, :, None]
+                    - sliding_window_view(rows, 2 * kb + 1, axis=1)[:, nodes])
+            if b < a:
+                # ghosts also outside along axis b were counted with axis b
+                pos = np.arange(nodes.start, nodes.stop)[:, None] + np.arange(-kb, kb + 1)
+                diff *= (pos >= 0) & (pos < grid.cells[b])
+            out_a[i - box[a].start] += np.einsum("gxo,go->x", diff, w_a[ghost])
+    return out
+
+
 def interior_remainder(kernel: Kernel, field: Field, margin: float) -> float:
     """Quadratic norm, over the sub-box at depth ``margin``, of what the kernel
     picks up from the reflected extension beyond the boundary.
 
-    Exactly zero once ``margin`` exceeds the kernel support, because the
-    ghost sum below is empty there by construction.
+    The remainder is the reflected stencil operator minus the true one,
+    summed term by term over the ghost nodes (see :func:`_ghost_remainder`).
+    The sum is empty once ``margin`` reaches the kernel support, so the norm
+    is exactly zero there, as it is on a constant field.
     """
     grid = field.grid
     if grid.boundary != NEUMANN:
@@ -318,35 +357,14 @@ def interior_remainder(kernel: Kernel, field: Field, margin: float) -> float:
     if margin >= min(grid.lengths) / 2:
         raise ValueError("margin reaches half the domain; interior sub-box is empty")
 
-    data = _stencil_data(kernel, grid)
-    reach = data.reach
-    v = field.values
-    padded = np.pad(v, [(k, k) for k in reach], mode="symmetric")
-    ghost = np.ones(padded.shape, dtype=bool)
-    inner = tuple(slice(k, k + N) for k, N in zip(reach, grid.cells))
-    ghost[inner] = False
-
-    remainder = np.zeros(grid.shape)
-    w = data.weights
-    offsets = [range(-k, k + 1) for k in reach]
-    for off in itertools.product(*offsets):
-        widx = tuple(o + k for o, k in zip(off, reach))
-        weight = w[widx]
-        if weight == 0.0:
-            continue
-        shifted = tuple(slice(k + o, k + o + N) for o, k, N in zip(off, reach, grid.cells))
-        is_ghost = ghost[shifted]
-        if not is_ghost.any():
-            continue
-        remainder += weight * is_ghost * (v - padded[shifted])
-
-    inside = np.ones(grid.shape, dtype=bool)
+    box = []
     for a in range(grid.dimension):
         nodes = grid.axis_nodes(a)
-        ok = (nodes >= margin) & (nodes <= grid.lengths[a] - margin)
-        shape = [1] * grid.dimension
-        shape[a] = -1
-        inside &= ok.reshape(shape)
-    if not inside.any():
-        raise ValueError("margin leaves no grid nodes in the interior sub-box")
-    return float(np.sqrt(np.sum(remainder[inside] ** 2) * grid.cell_volume))
+        idx = np.flatnonzero((nodes >= margin) & (nodes <= grid.lengths[a] - margin))
+        if idx.size == 0:
+            raise ValueError("margin leaves no grid nodes in the interior sub-box")
+        box.append(slice(idx[0], idx[-1] + 1))
+
+    data = _stencil_data(kernel, grid)
+    remainder = _ghost_remainder(data, grid, field.values, tuple(box))
+    return float(np.sqrt(np.sum(remainder ** 2) * grid.cell_volume))

@@ -1,9 +1,9 @@
-"""Free-energy densities, their derivatives, and convex-concave splits.
+"""Free-energy densities and their derivatives.
 
 Both potentials expose the same small surface: ``f``, ``fprime``,
-``fsecond``, the lower curvature bound ``alpha`` (every second derivative
-stays above ``-alpha``), and a convex-concave split of ``fprime`` used by
-the stabilized time steppers.
+``fsecond``, and the lower curvature bound ``alpha`` (every second
+derivative stays above ``-alpha``), which the stabilized time steppers use
+as their default stabilization.
 """
 
 from __future__ import annotations
@@ -35,18 +35,12 @@ class DoubleWell:
         return self.K * (1.0 - c**2) ** 2
 
     def fprime(self, c):
-        # written as the sum of the split parts so the two agree bit-exactly
         c = np.asarray(c, dtype=float)
         return 4.0 * self.K * c**3 - 4.0 * self.K * c
 
     def fsecond(self, c):
         c = np.asarray(c, dtype=float)
         return 12.0 * self.K * c**2 - 4.0 * self.K
-
-    def split_convex_concave(self, c):
-        """fprime as (convex-part derivative, concave-part derivative)."""
-        c = np.asarray(c, dtype=float)
-        return 4.0 * self.K * c**3, -4.0 * self.K * c
 
 
 @dataclass
@@ -94,11 +88,6 @@ class LogarithmicPotential:
     def fsecond(self, c):
         c = self._clamp(c)
         return self.theta / (1.0 - c**2) - self.theta_c
-
-    def split_convex_concave(self, c):
-        c = self._clamp(c)
-        vex = 0.5 * self.theta * np.log((1.0 + c) / (1.0 - c))
-        return vex, -self.theta_c * c
 
 
 def make_potential(kind: str, **params):

@@ -36,14 +36,10 @@ __all__ = [
     "SolverConfig",
     "TrajectoryRecord",
     "SolverDivergedError",
-    "step_local_ch",
-    "step_nonlocal_ch",
-    "step_local_ac",
-    "step_nonlocal_ac",
+    "step",
     "run",
     "resolve_stabilization",
     "explicit_tau_bound",
-    "free_energy",
 ]
 
 EQUATIONS = ("local-ch", "nonlocal-ch", "local-ac", "nonlocal-ac")
@@ -203,42 +199,12 @@ class _Stepper:
         return dirichlet_energy(field) + bulk
 
 
-def free_energy(state: Field, potential, kernel: Kernel | None = None) -> float:
-    """Gradient-flow Lyapunov functional: interface energy plus bulk term.
-
-    With a kernel the interface part is the nonlocal pair energy, otherwise
-    the gradient (Dirichlet) energy.
-    """
-    bulk = integrate(Field(state.grid, potential.f(state.values)))
-    if kernel is not None:
-        return nonlocal_ops.nonlocal_energy(kernel, state) + bulk
-    return dirichlet_energy(state) + bulk
-
-
-def _single_step(state: Field, config: SolverConfig, potential, equation: str,
-                 kernel: Kernel | None) -> Field:
+def step(state: Field, config: SolverConfig, potential, equation: str,
+         kernel: Kernel | None = None) -> Field:
+    """Advance ``state`` by one step of ``equation``; the conserved flows
+    preserve mass exactly."""
     stepper = _Stepper(state.grid, equation, config, potential, kernel)
     return Field(state.grid, stepper.step_values(state.values))
-
-
-def step_local_ch(state: Field, config: SolverConfig, potential) -> Field:
-    """One step of the conserved local flow; mass is preserved exactly."""
-    return _single_step(state, config, potential, "local-ch", None)
-
-
-def step_nonlocal_ch(state: Field, config: SolverConfig, potential, kernel: Kernel) -> Field:
-    """One step of the conserved nonlocal flow; mass is preserved exactly."""
-    return _single_step(state, config, potential, "nonlocal-ch", kernel)
-
-
-def step_local_ac(state: Field, config: SolverConfig, potential) -> Field:
-    """One step of the non-conserved local flow."""
-    return _single_step(state, config, potential, "local-ac", None)
-
-
-def step_nonlocal_ac(state: Field, config: SolverConfig, potential, kernel: Kernel) -> Field:
-    """One step of the non-conserved nonlocal flow."""
-    return _single_step(state, config, potential, "nonlocal-ac", kernel)
 
 
 def run(initial: Field, config: SolverConfig, potential, equation: str,

@@ -30,7 +30,7 @@ from nonloclab.nonlocal_ops import (
     pair_difference_double_sum,
 )
 from nonloclab.potentials import DoubleWell
-from nonloclab.solvers import SolverConfig, run, step_local_ac, step_local_ch
+from nonloclab.solvers import SolverConfig, run, step
 from nonloclab.experiments import (
     energy_rate_study,
     gronwall_trace,
@@ -212,8 +212,8 @@ def test_criterion_09_solver_structure():
         const = Field(g, np.full(g.shape, 0.4))
         well = Field(g, np.ones(g.shape))
         fixed = max(
-            float(np.max(np.abs(step_local_ch(const, cfg1, pot).values - 0.4))),
-            float(np.max(np.abs(step_local_ac(well, cfg1, pot).values - 1.0))),
+            float(np.max(np.abs(step(const, cfg1, pot, "local-ch").values - 0.4))),
+            float(np.max(np.abs(step(well, cfg1, pot, "local-ac").values - 1.0))),
         )
     sw.check()
     ok = all(d <= 1e-10 * g.volume for d in drifts) and all(monotone) and fixed < 1e-13

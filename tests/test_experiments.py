@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonloclab.grid import UniformGrid, sample
 from nonloclab.kernels import Kernel, make_mollifier
@@ -62,6 +64,30 @@ class TestFitRate:
         table = fit_rate(pairs, included=[True, True, True, True, False])
         assert table.fitted_slope == pytest.approx(1.0, abs=1e-12)
         assert table.included == (True, True, True, True, False)
+
+    def test_mask_sorted_with_pairs(self):
+        table = fit_rate([(0.025, 1e-20), (0.2, 4), (0.1, 1), (0.05, 0.25)],
+                         included=[False, True, True, True])
+        assert table.included == (True, True, True, False)
+        assert table.fitted_slope == pytest.approx(2.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 13), st.floats(1e-12, 1e3), st.booleans()),
+            min_size=4, max_size=8, unique_by=lambda r: r[0],
+        ).filter(lambda rows: sum(m for _, _, m in rows) >= 3),
+        data=st.data(),
+    )
+    def test_fit_invariant_under_permutation(self, rows, data):
+        # eps = 2**-k: distinct exponents keep the log-scales well separated,
+        # so the least-squares slope is always defined
+        rows = [(2.0 ** -k, v, m) for k, v, m in rows]
+        order = data.draw(st.permutations(range(len(rows))))
+        shuffled = [rows[i] for i in order]
+        a = fit_rate([(e, v) for e, v, _ in rows], included=[m for _, _, m in rows])
+        b = fit_rate([(e, v) for e, v, _ in shuffled], included=[m for _, _, m in shuffled])
+        assert a == b
 
 
 class TestSymbolStudy:
@@ -152,6 +178,14 @@ class TestRemainderStudy:
     def test_margin_beyond_support_is_exact(self, moll):
         g = UniformGrid((1.0,), (1024,), "neumann")
         res = remainder_rate_study(g, moll, "cospix", (0.2, 0.1, 0.05), margin_factor=1.2)
+        assert res.verdict == "exact"
+        assert res.values == (0.0, 0.0, 0.0)
+
+    def test_field_flat_near_walls_is_exact(self, moll):
+        # flatbump is identically zero within 10% of each wall, so every
+        # ghost value a kernel of support <= 0.1 picks up equals the node's
+        g = UniformGrid((1.0,), (1024,), "neumann")
+        res = remainder_rate_study(g, moll, "flatbump", (0.1, 0.05, 0.025))
         assert res.verdict == "exact"
         assert res.values == (0.0, 0.0, 0.0)
 

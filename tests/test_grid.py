@@ -182,6 +182,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_field(path)
 
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda b: b[:4] + b[4:5] + b"\x07" + b[6:], id="unknown-boundary-code"),
+        pytest.param(lambda b: b[:12], id="short-header"),
+        pytest.param(lambda b: b[:-8], id="truncated-payload"),
+        pytest.param(lambda b: b + b"\0" * 8, id="trailing-bytes"),
+    ])
+    def test_binary_rejects_corrupt_file(self, tmp_path, corrupt):
+        path = tmp_path / "field.bin"
+        save_field(Field(UniformGrid((1.0,), (8,)), np.arange(8.0)), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError, match="checkpoint"):
+            load_field(path)
+
     def test_csv_1d(self, tmp_path):
         g = UniformGrid((1.0,), (4,))
         f = sample(g, lambda x: x)

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+from nonloclab.experiments import make_test_field
 from nonloclab.grid import Field, UniformGrid, integrate, l2_norm, sample
 from nonloclab.kernels import eval_J, make_kernel, total_mass
 from nonloclab.local_ops import dirichlet_energy
@@ -18,6 +20,7 @@ from nonloclab.nonlocal_ops import (
     nonlocal_energy,
     pair_difference_double_sum,
     stencil_symbol,
+    _stencil_data,
 )
 
 
@@ -185,6 +188,35 @@ class TestEnergies:
         assert all(b > a for a, b in zip(values, values[1:]))  # climbing to the limit
 
 
+def _ghost_loop_remainder(kernel, field, margin):
+    """Independent reference: sum each stencil weight that reaches a ghost
+    node of the reflected extension, one offset at a time."""
+    grid = field.grid
+    data = _stencil_data(kernel, grid)
+    reach = data.reach
+    v = field.values
+    padded = np.pad(v, [(k, k) for k in reach], mode="symmetric")
+    ghost = np.ones(padded.shape, dtype=bool)
+    ghost[tuple(slice(k, k + N) for k, N in zip(reach, grid.cells))] = False
+    remainder = np.zeros(grid.shape)
+    for off in itertools.product(*[range(-k, k + 1) for k in reach]):
+        weight = data.weights[tuple(o + k for o, k in zip(off, reach))]
+        if weight == 0.0:
+            continue
+        shifted = tuple(slice(k + o, k + o + N) for o, k, N in zip(off, reach, grid.cells))
+        is_ghost = ghost[shifted]
+        if is_ghost.any():
+            remainder += weight * is_ghost * (v - padded[shifted])
+    inside = np.ones(grid.shape, dtype=bool)
+    for a in range(grid.dimension):
+        nodes = grid.axis_nodes(a)
+        ok = (nodes >= margin) & (nodes <= grid.lengths[a] - margin)
+        shape = [1] * grid.dimension
+        shape[a] = -1
+        inside &= ok.reshape(shape)
+    return float(np.sqrt(np.sum(remainder[inside] ** 2) * grid.cell_volume))
+
+
 class TestInteriorRemainder:
     def test_zero_beyond_support(self, grid_1d):
         f = sample(grid_1d, lambda x: np.cos(np.pi * x))
@@ -199,8 +231,38 @@ class TestInteriorRemainder:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_constant_gives_zero(self, grid_1d, kernel_1d):
-        c = Field(grid_1d, np.full(grid_1d.shape, 2.0))
-        assert interior_remainder(kernel_1d, c, margin=0.03) == 0.0
+        for value in (2.0, 0.3, 12345.678):
+            c = Field(grid_1d, np.full(grid_1d.shape, value))
+            assert interior_remainder(kernel_1d, c, margin=0.03) == 0.0
+
+    @pytest.mark.parametrize("profile", ["poly-2-3", "poly-4-3", "poly-2-2"])
+    @pytest.mark.parametrize("lengths, cells, eps", [
+        ((1.0,), (256,), 0.1),
+        ((1.0, 1.0), (48, 48), 0.15),
+        ((1.0, 1.5), (40, 48), 0.15),
+    ])
+    @pytest.mark.parametrize("data", ["smooth", "random", "flatbump", "ramps"])
+    def test_matches_ghost_loop_reference(self, profile, lengths, cells, eps, data):
+        g = UniformGrid(lengths, cells, "neumann")
+        k = make_kernel(g.dimension, eps, profile)
+        if data == "smooth":
+            f = sample(g, lambda *xs: math.prod(np.cos(np.pi * x) + 0.3 * x for x in xs))
+        elif data == "random":
+            f = random_field(g, 5)
+        elif data == "flatbump":
+            f = make_test_field(g, "flatbump")  # zero within 10% of each wall
+        else:
+            # flat at a different level near each wall, so no single shift
+            # of the field makes it zero there
+            f = sample(g, lambda *xs: sum((a + 1) * np.clip((x - 0.3) / 0.4, 0.0, 1.0)
+                                          for a, x in enumerate(xs)))
+        bound = 1e-13 * _stencil_data(k, g).weight_sum * l2_norm(f)
+        for factor in (0.5, 0.9, 0.999, 1.001):
+            margin = factor * k.support_radius
+            new = interior_remainder(k, f, margin)
+            ref = _ghost_loop_remainder(k, f, margin)
+            assert abs(new - ref) <= bound
+            assert (new == 0.0) == (ref == 0.0)
 
     def test_margin_too_large(self, grid_1d, kernel_1d):
         f = sample(grid_1d, lambda x: x)

@@ -9,12 +9,6 @@ from nonloclab.potentials import (
 )
 
 
-def part_curvature(split_derivative, c, h=1e-4):
-    # the split returns derivatives, so one more central difference gives the
-    # second derivative of the underlying part
-    return (split_derivative(c + h) - split_derivative(c - h)) / (2 * h)
-
-
 class TestDoubleWell:
     def test_well_values(self):
         pot = DoubleWell(K=1.0)
@@ -40,20 +34,6 @@ class TestDoubleWell:
         pot = DoubleWell(K=3.0)
         c = np.linspace(-2, 2, 401)
         assert np.min(pot.fsecond(c)) >= -pot.alpha - 1e-9
-
-    def test_split_sums_exactly(self):
-        pot = DoubleWell(K=1.5)
-        c = np.linspace(-2, 2, 101)
-        vex, cave = pot.split_convex_concave(c)
-        assert np.array_equal(vex + cave, pot.fprime(c))
-
-    def test_split_parts_have_right_curvature(self):
-        pot = DoubleWell(K=1.0)
-        for c0 in np.linspace(-1.5, 1.5, 13):
-            vex_curv = part_curvature(lambda c: pot.split_convex_concave(c)[0], c0)
-            assert vex_curv >= -1e-8
-            cave_curv = part_curvature(lambda c: pot.split_convex_concave(c)[1], c0)
-            assert -pot.alpha - 1e-8 <= cave_curv <= 1e-8
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
@@ -95,16 +75,6 @@ class TestLogarithmic:
         pot.f(np.asarray([0.0, 0.5, 2.0, -3.0]))
         assert pot.clamp_events == 2
         assert pot.f(2.0) == pot.f(1.0 - 1e-6)  # absorbed, not an error
-
-    def test_split(self):
-        pot = LogarithmicPotential(theta=0.8, theta_c=1.0)
-        c = np.linspace(-0.9, 0.9, 25)
-        vex, cave = pot.split_convex_concave(c)
-        assert np.allclose(vex + cave, pot.fprime(c), rtol=1e-12, atol=1e-14)
-        assert np.allclose(cave, -1.0 * c)
-        for c0 in np.linspace(-0.8, 0.8, 9):
-            curv = part_curvature(lambda s: pot.split_convex_concave(s)[0], c0)
-            assert curv > 0  # the entropy part is strictly convex
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

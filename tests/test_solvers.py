@@ -14,10 +14,7 @@ from nonloclab.solvers import (
     reference_config,
     resolve_stabilization,
     run,
-    step_local_ac,
-    step_local_ch,
-    step_nonlocal_ac,
-    step_nonlocal_ch,
+    step,
 )
 
 
@@ -37,18 +34,18 @@ SMALL = SolverConfig(tau=1e-4, t_final=1e-3)
 class TestFixedPoints:
     def test_constants_are_fixed_for_conserved_flows(self, grid, pot):
         c = Field(grid, np.full(grid.shape, 0.37))
-        out = step_local_ch(c, SMALL, pot)
+        out = step(c, SMALL, pot, "local-ch")
         assert np.max(np.abs(out.values - 0.37)) < 1e-13
         k = make_kernel(1, 0.1)
-        out = step_nonlocal_ch(c, SMALL, pot, k)
+        out = step(c, SMALL, pot, "nonlocal-ch", k)
         assert np.max(np.abs(out.values - 0.37)) < 1e-13
 
     def test_wells_are_fixed_for_nonconserved_flows(self, grid, pot):
         k = make_kernel(1, 0.1)
         for value in (1.0, -1.0):
             c = Field(grid, np.full(grid.shape, value))
-            assert np.max(np.abs(step_local_ac(c, SMALL, pot).values - value)) < 1e-13
-            assert np.max(np.abs(step_nonlocal_ac(c, SMALL, pot, k).values - value)) < 1e-13
+            assert np.max(np.abs(step(c, SMALL, pot, "local-ac").values - value)) < 1e-13
+            assert np.max(np.abs(step(c, SMALL, pot, "nonlocal-ac", k).values - value)) < 1e-13
 
     def test_zero_data_stays_zero(self, grid, pot):
         zero = Field(grid, np.zeros(grid.shape))
@@ -229,7 +226,7 @@ class TestTwoDimensional:
     def test_local_ch_2d_fixed_point(self):
         g = UniformGrid((1.0, 2.0), (16, 32), "neumann")
         c = Field(g, np.full(g.shape, -0.2))
-        out = step_local_ch(c, SMALL, DoubleWell())
+        out = step(c, SMALL, DoubleWell(), "local-ch")
         assert np.max(np.abs(out.values + 0.2)) < 1e-13
 
 

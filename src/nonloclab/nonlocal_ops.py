@@ -38,6 +38,7 @@ __all__ = [
     "nonlocal_energy",
     "pair_difference_double_sum",
     "interior_remainder",
+    "wall_strip",
     "stencil_symbol",
     "apply_reflected",
     "l2_inner",
@@ -338,6 +339,28 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
                 diff *= (pos >= 0) & (pos < grid.cells[b])
             out_a[i - box[a].start] += np.einsum("gxo,go->x", diff, w_a[ghost])
     return out
+
+
+def wall_strip(kernel: Kernel, grid: UniformGrid) -> np.ndarray:
+    """The boundary remainder of a 1D box at its left wall as a dense
+    ``reach x reach`` matrix ``S``.
+
+    ``S @ c[:reach]`` is the reflected minus true stencil operator on the
+    first ``reach`` nodes, and ``S[::-1, ::-1] @ c[-reach:]`` the same on the
+    last ``reach`` nodes; the remainder is zero everywhere else.  Row ``i``
+    collects the ghost offsets ``-(i + j + 1)``, whose reflected node is
+    ``j``: weight ``w_{i+j+1}`` on the diagonal and ``-w_{i+j+1}`` at column
+    ``j`` (compare :func:`_ghost_remainder`).
+    """
+    if grid.dimension != 1 or grid.boundary != NEUMANN:
+        raise ValueError("wall strips are defined for 1D bounded (neumann) grids")
+    data = _stencil_data(kernel, grid)
+    k = data.reach[0]
+    ghost_w = data.weights[k - 1::-1]  # weights at distances 1..reach
+    dist = np.add.outer(np.arange(k), np.arange(k))  # i + j, i.e. distance - 1
+    strip = -np.where(dist < k, ghost_w[np.minimum(dist, k - 1)], 0.0)
+    strip[np.diag_indices(k)] += np.cumsum(ghost_w[::-1])[::-1]
+    return strip
 
 
 def interior_remainder(kernel: Kernel, field: Field, margin: float) -> float:

@@ -1,14 +1,31 @@
 """Time integrators for the four gradient flows, with mass and energy tracking.
 
-All four equations share one first-order IMEX step.  The implicit part is the
-constant-coefficient portion of the driving operator, which is diagonal in the
-grid's transform basis: the full Laplacian for the local flows, and for the
-nonlocal flows the wrapped/reflected stencil operator plus the scalar
-stabilizer.  The spatially varying boundary remainder of the nonlocal operator
-and the potential derivative stay explicit; with stabilization at least the
-potential's curvature bound the step dissipates the corresponding free energy
-unconditionally.  The mass mode is untouched by construction for the conserved
-flows.
+All four equations share one first-order IMEX step, and ``run`` carries the
+state as its coefficients ``chat`` in the grid's transform basis (cosine for
+zero-flux boxes, Fourier for periodic ones).  The implicit part is the
+constant-coefficient portion ``nu`` of the driving operator, which is
+diagonal in that basis: the Laplacian symbol for the local flows, and for the
+nonlocal flows the symbol of the reflected/wrapped stencil operator, both
+plus the scalar stabilizer.  Everything else is explicit, so one step is
+
+    values = inverse transform of chat
+    ghat   = nu * chat + T(fprime(values) + E(values))
+    chat  -= tau * drive * ghat / denom
+
+with two transforms per step.  ``values`` also serve the divergence guard
+and the records.  The explicit operator part ``E`` depends only on the grid:
+
+- local flows and periodic grids: none, the symbol is exact;
+- 1D zero-flux boxes: minus the boundary remainder, which lives within
+  ``reach`` cells of each wall and is applied as two small dense strip
+  matrices (:func:`~nonloclab.nonlocal_ops.wall_strip`);
+- 2D zero-flux boxes: the whole true operator through the padded FFT
+  (:func:`~nonloclab.nonlocal_ops.apply_fft_values`), with ``nu`` left out
+  of ``ghat``.
+
+With stabilization at least the potential's curvature bound the step
+dissipates the corresponding free energy unconditionally.  The mass mode is
+untouched by construction for the conserved flows.
 """
 
 from __future__ import annotations
@@ -19,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (
+    NEUMANN,
     Field,
     UniformGrid,
     integrate,
@@ -155,23 +173,18 @@ class _Stepper:
         if nonlocal_eq and kernel is None:
             raise ValueError(f"{equation} needs a kernel")
         self.grid = grid
-        self.equation = equation
-        self.config = config
         self.potential = potential
         self.kernel = kernel if nonlocal_eq else None
         self.nonlocal_eq = nonlocal_eq
 
         lam = laplacian_symbol(grid)
-        self.lam = lam
-        conserved = equation.endswith("ch")
-        self.conserved = conserved
-        self.drive = config.mobility * lam if conserved else np.ones_like(lam)
-        self.stabilization = resolve_stabilization(config, potential)
+        drive = config.mobility * lam if equation.endswith("ch") else np.ones_like(lam)
+        stabilization = resolve_stabilization(config, potential)
         nu = stencil_symbol(kernel, grid) if nonlocal_eq else lam
         if config.scheme == SEMI_IMPLICIT:
-            self.denom = 1.0 + config.tau * self.drive * (nu + self.stabilization)
+            denom = 1.0 + config.tau * drive * (nu + stabilization)
         else:
-            self.denom = np.ones_like(lam)
+            denom = 1.0
             bound = explicit_tau_bound(equation, grid, config.mobility, kernel)
             if config.tau > bound:
                 msg = (f"tau = {config.tau:.3e} exceeds the explicit stability bound "
@@ -180,16 +193,42 @@ class _Stepper:
                     warnings.warn(msg, UserWarning, stacklevel=3)
                 else:
                     raise ValueError(msg + "; shrink tau or set allow_unstable_tau")
+        self.gain = config.tau * drive / denom
 
-    def step_values(self, values: np.ndarray) -> np.ndarray:
-        chat = transform_values(self.grid, values)
-        fp = self.potential.fprime(values)
-        if self.nonlocal_eq:
-            ghat = transform_values(self.grid, apply_fft_values(self.kernel, self.grid, values) + fp)
-        else:
-            ghat = self.lam * chat + transform_values(self.grid, fp)
-        chat = chat - self.config.tau * self.drive * ghat / self.denom
-        return inverse_transform_values(self.grid, chat)
+        # the explicit operator part, chosen from the grid alone; it adds into
+        # the (fresh) array fprime returns
+        self.nu = nu
+        self.explicit = None
+        if nonlocal_eq and grid.boundary == NEUMANN:
+            if grid.dimension == 1:
+                self.strip = nonlocal_ops.wall_strip(kernel, grid)
+                self.strip_right = self.strip[::-1, ::-1].copy()
+                self.explicit = self._subtract_wall_remainder
+            else:
+                # the whole true operator is explicit; nu stays in denom only
+                self.nu = None
+                self.explicit = self._add_true_operator
+
+    def _subtract_wall_remainder(self, values: np.ndarray, out: np.ndarray) -> None:
+        # true operator = reflected operator (nu) minus the boundary remainder
+        k = self.strip.shape[0]
+        out[:k] -= self.strip @ values[:k]
+        out[-k:] -= self.strip_right @ values[-k:]
+
+    def _add_true_operator(self, values: np.ndarray, out: np.ndarray) -> None:
+        out += apply_fft_values(self.kernel, self.grid, values)
+
+    def step_values(self, values: np.ndarray, chat: np.ndarray):
+        """One step from the state's values and transform coefficients;
+        returns both for the new state."""
+        g = self.potential.fprime(values)
+        if self.explicit is not None:
+            self.explicit(values, g)
+        ghat = transform_values(self.grid, g)
+        if self.nu is not None:
+            ghat += self.nu * chat
+        chat = chat - self.gain * ghat
+        return inverse_transform_values(self.grid, chat), chat
 
     def energy(self, values: np.ndarray) -> float:
         field = Field(self.grid, values)
@@ -204,20 +243,28 @@ def step(state: Field, config: SolverConfig, potential, equation: str,
     """Advance ``state`` by one step of ``equation``; the conserved flows
     preserve mass exactly."""
     stepper = _Stepper(state.grid, equation, config, potential, kernel)
-    return Field(state.grid, stepper.step_values(state.values))
+    values, _ = stepper.step_values(state.values, transform_values(state.grid, state.values))
+    return Field(state.grid, values)
 
 
 def run(initial: Field, config: SolverConfig, potential, equation: str,
         kernel: Kernel | None = None) -> TrajectoryRecord:
     """Advance to the final time, recording mass and free energy.
 
-    Records are taken at step zero, every ``record_every`` steps, and at the
-    final step.  With ``keep_fields`` the state at each record time is stored
-    in the returned trajectory.
+    ``t_final`` must be a whole number of steps.  Records are taken at step
+    zero, every ``record_every`` steps, and at the final step.  With
+    ``keep_fields`` the state at each record time is stored in the returned
+    trajectory.
     """
     stepper = _Stepper(initial.grid, equation, config, potential, kernel)
-    n_steps = max(1, int(round(config.t_final / config.tau)))
-    values = initial.values.copy()
+    n_steps = int(round(config.t_final / config.tau))
+    if abs(n_steps * config.tau - config.t_final) > 1e-9 * config.t_final:
+        raise ValueError(
+            f"t_final = {config.t_final:g} is not a whole number of steps of "
+            f"tau = {config.tau:g}; the nearest step count ends at {n_steps * config.tau:g}"
+        )
+    values = initial.values
+    chat = transform_values(initial.grid, values)
     guard = _DIVERGENCE_FACTOR * max(1.0, float(np.max(np.abs(values))))
 
     times, mass, energy = [], [], []
@@ -232,7 +279,7 @@ def run(initial: Field, config: SolverConfig, potential, equation: str,
 
     record(0, values)
     for step in range(1, n_steps + 1):
-        values = stepper.step_values(values)
+        values, chat = stepper.step_values(values, chat)
         peak = float(np.max(np.abs(values))) if values.size else 0.0
         if not np.isfinite(peak) or peak > guard:
             raise SolverDivergedError(

@@ -150,6 +150,13 @@ class TestUsageAndConfig:
                         "--N", "64", "--eps", "0.2,0.1,0.001", "--out", str(out)])
         assert code == 2
 
+    def test_final_time_not_a_step_multiple_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(["solution-rate", "--N", "256", "--T", "0.1", "--tau", "0.03",
+                        "--eps", "0.16,0.08,0.04",
+                        "--workers", "1", "--out", str(tmp_path / "bad")])
+        assert code == 2
+        assert "whole number of steps" in capsys.readouterr().err
+
 
 class TestReproducibility:
     def test_identical_config_byte_identical_outputs(self, tmp_path):

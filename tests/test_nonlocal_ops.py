@@ -20,6 +20,8 @@ from nonloclab.nonlocal_ops import (
     nonlocal_energy,
     pair_difference_double_sum,
     stencil_symbol,
+    wall_strip,
+    _ghost_remainder,
     _stencil_data,
 )
 
@@ -263,6 +265,44 @@ class TestInteriorRemainder:
             ref = _ghost_loop_remainder(k, f, margin)
             assert abs(new - ref) <= bound
             assert (new == 0.0) == (ref == 0.0)
+
+    @pytest.mark.parametrize("profile", ["poly-2-3", "poly-4-3"])
+    @pytest.mark.parametrize("cells, eps", [
+        (256, 0.05), (64, 0.3), (64, 0.6), (64, 0.9), (64, 0.99), (37, 0.95),
+    ])
+    @pytest.mark.parametrize("data", ["smooth", "random", "flatbump", "ramps"])
+    def test_wall_strip_matches_references(self, profile, cells, eps, data):
+        # eps 0.6 and up: reach passes N/2 and the two wall strips overlap;
+        # eps 0.99 on 64 cells has reach 64 = N
+        g = UniformGrid((1.0,), (cells,), "neumann")
+        k = make_kernel(1, eps, profile)
+        if data == "smooth":
+            f = sample(g, lambda x: np.cos(np.pi * x) + 0.3 * x)
+        elif data == "random":
+            f = random_field(g, 9)
+        elif data == "flatbump":
+            f = make_test_field(g, "flatbump")
+        else:
+            f = sample(g, lambda x: np.clip((x - 0.3) / 0.4, 0.0, 1.0))
+        strip = wall_strip(k, g)
+        reach = strip.shape[0]
+        v = f.values
+        out = np.zeros(g.shape)
+        out[:reach] += strip @ v[:reach]
+        out[-reach:] += strip[::-1, ::-1] @ v[-reach:]
+
+        stencil = _stencil_data(k, g)
+        assert reach == stencil.reach[0]
+        bound = 1e-13 * stencil.weight_sum * l2_norm(f)
+        full = _ghost_remainder(stencil, g, v, (slice(0, cells),))
+        assert np.max(np.abs(out - full)) <= bound
+        assert abs(l2_norm(Field(g, out)) - _ghost_loop_remainder(k, f, 0.0)) <= bound
+
+    def test_wall_strip_needs_1d_neumann(self, kernel_1d):
+        with pytest.raises(ValueError, match="1D bounded"):
+            wall_strip(kernel_1d, UniformGrid((1.0,), (128,), "periodic"))
+        with pytest.raises(ValueError, match="1D bounded"):
+            wall_strip(make_kernel(2, 0.2), UniformGrid((1.0, 1.0), (32, 32), "neumann"))
 
     def test_margin_too_large(self, grid_1d, kernel_1d):
         f = sample(grid_1d, lambda x: x)

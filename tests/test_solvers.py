@@ -1,10 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonloclab.grid import Field, UniformGrid, l2_norm, sample
+from nonloclab.grid import (
+    Field,
+    UniformGrid,
+    integrate,
+    inverse_transform_values,
+    l2_norm,
+    laplacian_symbol,
+    sample,
+    transform_values,
+)
 from nonloclab.kernels import make_kernel
+from nonloclab.nonlocal_ops import ResolutionWarning, apply_fft_values, stencil_symbol
 from nonloclab.potentials import DoubleWell, LogarithmicPotential
 from nonloclab.solvers import (
     SolverConfig,
@@ -170,6 +183,14 @@ class TestSchemeProperties:
         g1, g2 = gap(bound / 8), gap(bound / 16)
         assert g1 / g2 == pytest.approx(2.0, rel=0.3)
 
+    def test_final_time_must_be_whole_steps(self, grid, pot):
+        init = sample(grid, lambda x: 0.1 * np.cos(np.pi * x))
+        with pytest.raises(ValueError, match="whole number of steps"):
+            run(init, SolverConfig(tau=0.03, t_final=0.1), pot, "local-ch")
+        # a step count that is whole up to rounding still runs to t_final
+        rec = run(init, SolverConfig(tau=0.1 / 3, t_final=0.1), pot, "local-ch")
+        assert rec.times[-1] == pytest.approx(0.1, rel=1e-12)
+
     def test_explicit_tau_guard(self, grid, pot):
         k = make_kernel(1, 0.1)
         bound = explicit_tau_bound("nonlocal-ch", grid, 1.0, k)
@@ -263,3 +284,83 @@ class TestRecords:
             SolverConfig(tau=1e-3, t_final=1.0, scheme="leapfrog")
         with pytest.raises(ValueError):
             SolverConfig(tau=1e-3, t_final=1.0, record_every=0)
+
+
+def _reference_stepper(grid, equation, config, potential, kernel):
+    """The five-transform step the spectral-state stepper replaced: each step
+    transforms the values afresh and, for the nonlocal flows, applies the
+    true operator through the padded FFT."""
+    nonlocal_eq = equation.startswith("nonlocal")
+    lam = laplacian_symbol(grid)
+    drive = config.mobility * lam if equation.endswith("ch") else np.ones_like(lam)
+    stab = resolve_stabilization(config, potential)
+    nu = stencil_symbol(kernel, grid) if nonlocal_eq else lam
+    if config.scheme == "semi-implicit":
+        denom = 1.0 + config.tau * drive * (nu + stab)
+    else:
+        denom = np.ones_like(lam)
+
+    def step_values(values):
+        chat = transform_values(grid, values)
+        fp = potential.fprime(values)
+        if nonlocal_eq:
+            ghat = transform_values(grid, apply_fft_values(kernel, grid, values) + fp)
+        else:
+            ghat = lam * chat + transform_values(grid, fp)
+        chat = chat - config.tau * drive * ghat / denom
+        return inverse_transform_values(grid, chat)
+
+    return step_values
+
+
+class TestSpectralStateStepper:
+    @pytest.mark.parametrize("equation", ["local-ch", "nonlocal-ch", "local-ac", "nonlocal-ac"])
+    @pytest.mark.parametrize("lengths, cells, eps", [
+        ((1.0,), (64,), 0.2),
+        ((1.0, 1.5), (20, 24), 0.3),
+    ])
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "explicit"])
+    def test_matches_five_transform_reference(self, equation, lengths, cells, eps,
+                                              boundary, scheme):
+        g = UniformGrid(lengths, cells, boundary)
+        kernel = make_kernel(g.dimension, eps)
+        pot = DoubleWell(K=1.0)
+        if scheme == "explicit":
+            tau = 0.5 * explicit_tau_bound(equation, g, 1.0, kernel)
+        else:
+            tau = 1e-4
+        n_steps = 200
+        cfg = SolverConfig(tau=tau, t_final=n_steps * tau, record_every=n_steps,
+                           scheme=scheme, keep_fields=True)
+        rng = np.random.default_rng(7)
+        smooth = sample(g, lambda *xs: 0.3 * math.prod(np.cos(np.pi * x) for x in xs))
+        init = Field(g, smooth.values + 0.05 * rng.standard_normal(g.shape))
+
+        out = run(init, cfg, pot, equation, kernel).fields[-1].values
+        ref_step = _reference_stepper(g, equation, cfg, pot, kernel)
+        ref = init.values
+        for _ in range(n_steps):
+            ref = ref_step(ref)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dimension=st.sampled_from([1, 2]),
+        cells=st.integers(12, 40),
+        eps=st.floats(0.1, 0.4),  # periodic grids need 2 * reach + 1 <= cells
+        boundary=st.sampled_from(["neumann", "periodic"]),
+        equation=st.sampled_from(["local-ch", "nonlocal-ch"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_conserved_flows_conserve_mass(self, dimension, cells, eps, boundary,
+                                           equation, seed):
+        g = UniformGrid((1.0,) * dimension, (cells,) * dimension, boundary)
+        kernel = make_kernel(dimension, eps) if equation == "nonlocal-ch" else None
+        rng = np.random.default_rng(seed)
+        init = Field(g, rng.uniform(-1.0, 1.0, g.shape))
+        cfg = SolverConfig(tau=1e-4, t_final=5e-3, record_every=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            rec = run(init, cfg, DoubleWell(K=1.0), equation, kernel)
+        assert np.max(np.abs(rec.mass - integrate(init))) <= 1e-10

@@ -65,6 +65,7 @@ from .solvers import (
     SolverDivergedError,
     TrajectoryRecord,
     run,
+    run_batch,
     step,
 )
 

@@ -29,7 +29,7 @@ from .grid import (
 from .kernels import Kernel, MollifierSpec, fourier_symbol
 from .local_ops import dirichlet_energy, laplacian
 from .nonlocal_ops import apply_fft, interior_remainder, nonlocal_energy
-from .solvers import SolverConfig, TrajectoryRecord, reference_config, run
+from .solvers import SolverConfig, TrajectoryRecord, reference_config, run, run_batch
 
 __all__ = [
     "RateTable",
@@ -451,20 +451,6 @@ def _trajectory_errors(times, fields_eps, fields_ref):
     }
 
 
-def _solution_point(args):
-    (mollifier, initial_values, grid, config, potential, equation, eps,
-     perturbation_scale, ref_times, ref_stack) = args
-    kernel = Kernel(mollifier, eps)
-    start = initial_values + perturbation_scale * math.sqrt(eps) * _f_cospix(grid)
-    record = run(Field(grid, start), config, potential, equation, kernel)
-    if record.times.shape != ref_times.shape or not np.allclose(record.times, ref_times,
-                                                                rtol=1e-12, atol=1e-14):
-        raise ValueError("record times of the two runs do not line up")
-    fields_ref = [Field(grid, v) for v in ref_stack]
-    errors = _trajectory_errors(record.times, record.fields, fields_ref)
-    return errors, record
-
-
 @dataclass(frozen=True)
 class SolutionStudyResult:
     equation: str
@@ -497,6 +483,11 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
     interpolation norms; each series gets its own fitted table.  The peak
     cubic-regularity norm of the reference trajectory is recorded as
     evidence for the smoothness the comparison leans on.
+
+    The ladder's runs step together as the members of one
+    :func:`~nonloclab.solvers.run_batch` call, and each equals its own
+    :func:`run` bit for bit.  ``workers`` is accepted like the other studies'
+    and ignored: the batch is one process.
     """
     if not equation.startswith("nonlocal"):
         raise ValueError("solution study compares a nonlocal flow to its local limit")
@@ -507,19 +498,21 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
 
     config = replace(config, keep_fields=True)
     ref = run(initial, reference_config(config), potential, local_equation)
-    ref_stack = np.stack([f.values for f in ref.fields])
 
-    tasks = [
-        (mollifier, initial.values, grid, config, potential, equation, e,
-         perturbation_scale, ref.times, ref_stack)
-        for e in eps
-    ]
-    outputs = _pmap(_solution_point, tasks, workers)
+    profile = _f_cospix(grid)
+    starts = [Field(grid, initial.values + perturbation_scale * math.sqrt(e) * profile)
+              for e in eps]
+    runs = run_batch(starts, config, potential, equation,
+                     [Kernel(mollifier, e) for e in eps])
+    if runs[0].times.shape != ref.times.shape or not np.allclose(
+        runs[0].times, ref.times, rtol=1e-12, atol=1e-14
+    ):
+        raise ValueError("record times of the two runs do not line up")
 
     errors: dict[str, list[float]] = {name: [] for name in _SOLUTION_NORMS}
-    records: dict[float, TrajectoryRecord] = {}
-    for e, (errs, record) in zip(eps, outputs):
-        records[e] = record
+    records = dict(zip(eps, runs))
+    for record in runs:
+        errs = _trajectory_errors(record.times, record.fields, ref.fields)
         for name in _SOLUTION_NORMS:
             errors[name].append(errs[name])
 

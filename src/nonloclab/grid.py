@@ -8,6 +8,7 @@ stack as the solvers, keeping norm and solver errors consistent.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft
+import scipy.fftpack
 
 __all__ = [
     "UniformGrid",
@@ -65,8 +67,8 @@ class UniformGrid:
             raise ValueError("lengths and cells must have the same number of axes")
         if self.dimension not in (1, 2):
             raise ValueError("only 1D and 2D grids are supported")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("axis lengths must be positive")
+        if not all(0 < L < math.inf for L in self.lengths):
+            raise ValueError(f"axis lengths must be positive and finite, got {self.lengths}")
         if any(N < 1 for N in self.cells):
             raise ValueError("cell counts must be positive")
         if self.boundary not in _BOUNDARY_CODES:
@@ -156,8 +158,8 @@ def l2_norm(field: Field) -> float:
 
 
 def lp_norm(field: Field, p: float) -> float:
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p!r}")
     if p == 2:
         # keep the p = 2 route bit-identical to l2_norm
         return l2_norm(field)
@@ -169,15 +171,31 @@ def lp_norm(field: Field, p: float) -> float:
 # transform stack
 
 def transform_values(grid: UniformGrid, values: np.ndarray) -> np.ndarray:
+    """Orthonormal transform over the trailing ``grid.dimension`` axes; any
+    leading (member) axis passes through.
+
+    1D cosine transforms go through ``scipy.fftpack``, the legacy wrapper
+    over the same pocketfft kernel, which skips ``scipy.fft``'s per-call
+    dispatch; its output equals ``scipy.fft.dctn`` bit for bit.
+    """
+    if grid.dimension == 1:
+        if grid.boundary == NEUMANN:
+            return scipy.fftpack.dct(values, type=2, norm="ortho", axis=-1)
+        return scipy.fft.fft(values, norm="ortho")
     if grid.boundary == NEUMANN:
-        return scipy.fft.dctn(values, type=2, norm="ortho")
-    return scipy.fft.fftn(values, norm="ortho")
+        return scipy.fft.dctn(values, type=2, norm="ortho", axes=(-2, -1))
+    return scipy.fft.fftn(values, norm="ortho", axes=(-2, -1))
 
 
 def inverse_transform_values(grid: UniformGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`transform_values`, over the same trailing axes."""
+    if grid.dimension == 1:
+        if grid.boundary == NEUMANN:
+            return scipy.fftpack.idct(coeffs, type=2, norm="ortho", axis=-1)
+        return scipy.fft.ifft(coeffs, norm="ortho").real
     if grid.boundary == NEUMANN:
-        return scipy.fft.idctn(coeffs, type=2, norm="ortho")
-    return scipy.fft.ifftn(coeffs, norm="ortho").real
+        return scipy.fft.idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
+    return scipy.fft.ifftn(coeffs, norm="ortho", axes=(-2, -1)).real
 
 
 def spectral_coefficients(field: Field) -> np.ndarray:
@@ -285,7 +303,10 @@ def load_field(path) -> Field:
             N, L = _unpack(fh, "<Qd")
             cells.append(N)
             lengths.append(L)
-        grid = UniformGrid(tuple(lengths), tuple(cells), _BOUNDARY_NAMES[bcode])
+        try:
+            grid = UniformGrid(tuple(lengths), tuple(cells), _BOUNDARY_NAMES[bcode])
+        except ValueError as exc:
+            raise ValueError(f"checkpoint header describes no valid grid: {exc}") from None
         # size check before reading, so a corrupt header cannot ask for a huge buffer
         payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload_bytes != 8 * grid.node_count:

@@ -8,7 +8,8 @@ as their default stabilization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +23,7 @@ class DoubleWell:
     K: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, ("K",))
         if not self.K > 0:
             raise ValueError("K must be positive")
 
@@ -60,6 +62,7 @@ class LogarithmicPotential:
     clamp_events: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_finite(self, ("theta", "theta_c", "clamp_delta"))
         if not 0 < self.theta < self.theta_c:
             raise ValueError("need 0 < theta < theta_c")
         if not 0 < self.clamp_delta < 1:
@@ -91,13 +94,35 @@ class LogarithmicPotential:
         return self.theta / (1.0 - c**2) - self.theta_c
 
 
+def _require_finite(potential, names) -> None:
+    for name in names:
+        value = getattr(potential, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+_KINDS = {
+    "doublewell": DoubleWell, "double-well": DoubleWell, "dw": DoubleWell,
+    "logarithmic": LogarithmicPotential, "log": LogarithmicPotential,
+}
+
+
 def make_potential(kind: str, **params):
-    kind = kind.lower()
-    if kind in ("doublewell", "double-well", "dw"):
-        return DoubleWell(**params)
-    if kind in ("logarithmic", "log"):
-        return LogarithmicPotential(**params)
-    raise ValueError(f"unknown potential kind {kind!r}")
+    try:
+        cls = _KINDS[kind.lower()]
+    except KeyError:
+        raise ValueError(f"unknown potential kind {kind!r}") from None
+    accepted = [f for f in fields(cls) if f.init]
+    names = [f.name for f in accepted]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown} for {cls.__name__}; "
+                         f"accepted parameters: {', '.join(names)}")
+    missing = [f.name for f in accepted
+               if f.name not in params and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{cls.__name__} is missing parameters: {', '.join(missing)}")
+    return cls(**params)
 
 
 def parse_potential(spec: str):

@@ -1,19 +1,30 @@
 """Time integrators for the four gradient flows, with mass and energy tracking.
 
-All four equations share one first-order IMEX step, and ``run`` carries the
-state as its coefficients ``chat`` in the grid's transform basis (cosine for
-zero-flux boxes, Fourier for periodic ones).  The implicit part is the
-constant-coefficient portion ``nu`` of the driving operator, which is
-diagonal in that basis: the Laplacian symbol for the local flows, and for the
-nonlocal flows the symbol of the reflected/wrapped stencil operator, both
-plus the scalar stabilizer.  Everything else is explicit, so one step is
+All four equations share one first-order IMEX step and one time loop,
+:func:`run_batch`.  It advances a batch of members that share the grid, the
+equation, the config and the potential and differ in their kernels (one per
+member, ``None`` for the local flows); :func:`run` and :func:`step` are
+one-member calls of it.  Every state array carries the member axis first,
+and the transforms act on the trailing grid axes, so each step transforms
+the whole batch at once.
+
+The loop carries the state as its coefficients ``chat`` in the grid's
+transform basis (cosine for zero-flux boxes, Fourier for periodic ones).
+The implicit part is the constant-coefficient portion ``nu`` of the driving
+operator, which is diagonal in that basis: the Laplacian symbol for the
+local flows, and for the nonlocal flows the symbol of the member's
+reflected/wrapped stencil operator, both plus the scalar stabilizer.
+Everything else is explicit, so one step is
 
     values = inverse transform of chat
     ghat   = nu * chat + T(fprime(values) + E(values))
     chat  -= tau * drive * ghat / denom
 
-with two transforms per step.  ``values`` also serve the divergence guard
-and the records.  The explicit operator part ``E`` depends only on the grid:
+with two transforms per step for the whole batch.  ``nu`` and the gain
+``tau * drive / denom`` are stacked along the member axis.  ``values`` also
+serve the divergence guard, checked per member, and the records.  The
+explicit operator part ``E`` depends only on the grid, and is applied member
+by member with that member's kernel:
 
 - local flows and periodic grids: none, the symbol is exact;
 - 1D zero-flux boxes: minus the boundary remainder, which lives within
@@ -23,13 +34,17 @@ and the records.  The explicit operator part ``E`` depends only on the grid:
   (:func:`~nonloclab.nonlocal_ops.apply_fft_values`), with ``nu`` left out
   of ``ghat``.
 
-With stabilization at least the potential's curvature bound the step
-dissipates the corresponding free energy unconditionally.  The mass mode is
-untouched by construction for the conserved flows.
+Each member's arithmetic is the same as in a batch of one, so batched
+records equal separate runs bit for bit.  With stabilization at least the
+potential's curvature bound the step dissipates the corresponding free
+energy unconditionally.  The mass mode is untouched by construction for the
+conserved flows.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -56,6 +71,7 @@ __all__ = [
     "SolverDivergedError",
     "step",
     "run",
+    "run_batch",
     "resolve_stabilization",
     "explicit_tau_bound",
 ]
@@ -91,6 +107,12 @@ class SolverConfig:
     allow_unstable_tau: bool = False
 
     def __post_init__(self):
+        for name in ("tau", "t_final", "mobility", "stabilization"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.record_every, numbers.Integral):
+            raise ValueError(f"record_every must be an integer, got {self.record_every!r}")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not self.t_final >= self.tau:
@@ -165,34 +187,39 @@ def explicit_tau_bound(equation: str, grid: UniformGrid, mobility: float,
 
 
 class _Stepper:
+    """One IMEX step for a batch of members that share a grid, an equation,
+    a config and a potential and differ in their kernels (one per member,
+    ``None`` for the local flows).  Arrays carry the member axis first."""
+
     def __init__(self, grid: UniformGrid, equation: str, config: SolverConfig,
-                 potential, kernel: Kernel | None):
+                 potential, kernels):
         if equation not in EQUATIONS:
             raise ValueError(f"equation must be one of {EQUATIONS}")
         nonlocal_eq = equation.startswith("nonlocal")
-        if nonlocal_eq and kernel is None:
+        if nonlocal_eq and any(k is None for k in kernels):
             raise ValueError(f"{equation} needs a kernel")
         self.grid = grid
         self.potential = potential
-        self.kernel = kernel if nonlocal_eq else None
+        self.kernels = tuple(kernels) if nonlocal_eq else (None,) * len(kernels)
         self.nonlocal_eq = nonlocal_eq
 
         lam = laplacian_symbol(grid)
         drive = config.mobility * lam if equation.endswith("ch") else np.ones_like(lam)
         stabilization = resolve_stabilization(config, potential)
-        nu = stencil_symbol(kernel, grid) if nonlocal_eq else lam
+        nu = np.stack([stencil_symbol(k, grid) if nonlocal_eq else lam for k in self.kernels])
         if config.scheme == SEMI_IMPLICIT:
             denom = 1.0 + config.tau * drive * (nu + stabilization)
         else:
             denom = 1.0
-            bound = explicit_tau_bound(equation, grid, config.mobility, kernel)
-            if config.tau > bound:
-                msg = (f"tau = {config.tau:.3e} exceeds the explicit stability bound "
-                       f"{bound:.3e} for {equation}")
-                if config.allow_unstable_tau:
-                    warnings.warn(msg, UserWarning, stacklevel=3)
-                else:
-                    raise ValueError(msg + "; shrink tau or set allow_unstable_tau")
+            for kernel in self.kernels:
+                bound = explicit_tau_bound(equation, grid, config.mobility, kernel)
+                if config.tau > bound:
+                    msg = (f"tau = {config.tau:.3e} exceeds the explicit stability bound "
+                           f"{bound:.3e} for {equation}")
+                    if config.allow_unstable_tau:
+                        warnings.warn(msg, UserWarning, stacklevel=4)
+                    else:
+                        raise ValueError(msg + "; shrink tau or set allow_unstable_tau")
         self.gain = config.tau * drive / denom
 
         # the explicit operator part, chosen from the grid alone; it adds into
@@ -201,8 +228,8 @@ class _Stepper:
         self.explicit = None
         if nonlocal_eq and grid.boundary == NEUMANN:
             if grid.dimension == 1:
-                self.strip = nonlocal_ops.wall_strip(kernel, grid)
-                self.strip_right = self.strip[::-1, ::-1].copy()
+                self.strips = [nonlocal_ops.wall_strip(k, grid) for k in self.kernels]
+                self.strips_right = [s[::-1, ::-1].copy() for s in self.strips]
                 self.explicit = self._subtract_wall_remainder
             else:
                 # the whole true operator is explicit; nu stays in denom only
@@ -211,16 +238,18 @@ class _Stepper:
 
     def _subtract_wall_remainder(self, values: np.ndarray, out: np.ndarray) -> None:
         # true operator = reflected operator (nu) minus the boundary remainder
-        k = self.strip.shape[0]
-        out[:k] -= self.strip @ values[:k]
-        out[-k:] -= self.strip_right @ values[-k:]
+        for m, (left, right) in enumerate(zip(self.strips, self.strips_right)):
+            k = left.shape[0]
+            out[m, :k] -= left @ values[m, :k]
+            out[m, -k:] -= right @ values[m, -k:]
 
     def _add_true_operator(self, values: np.ndarray, out: np.ndarray) -> None:
-        out += apply_fft_values(self.kernel, self.grid, values)
+        for m, kernel in enumerate(self.kernels):
+            out[m] += apply_fft_values(kernel, self.grid, values[m])
 
     def step_values(self, values: np.ndarray, chat: np.ndarray):
-        """One step from the state's values and transform coefficients;
-        returns both for the new state."""
+        """One step from the members' values and transform coefficients;
+        returns both for the new states."""
         g = self.potential.fprime(values)
         if self.explicit is not None:
             self.explicit(values, g)
@@ -230,11 +259,11 @@ class _Stepper:
         chat = chat - self.gain * ghat
         return inverse_transform_values(self.grid, chat), chat
 
-    def energy(self, values: np.ndarray) -> float:
+    def energy(self, member: int, values: np.ndarray) -> float:
         field = Field(self.grid, values)
         bulk = integrate(Field(self.grid, self.potential.f(values)))
         if self.nonlocal_eq:
-            return nonlocal_ops.nonlocal_energy(self.kernel, field) + bulk
+            return nonlocal_ops.nonlocal_energy(self.kernels[member], field) + bulk
         return dirichlet_energy(field) + bulk
 
 
@@ -242,9 +271,9 @@ def step(state: Field, config: SolverConfig, potential, equation: str,
          kernel: Kernel | None = None) -> Field:
     """Advance ``state`` by one step of ``equation``; the conserved flows
     preserve mass exactly."""
-    stepper = _Stepper(state.grid, equation, config, potential, kernel)
-    values, _ = stepper.step_values(state.values, transform_values(state.grid, state.values))
-    return Field(state.grid, values)
+    one_step = replace(config, t_final=config.tau, record_every=1, keep_fields=True)
+    (record,) = run_batch([state], one_step, potential, equation, [kernel])
+    return record.fields[-1]
 
 
 def run(initial: Field, config: SolverConfig, potential, equation: str,
@@ -256,46 +285,86 @@ def run(initial: Field, config: SolverConfig, potential, equation: str,
     ``keep_fields`` the state at each record time is stored in the returned
     trajectory.
     """
-    stepper = _Stepper(initial.grid, equation, config, potential, kernel)
+    (record,) = run_batch([initial], config, potential, equation, [kernel])
+    return record
+
+
+def run_batch(initials, config: SolverConfig, potential, equation: str,
+              kernels) -> list[TrajectoryRecord]:
+    """:func:`run` for several members at once, one kernel per initial field.
+
+    The members share the grid, ``config``, ``potential`` and ``equation``;
+    each step transforms all of them together.  Every member's record equals
+    that of its own :func:`run` call bit for bit.  The divergence guard is
+    checked per member and names the member that tripped it.
+    """
+    initials, kernels = list(initials), list(kernels)
+    if not initials or len(initials) != len(kernels):
+        raise ValueError("run_batch needs one kernel per initial field, and at least one")
+    grid = initials[0].grid
+    if any(f.grid != grid for f in initials):
+        raise ValueError("the members of a batch must share one grid")
+    stepper = _Stepper(grid, equation, config, potential, kernels)
     n_steps = int(round(config.t_final / config.tau))
     if abs(n_steps * config.tau - config.t_final) > 1e-9 * config.t_final:
         raise ValueError(
             f"t_final = {config.t_final:g} is not a whole number of steps of "
             f"tau = {config.tau:g}; the nearest step count ends at {n_steps * config.tau:g}"
         )
-    values = initial.values
-    chat = transform_values(initial.grid, values)
-    guard = _DIVERGENCE_FACTOR * max(1.0, float(np.max(np.abs(values))))
+    members = range(len(initials))
+    values = np.stack([f.values for f in initials])
+    chat = transform_values(grid, values)
+    # clipped to the largest float, so an infinite peak always trips it
+    guard = np.minimum(_DIVERGENCE_FACTOR * np.maximum(1.0, _member_peaks(values)),
+                       np.finfo(float).max)
+    lowest_guard = guard.min()
 
-    times, mass, energy = [], [], []
-    fields: list[Field] | None = [] if config.keep_fields else None
+    times = []
+    mass: list[list[float]] = [[] for _ in members]
+    energy: list[list[float]] = [[] for _ in members]
+    fields = [[] for _ in members] if config.keep_fields else None
 
     def record(step: int, vals: np.ndarray) -> None:
         times.append(step * config.tau)
-        mass.append(integrate(Field(initial.grid, vals)))
-        energy.append(stepper.energy(vals))
-        if fields is not None:
-            fields.append(Field(initial.grid, vals.copy()))
+        for m in members:
+            mass[m].append(integrate(Field(grid, vals[m])))
+            energy[m].append(stepper.energy(m, vals[m]))
+            if fields is not None:
+                fields[m].append(Field(grid, vals[m].copy()))
 
     record(0, values)
     for step in range(1, n_steps + 1):
         values, chat = stepper.step_values(values, chat)
-        peak = float(np.max(np.abs(values))) if values.size else 0.0
-        if not np.isfinite(peak) or peak > guard:
-            raise SolverDivergedError(
-                f"{equation} diverged at step {step} (t = {step * config.tau:.6g}): "
-                f"max |c| = {peak:.3e}"
-            )
+        # one reduction over the whole batch; per member only when it trips
+        if not np.abs(values).max() <= lowest_guard:
+            peaks = _member_peaks(values)
+            tripped = np.flatnonzero(~(peaks <= guard))
+            if tripped.size:
+                m = tripped[0]
+                kernel = stepper.kernels[m]
+                who = f" (epsilon = {kernel.epsilon:g})" if kernel is not None else ""
+                raise SolverDivergedError(
+                    f"{equation}{who} diverged at step {step} "
+                    f"(t = {step * config.tau:.6g}): max |c| = {peaks[m]:.3e}"
+                )
         if step % config.record_every == 0 or step == n_steps:
             record(step, values)
 
-    return TrajectoryRecord(
-        equation=equation,
-        times=np.asarray(times),
-        mass=np.asarray(mass),
-        energy=np.asarray(energy),
-        fields=tuple(fields) if fields is not None else None,
-    )
+    return [
+        TrajectoryRecord(
+            equation=equation,
+            times=np.asarray(times),
+            mass=np.asarray(mass[m]),
+            energy=np.asarray(energy[m]),
+            fields=tuple(fields[m]) if fields is not None else None,
+        )
+        for m in members
+    ]
+
+
+def _member_peaks(values: np.ndarray) -> np.ndarray:
+    """max |c| of each member of a stacked batch."""
+    return np.abs(values).reshape(len(values), -1).max(axis=1)
 
 
 def reference_config(config: SolverConfig, refinement: int = 10) -> SolverConfig:

@@ -98,6 +98,32 @@ class TestSolveCommand:
                         "--tau", "1e-5", "--N", "64", "--out", str(out)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--T", "inf", "t_final must be finite"),
+        ("--tau", "nan", "tau must be finite"),
+        ("--mobility", "inf", "mobility must be finite"),
+        ("--stabilization", "inf", "stabilization must be finite"),
+    ])
+    def test_non_finite_config_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        # the last occurrence of a flag wins
+        assert run_cli(["solve", "--eq", "local-ch", "--N", "32", "--T", "0.05",
+                        "--tau", "0.01", flag, value, "--out", str(tmp_path / "bad")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("doublewell:foo=1", "accepted parameters: K"),
+        ("logarithmic:theta=0.8", "missing parameters: theta_c"),
+        ("doublewell:K=inf", "K must be finite"),
+        ("logarithmic:theta=0.8,theta_c=1,clamp_delta=nan", "clamp_delta must be finite"),
+    ])
+    def test_bad_potential_is_usage_error(self, tmp_path, capsys, spec, message):
+        code = run_cli(["solve", "--eq", "local-ch", "--N", "32", "--T", "0.05",
+                        "--tau", "0.01", "--potential", spec, "--out", str(tmp_path / "bad")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_ac_solve(self, tmp_path):
         out = tmp_path / "ac"
         assert run_cli(["solve", "--eq", "local-ac", "--T", "0.01", "--tau", "1e-4",

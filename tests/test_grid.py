@@ -1,7 +1,12 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nonloclab.grid import (
     Field,
@@ -9,12 +14,14 @@ from nonloclab.grid import (
     field_to_csv,
     hminus1_norm,
     integrate,
+    inverse_transform_values,
     l2_norm,
     load_field,
     lp_norm,
     sample,
     save_field,
     sobolev_norm,
+    transform_values,
 )
 
 
@@ -42,6 +49,9 @@ class TestGridBasics:
             UniformGrid((1.0,), (0,))
         with pytest.raises(ValueError):
             UniformGrid((-1.0,), (8,))
+        for bad_length in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                UniformGrid((1.0, bad_length), (8, 8))
         with pytest.raises(ValueError):
             UniformGrid((1.0, 1.0, 1.0), (4, 4, 4))
         with pytest.raises(ValueError):
@@ -85,6 +95,12 @@ class TestNorms:
         f = sample(neumann_grid, lambda x: x)
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
+
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_lp_rejects_non_finite_p(self, neumann_grid, p):
+        f = sample(neumann_grid, lambda x: np.cos(np.pi * x))
+        with pytest.raises(ValueError, match="finite"):
+            lp_norm(f, p)
 
     def test_midpoint_rule_is_second_order(self):
         exact = math.e - 1.0
@@ -165,6 +181,55 @@ class TestDualNorm:
         assert sobolev_norm(f, -1.0) == pytest.approx((1 + lam) ** -0.5 * 0.5, rel=1e-12)
 
 
+def _grids():
+    """Small random 1D and 2D grids with either boundary."""
+    cells = st.integers(1, 12)
+    lengths = st.floats(0.1, 10.0)
+    return st.integers(1, 2).flatmap(lambda d: st.builds(
+        UniformGrid,
+        st.tuples(*[lengths] * d),
+        st.tuples(*[cells] * d),
+        st.sampled_from(["neumann", "periodic"]),
+    ))
+
+
+class TestTransformLayer:
+    @pytest.mark.parametrize("lengths, cells", [((1.0,), (65,)), ((1.0, 1.5), (12, 20))])
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    def test_leading_axis_passes_through(self, lengths, cells, boundary):
+        g = UniformGrid(lengths, cells, boundary)
+        stack = np.random.default_rng(4).standard_normal((3, *g.shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = transform_values(g, stack)
+            back = inverse_transform_values(g, coeffs)
+            for row, c, b in zip(stack, coeffs, back):
+                assert np.array_equal(transform_values(g, row), c)
+                assert np.array_equal(inverse_transform_values(g, c), b)
+        assert np.allclose(back, stack, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(64,), (3, 64), (2, 1000)])
+    def test_1d_neumann_matches_scipy_fft(self, shape):
+        # the 1D cosine transform skips scipy.fft's dispatch; any warning
+        # from the legacy wrapper (a deprecation, say) fails here
+        g = UniformGrid((1.0,), shape[-1:], "neumann")
+        x = np.random.default_rng(5).standard_normal(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forward = transform_values(g, x)
+            inverse = inverse_transform_values(g, x)
+        assert np.array_equal(forward, scipy.fft.dctn(x, type=2, norm="ortho", axes=-1))
+        assert np.array_equal(inverse, scipy.fft.idctn(x, type=2, norm="ortho", axes=-1))
+
+    def test_1d_periodic_matches_fftn(self):
+        g = UniformGrid((1.0,), (48,), "periodic")
+        x = np.random.default_rng(6).standard_normal(48)
+        coeffs = transform_values(g, x)
+        assert np.array_equal(coeffs, scipy.fft.fftn(x, norm="ortho"))
+        assert np.array_equal(inverse_transform_values(g, coeffs),
+                              scipy.fft.ifftn(coeffs, norm="ortho").real)
+
+
 class TestSerialization:
     def test_binary_roundtrip(self, tmp_path):
         g = UniformGrid((1.0, 2.0), (16, 32), "periodic")
@@ -187,6 +252,8 @@ class TestSerialization:
         pytest.param(lambda b: b[:12], id="short-header"),
         pytest.param(lambda b: b[:-8], id="truncated-payload"),
         pytest.param(lambda b: b + b"\0" * 8, id="trailing-bytes"),
+        pytest.param(lambda b: b[:15] + struct.pack("<d", math.nan) + b[23:], id="nan-length"),
+        pytest.param(lambda b: b[:15] + struct.pack("<d", math.inf) + b[23:], id="inf-length"),
     ])
     def test_binary_rejects_corrupt_file(self, tmp_path, corrupt):
         path = tmp_path / "field.bin"
@@ -194,6 +261,39 @@ class TestSerialization:
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(ValueError, match="checkpoint"):
             load_field(path)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(grid=_grids(), seed=st.integers(0, 2**32 - 1))
+    def test_binary_roundtrip_property(self, tmp_path, grid, seed):
+        f = Field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+        path = tmp_path / "field.bin"
+        save_field(f, path)
+        back = load_field(path)
+        assert back.grid == grid
+        assert np.array_equal(back.values, f.values)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(grid=_grids(), data=st.data())
+    def test_damaged_checkpoint_raises_only_value_error(self, tmp_path, grid, data):
+        path = tmp_path / "field.bin"
+        save_field(Field(grid, np.linspace(-1.0, 1.0, grid.node_count).reshape(grid.shape)),
+                   path)
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="keep")]
+        else:
+            where = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            raw[where] ^= data.draw(st.integers(1, 255), label="mask")
+        path.write_bytes(bytes(raw))
+        try:
+            back = load_field(path)
+        except ValueError:
+            return
+        # a flip the format cannot detect still yields a valid field
+        assert all(math.isfinite(L) and L > 0 for L in back.grid.lengths)
+        assert np.all(np.isfinite(back.values))
 
     def test_csv_1d(self, tmp_path):
         g = UniformGrid((1.0,), (4,))

@@ -1,13 +1,16 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nonloclab.experiments import make_test_field
 from nonloclab.grid import Field, UniformGrid, integrate, l2_norm, sample
-from nonloclab.kernels import eval_J, make_kernel, total_mass
+from nonloclab.kernels import PROFILES, eval_J, make_kernel, total_mass
 from nonloclab.local_ops import dirichlet_energy
 from nonloclab.nonlocal_ops import (
     ResolutionWarning,
@@ -100,6 +103,34 @@ class TestOperatorApplications:
         direct = apply_direct(k, f)
         fast = apply_fft(k, f)
         assert l2_norm(fast - direct) <= 1e-9 * l2_norm(direct)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dimension=st.sampled_from([1, 2]),
+        cells=st.tuples(st.integers(3, 24), st.integers(3, 24)),
+        lengths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        boundary=st.sampled_from(["neumann", "periodic"]),
+        profile=st.sampled_from(sorted(PROFILES)),
+        fraction=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_oracle_equivalence_property(self, dimension, cells, lengths, boundary,
+                                         profile, fraction, seed):
+        g = UniformGrid(lengths[:dimension], cells[:dimension], boundary)
+        # the widest support the fast path accepts: no wrap onto itself on a
+        # torus, one reflection's room in a box
+        room = [(N - 1) // 2 if boundary == "periodic" else N for N in g.cells]
+        eps = fraction * min(k * h for k, h in zip(room, g.spacing))
+        assume(eps > 0)
+        k = make_kernel(dimension, eps, profile)
+        f = random_field(g, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            direct = apply_direct(k, f)
+            fast = apply_fft(k, f)
+        # the FFT path's rounding scales with the kernel weights, about 1 / eps**2
+        # per unit of field, also where the direct sum is exactly zero
+        assert l2_norm(fast - direct) <= 1e-10 * (l2_norm(direct) + l2_norm(f) / eps**2)
 
     def test_self_adjoint_and_psd(self, grid_1d, kernel_1d):
         u = random_field(grid_1d, 4)

@@ -102,5 +102,18 @@ class TestFactory:
             parse_potential("mystery:K=1")
         with pytest.raises(ValueError):
             parse_potential("doublewell:K")
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"accepted parameters: K\b"):
             make_potential("doublewell", bogus=1.0)
+        with pytest.raises(ValueError, match="accepted parameters: theta, theta_c, clamp_delta"):
+            parse_potential("logarithmic:theta=0.8,theta_c=1,clamp_events=3")
+        with pytest.raises(ValueError, match="missing parameters: theta, theta_c"):
+            make_potential("logarithmic")
+
+    @pytest.mark.parametrize("spec", [
+        "doublewell:K=inf", "doublewell:K=nan",
+        "logarithmic:theta=0.8,theta_c=inf", "logarithmic:theta=nan,theta_c=1",
+        "logarithmic:theta=0.8,theta_c=1,clamp_delta=nan",
+    ])
+    def test_non_finite_parameters_rejected(self, spec):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_potential(spec)

@@ -27,6 +27,7 @@ from nonloclab.solvers import (
     reference_config,
     resolve_stabilization,
     run,
+    run_batch,
     step,
 )
 
@@ -364,3 +365,92 @@ class TestSpectralStateStepper:
             warnings.simplefilter("ignore", ResolutionWarning)
             rec = run(init, cfg, DoubleWell(K=1.0), equation, kernel)
         assert np.max(np.abs(rec.mass - integrate(init))) <= 1e-10
+
+
+def _assert_records_equal(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.mass, b.mass)
+    assert np.array_equal(a.energy, b.energy)
+    assert len(a.fields) == len(b.fields)
+    for fa, fb in zip(a.fields, b.fields):
+        assert np.array_equal(fa.values, fb.values)
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("equation", ["local-ch", "nonlocal-ch", "local-ac", "nonlocal-ac"])
+    @pytest.mark.parametrize("lengths, cells", [((1.0,), (65,)), ((1.0, 1.5), (21, 24))])
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    def test_members_equal_separate_runs(self, equation, lengths, cells, boundary):
+        g = UniformGrid(lengths, cells, boundary)
+        rng = np.random.default_rng(7)
+        epsilons = (0.4, 0.3, 0.25)
+        inits = [Field(g, rng.uniform(-0.5, 0.5, g.shape)) for _ in epsilons]
+        if equation.startswith("nonlocal"):
+            kernels = [make_kernel(g.dimension, e) for e in epsilons]
+        else:
+            kernels = [None] * len(epsilons)
+        cfg = SolverConfig(tau=1e-4, t_final=3e-3, record_every=7, keep_fields=True)
+        pot = DoubleWell(K=1.0)
+        records = run_batch(inits, cfg, pot, equation, kernels)
+        assert len(records) == len(inits)
+        for init, kernel, record in zip(inits, kernels, records):
+            _assert_records_equal(record, run(init, cfg, pot, equation, kernel))
+
+    def test_logarithmic_members_equal_separate_runs(self, grid):
+        rng = np.random.default_rng(8)
+        inits = [Field(grid, rng.uniform(-0.9, 0.9, grid.shape)) for _ in range(2)]
+        kernels = [make_kernel(1, e) for e in (0.2, 0.1)]
+        cfg = SolverConfig(tau=1e-5, t_final=2e-4, record_every=5, keep_fields=True)
+        records = run_batch(inits, cfg, LogarithmicPotential(0.8, 1.0), "nonlocal-ac", kernels)
+        for init, kernel, record in zip(inits, kernels, records):
+            _assert_records_equal(
+                record, run(init, cfg, LogarithmicPotential(0.8, 1.0), "nonlocal-ac", kernel))
+
+    def test_diverging_member_names_its_epsilon(self, grid, pot):
+        # tau is stable for the wide kernel and far above the narrow kernel's bound
+        wide, narrow = make_kernel(1, 0.4), make_kernel(1, 0.1)
+        tau = 0.5 * explicit_tau_bound("nonlocal-ch", grid, 1.0, wide)
+        assert tau > 5 * explicit_tau_bound("nonlocal-ch", grid, 1.0, narrow)
+        cfg = SolverConfig(tau=tau, t_final=2000 * tau, scheme="explicit",
+                           allow_unstable_tau=True, record_every=100)
+        rough = Field(grid, 0.1 * np.random.default_rng(3).standard_normal(grid.shape))
+        # a constant is a fixed point of the conserved flow; its peak of 50
+        # gives it a guard 50 times that of the rough member
+        flat = Field(grid, np.full(grid.shape, 50.0))
+        run(flat, cfg, pot, "nonlocal-ch", wide)
+        with pytest.warns(UserWarning, match="stability bound"):
+            with pytest.raises(SolverDivergedError, match=r"epsilon = 0\.1\)") as alone:
+                run(rough, cfg, pot, "nonlocal-ch", narrow)
+            with pytest.raises(SolverDivergedError) as batched:
+                run_batch([flat, rough], cfg, pot, "nonlocal-ch", [wide, narrow])
+        # each member is held to its own guard: same step, same peak
+        assert str(batched.value) == str(alone.value)
+
+    def test_argument_validation(self, grid, pot):
+        init = Field(grid, np.zeros(grid.shape))
+        other = Field(UniformGrid((1.0,), (64,)), np.zeros(64))
+        with pytest.raises(ValueError, match="one kernel per"):
+            run_batch([init, init], SMALL, pot, "local-ch", [None])
+        with pytest.raises(ValueError, match="one kernel per"):
+            run_batch([], SMALL, pot, "local-ch", [])
+        with pytest.raises(ValueError, match="share one grid"):
+            run_batch([init, other], SMALL, pot, "local-ch", [None, None])
+        with pytest.raises(ValueError, match="kernel"):
+            run_batch([init, init], SMALL, pot, "nonlocal-ch", [make_kernel(1, 0.1), None])
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("field", ["tau", "t_final", "mobility", "stabilization"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, field, value):
+        params = {"tau": 1e-3, "t_final": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(**params)
+
+    @pytest.mark.parametrize("record_every", [2.5, 2.0, "3"])
+    def test_non_integer_record_every_rejected(self, record_every):
+        with pytest.raises(ValueError, match="record_every must be an integer"):
+            SolverConfig(tau=1e-3, t_final=1.0, record_every=record_every)
+
+    def test_integer_types_accepted(self):
+        assert SolverConfig(tau=1e-3, t_final=1.0, record_every=np.int64(4)).record_every == 4

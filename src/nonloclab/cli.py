@@ -308,8 +308,8 @@ def _cmd_oracle_check(args, outdir: Path) -> int:
     kernel = Kernel(mollifier, args.eps_value)
     rng = np.random.default_rng(args.seed)
     field = Field(grid, rng.standard_normal(grid.shape))
+    fast = apply_fft(kernel, field)  # validates the stencil before the O(N^2) pass
     direct = apply_direct(kernel, field)
-    fast = apply_fft(kernel, field)
     rel = l2_norm(fast - direct) / l2_norm(direct)
     quad_form = l2_inner(direct, field)
     double_sum = pair_difference_double_sum(kernel, field)
@@ -374,8 +374,28 @@ def _add_common(p, *, grid=True, eps_ladder=True):
                        help="decreasing comma-separated scale ladder")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that keeps what ``--config`` defaults need: its own
+    actions by destination and its subcommand parsers by name."""
+
+    def __init__(self, *args, **kwargs):
+        self.actions: dict[str, argparse.Action] = {}
+        self.commands: dict[str, _Parser] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.actions[action.dest] = action
+        return action
+
+    def add_subparsers(self, **kwargs):
+        sub = super().add_subparsers(**kwargs)
+        self.commands = sub.choices
+        return sub
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonloclab",
         description="Nonlocal-operator laboratory: kernel checks, rate studies, gradient-flow runs.",
     )
@@ -485,11 +505,10 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return USAGE_ERROR
         command = next((a for a in argv if not a.startswith("-")), None)
-        choices = parser._subparsers._group_actions[0].choices  # noqa: SLF001
-        if command not in choices:
+        if command not in parser.commands:
             print(f"config error: unknown or missing subcommand {command!r}", file=sys.stderr)
             return USAGE_ERROR
-        actions = {a.dest: a for a in choices[command]._actions}  # noqa: SLF001
+        actions = parser.commands[command].actions
         unknown = sorted(set(file_values) - set(actions))
         if unknown:
             print(f"config error: unknown keys {unknown}", file=sys.stderr)

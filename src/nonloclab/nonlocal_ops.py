@@ -198,16 +198,33 @@ def degree_function(kernel: Kernel, grid: UniformGrid) -> Field:
 
 def _pair_weight_blocks(kernel: Kernel, grid: UniformGrid, block: int):
     """Yield ``(start, stop, J(x_i - x_j))`` for consecutive row blocks of
-    node pairs, with periodic grids using the nearest image."""
-    coords = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
-    lengths = np.asarray(grid.lengths)
-    for start in range(0, coords.shape[0], block):
-        stop = min(start + block, coords.shape[0])
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        if grid.boundary == PERIODIC:
-            diff -= lengths * np.round(diff / lengths)
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        yield start, stop, kernel.value_radial(dist)
+    node pairs, with periodic grids using the nearest image.
+
+    Distances are built one axis at a time into one ``(rows, n)`` array, and
+    the profile is evaluated only inside the support; every other pair keeps
+    the exact zero its weight has there.
+    """
+    if kernel.dimension != grid.dimension:
+        raise ValueError("kernel and grid dimensions differ")
+    coords = [m.ravel() for m in grid.meshgrid()]
+    n = coords[0].size
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        dist = np.zeros((stop - start, n))
+        for x, length in zip(coords, grid.lengths):
+            d = x[start:stop, None] - x[None, :]
+            if grid.boundary == PERIODIC:
+                d -= length * np.round(d / length)
+            d *= d
+            dist += d
+        np.sqrt(dist, out=dist)
+        # the scaled radius value_radial computes; the profile vanishes from
+        # its support radius on, so every skipped pair is an exact zero already
+        inside = dist / kernel.epsilon < kernel.mollifier.support_radius
+        r = dist[inside]
+        dist.fill(0.0)
+        dist[inside] = kernel.value_radial(r)
+        yield start, stop, dist
 
 
 def apply_direct(kernel: Kernel, field: Field) -> Field:
@@ -217,8 +234,6 @@ def apply_direct(kernel: Kernel, field: Field) -> Field:
     is held to.
     """
     grid = field.grid
-    if kernel.dimension != grid.dimension:
-        raise ValueError("kernel and grid dimensions differ")
     _check_resolution(kernel, grid)
     v = field.values.ravel()
     out = np.empty_like(v)
@@ -286,8 +301,11 @@ def nonlocal_energy(kernel: Kernel, field: Field) -> float:
 def pair_difference_double_sum(kernel: Kernel, field: Field) -> float:
     """Brute-force double sum of J(x - y) |c(x) - c(y)|^2 over all node pairs.
 
-    Quadratic cost and memory per row block; intended for small grids where
-    it serves as the independent oracle for the energy identities.
+    Every node pair is visited, so the cost is quadratic in the node count
+    (the kernel profile itself runs only on the pairs inside its support);
+    memory is one ``1024 x n`` block of pair weights at a time.  Intended for
+    small grids, where it serves as the independent oracle for the energy
+    identities.
     """
     grid = field.grid
     v = field.values.ravel()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nonloclab import cli
 from nonloclab.cli import main
 from nonloclab.grid import load_field
 
@@ -29,6 +30,18 @@ class TestKernelChecks:
         assert code == 0
         summary = json.loads((out / "oracle_check_summary.json").read_text())
         assert summary["quadratic_form_over_double_sum"] == pytest.approx(0.5, abs=1e-10)
+
+    def test_oracle_check_rejects_wrapping_support_before_direct_pass(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        def no_direct_pass(*args, **kwargs):
+            raise AssertionError("the O(N^2) direct pass ran on invalid input")
+
+        monkeypatch.setattr(cli, "apply_direct", no_direct_pass)
+        monkeypatch.setattr(cli, "pair_difference_double_sum", no_direct_pass)
+        code = run_cli(["oracle-check", "--domain", "periodic", "--N", "64,64",
+                        "--eps", "0.6", "--out", str(tmp_path / "wrap")])
+        assert code == 2
+        assert "wraps" in capsys.readouterr().err
 
 
 class TestRateCommands:

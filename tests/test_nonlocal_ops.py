@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.integrate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nonloclab import nonlocal_ops
 from nonloclab.experiments import make_test_field
 from nonloclab.grid import Field, UniformGrid, integrate, l2_norm, sample
 from nonloclab.kernels import PROFILES, eval_J, make_kernel, total_mass
@@ -25,6 +27,7 @@ from nonloclab.nonlocal_ops import (
     stencil_symbol,
     wall_strip,
     _ghost_remainder,
+    _pair_weight_blocks,
     _stencil_data,
 )
 
@@ -152,10 +155,91 @@ class TestOperatorApplications:
         with pytest.raises(ValueError):
             apply_fft(make_kernel(2, 0.1), random_field(grid_1d, 7))
 
+    @pytest.mark.parametrize("n, grid", [
+        (1, UniformGrid((1.0, 1.0), (16, 16), "neumann")),
+        (2, UniformGrid((1.0,), (64,), "periodic")),
+    ])
+    def test_pairwise_oracles_reject_dimension_mismatch(self, n, grid):
+        kernel = make_kernel(n, 0.3)
+        f = random_field(grid, 7)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            apply_direct(kernel, f)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            pair_difference_double_sum(kernel, f)
+
     def test_kernel_wider_than_periodic_box(self):
         g = UniformGrid((1.0,), (64,), "periodic")
         with pytest.raises(ValueError, match="wraps"):
             apply_fft(make_kernel(1, 0.6), random_field(g, 8))
+
+
+def _dense_pair_weights(kernel, grid, block):
+    """Reference pair weights: the kernel evaluated on every node pair, from
+    one ``(rows, n, dimension)`` difference array per row block, with the
+    nearest image on periodic grids.  The oracle's weights must equal these
+    bit for bit."""
+    coords = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
+    lengths = np.asarray(grid.lengths)
+    for start in range(0, coords.shape[0], block):
+        stop = min(start + block, coords.shape[0])
+        diff = coords[start:stop, None, :] - coords[None, :, :]
+        if grid.boundary == "periodic":
+            diff -= lengths * np.round(diff / lengths)
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        yield start, stop, kernel.value_radial(dist)
+
+
+def _assert_pair_oracles_match_dense(kernel, field):
+    grid = field.grid
+    for block in (1024, 97):
+        blocks = list(_pair_weight_blocks(kernel, grid, block))
+        dense = list(_dense_pair_weights(kernel, grid, block))
+        assert [b[:2] for b in blocks] == [d[:2] for d in dense]
+        assert all(np.array_equal(b[2], d[2]) for b, d in zip(blocks, dense))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        with mock.patch.object(nonlocal_ops, "_pair_weight_blocks", _dense_pair_weights):
+            ref_direct = apply_direct(kernel, field).values
+            ref_sum = pair_difference_double_sum(kernel, field)
+        assert np.array_equal(apply_direct(kernel, field).values, ref_direct)
+        assert pair_difference_double_sum(kernel, field) == ref_sum
+
+
+class TestPairWeights:
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("boundary, lengths, cells, eps", [
+        ("neumann", (1.0,), (256,), 0.1),
+        ("neumann", (1.0,), (64,), 10 / 64),            # support exactly 10 h
+        ("periodic", (1.0,), (64,), 10 / 64),
+        ("periodic", (1.0,), (64,), 0.3),               # support above L / 4
+        ("periodic", (1.0,), (64,), 0.6),               # wider than the torus
+        ("neumann", (1.0, 1.0), (24, 24), 5 / 24),      # support exactly 5 h
+        ("periodic", (1.0, 1.0), (24, 24), 5 / 24),
+        ("neumann", (2.0, 1.0), (40, 18), 0.2),
+        ("periodic", (1.0, 2.0), (20, 36), 0.3),        # above L / 4 on one axis
+        ("periodic", (1.0, 1.0), (24, 24), 0.35),
+    ])
+    def test_bit_identical_to_dense_reference(self, profile, boundary, lengths, cells, eps):
+        g = UniformGrid(lengths, cells, boundary)
+        _assert_pair_oracles_match_dense(make_kernel(len(cells), eps, profile),
+                                         random_field(g, 21))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dimension=st.sampled_from([1, 2]),
+        cells=st.tuples(st.integers(2, 24), st.integers(2, 24)),
+        lengths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        boundary=st.sampled_from(["neumann", "periodic"]),
+        profile=st.sampled_from(sorted(PROFILES)),
+        fraction=st.floats(0.01, 1.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_property(self, dimension, cells, lengths, boundary, profile,
+                                    fraction, seed):
+        g = UniformGrid(lengths[:dimension], cells[:dimension], boundary)
+        eps = fraction * min(g.lengths)
+        _assert_pair_oracles_match_dense(make_kernel(dimension, eps, profile),
+                                         random_field(g, seed))
 
 
 class TestReflectedOperator:

@@ -10,6 +10,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -40,7 +41,7 @@ from .kernels import (
     second_moment_per_axis,
     total_mass,
 )
-from .nonlocal_ops import apply_direct, apply_fft, l2_inner, pair_difference_double_sum
+from .nonlocal_ops import _pair_pass, apply_fft, check_support_reaches_nodes, l2_inner
 from .potentials import parse_potential
 from .reports import write_loglog_svg, write_rate_csv, write_series_csv, write_summary_json
 from .solvers import SolverConfig, run
@@ -54,6 +55,23 @@ def _parse_eps_list(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad scale list {text!r}") from None
     return values
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -306,13 +324,13 @@ def _cmd_oracle_check(args, outdir: Path) -> int:
     grid = _make_grid(args)
     mollifier = make_mollifier(grid.dimension, args.profile)
     kernel = Kernel(mollifier, args.eps_value)
+    check_support_reaches_nodes(kernel, grid)
     rng = np.random.default_rng(args.seed)
     field = Field(grid, rng.standard_normal(grid.shape))
     fast = apply_fft(kernel, field)  # validates the stencil before the O(N^2) pass
-    direct = apply_direct(kernel, field)
+    direct, double_sum = _pair_pass(kernel, field)
     rel = l2_norm(fast - direct) / l2_norm(direct)
     quad_form = l2_inner(direct, field)
-    double_sum = pair_difference_double_sum(kernel, field)
     ratio = quad_form / double_sum
     ok = rel <= args.tol and abs(ratio - 0.5) <= 1e-10
     summary = {
@@ -411,15 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symbol-rate", help="frequency-symbol error rate on a lattice")
     _add_common(p, grid=False)
     p.add_argument("--n", type=int, default=1, choices=(1, 2))
-    p.add_argument("--slope-min", type=float, default=0.9)
-    p.add_argument("--slope-max", type=float, default=None)
+    p.add_argument("--slope-min", type=_finite_float, default=0.9)
+    p.add_argument("--slope-max", type=_finite_float, default=None)
     p.set_defaults(func_impl=_cmd_symbol_rate)
 
     p = sub.add_parser("operator-rate", help="rate of the operator against the Laplacian")
     _add_common(p)
     p.add_argument("--func", default="cospix", choices=sorted(TEST_FUNCTIONS))
-    p.add_argument("--slope-min", type=float, default=None)
-    p.add_argument("--slope-max", type=float, default=None)
+    p.add_argument("--slope-min", type=_finite_float, default=None)
+    p.add_argument("--slope-max", type=_finite_float, default=None)
     p.set_defaults(func_impl=_cmd_operator_rate)
 
     p = sub.add_parser("energy-rate", help="pair energy against the gradient energy")
@@ -430,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("remainder-rate", help="boundary remainder decay on interior sub-boxes")
     _add_common(p)
     p.add_argument("--func", default="cospix", choices=sorted(TEST_FUNCTIONS))
-    p.add_argument("--margin-factor", type=float, default=0.5,
+    p.add_argument("--margin-factor", type=_nonnegative_float, default=0.5,
                    help="interior margin as a multiple of the kernel support")
     p.set_defaults(func_impl=_cmd_remainder_rate)
 
@@ -462,14 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-every", type=int, default=25)
     p.add_argument("--perturbation", type=float, default=0.05,
                    help="sqrt-scale initial offset amplitude (0 for identical data)")
-    p.add_argument("--slope-min", type=float, default=0.35)
-    p.add_argument("--slope-max", type=float, default=0.8)
+    p.add_argument("--slope-min", type=_finite_float, default=0.35)
+    p.add_argument("--slope-max", type=_finite_float, default=0.8)
     p.set_defaults(func_impl=_cmd_solution_rate)
 
     p = sub.add_parser("oracle-check", help="fft vs direct operator, energy factor audit")
     _add_common(p, eps_ladder=False)
     p.add_argument("--eps", dest="eps_value", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func_impl=_cmd_oracle_check)
 

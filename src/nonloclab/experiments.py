@@ -357,11 +357,16 @@ def default_symbol_lattice(n: int, extent: int = 8):
 def _symbol_point(args):
     mollifier, lattice, eps = args
     kernel = Kernel(mollifier, eps)
+    # the symbol depends on xi only through q, which fourier_symbol forms by
+    # the same sum of squares: one quadrature per distinct radius
+    symbols: dict[float, float] = {}
     worst = 0.0
     for xi in lattice:
         xi_arr = np.asarray(xi, dtype=float)
         q = float(np.sqrt(np.sum(xi_arr**2)))
-        err = abs(fourier_symbol(kernel, xi_arr) - q * q) / q**3
+        if q not in symbols:
+            symbols[q] = fourier_symbol(kernel, xi_arr)
+        err = abs(symbols[q] - q * q) / q**3
         worst = max(worst, err)
     return worst
 

@@ -13,24 +13,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import (
-    NEUMANN,
-    PERIODIC,
-    Field,
-    UniformGrid,
-    field_from_coefficients,
-    spectral_coefficients,
-)
+from .grid import NEUMANN, PERIODIC, Field, UniformGrid
 from .kernels import Kernel
 
 __all__ = [
     "ResolutionWarning",
+    "check_support_reaches_nodes",
     "degree_function",
     "apply_direct",
     "apply_fft",
@@ -40,7 +34,6 @@ __all__ = [
     "interior_remainder",
     "wall_strip",
     "stencil_symbol",
-    "apply_reflected",
     "l2_inner",
 ]
 
@@ -62,6 +55,25 @@ def _check_resolution(kernel: Kernel, grid: UniformGrid) -> None:
         )
 
 
+def check_support_reaches_nodes(kernel: Kernel, grid: UniformGrid) -> None:
+    """Raise ``ValueError`` when the kernel support ends at or before the
+    nearest grid node.
+
+    Every stencil weight but the centre's is then zero, and so is the
+    discrete operator: a flow would not diffuse at all, and an oracle audit
+    would divide zero by zero.  The operators themselves accept such a
+    kernel, for which zero is the right answer.
+    """
+    h = min(grid.spacing)
+    # the profile vanishes from its support radius on (compare _pair_weight_blocks)
+    if not h / kernel.epsilon < kernel.mollifier.support_radius:
+        raise ValueError(
+            f"kernel support {kernel.support_radius:.3g} (eps = {kernel.epsilon:g}) "
+            f"does not reach the nearest grid node at spacing {h:.3g}; "
+            "the discrete operator would be zero"
+        )
+
+
 def l2_inner(u: Field, v: Field) -> float:
     """Midpoint-rule inner product of two fields on the same grid."""
     if u.grid != v.grid:
@@ -74,14 +86,21 @@ def l2_inner(u: Field, v: Field) -> float:
 
 @dataclass(frozen=True)
 class _StencilData:
+    grid: UniformGrid
     reach: tuple[int, ...]          # offsets per axis with possibly nonzero weight
     weights: np.ndarray             # dense weight block, shape prod(2*reach+1)
     weight_sum: float               # sum of all stencil weights
     pad_shape: tuple[int, ...]      # FFT size for zero-padded convolution
     kernel_hat: np.ndarray          # rfftn of the wrapped stencil at pad_shape
     degree: np.ndarray              # a(x) on the grid
-    symbol: np.ndarray              # transform-basis eigenvalues of the wrapped
-                                    # (periodic) or reflected (neumann) stencil op
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """Transform-basis eigenvalues of the wrapped (periodic) or reflected
+        (neumann) stencil operator.  Only the solvers read them, so the
+        ``(reach + 1) x N`` cosine tables are built on first use, once per
+        cached (kernel, grid)."""
+        return _stencil_eigenvalues(self.weights, self.reach, self.grid)
 
 
 def _offset_distances(reach, spacing):
@@ -161,15 +180,14 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
 
     ones_hat = _zero_pad_rfftn(np.ones(grid.shape), pad_shape)
     degree = _conv_truncate(scipy.fft.irfftn(ones_hat * kernel_hat, s=pad_shape), grid.shape)
-    symbol = _stencil_eigenvalues(weights, reach, grid)
     return _StencilData(
+        grid=grid,
         reach=reach,
         weights=weights,
         weight_sum=float(weights.sum()),
         pad_shape=pad_shape,
         kernel_hat=kernel_hat,
         degree=degree,
-        symbol=symbol,
     )
 
 
@@ -227,22 +245,38 @@ def _pair_weight_blocks(kernel: Kernel, grid: UniformGrid, block: int):
         yield start, stop, dist
 
 
+def _pair_pass(kernel: Kernel, field: Field) -> tuple[Field, float]:
+    """Both pairwise oracles from one pass over the pair weights: the direct
+    operator of :func:`apply_direct` and the double sum of
+    :func:`pair_difference_double_sum`.
+
+    Each ``1024 x n`` block of weights ``J`` serves the double sum first and
+    is then scaled in place to the operator's midpoint weights.  Each row of
+    the operator is summed on its own, so its bits do not depend on the
+    block height.
+    """
+    grid = field.grid
+    v = field.values.ravel()
+    vol = grid.cell_volume
+    rows = np.empty_like(v)
+    total = 0.0
+    for start, stop, J in _pair_weight_blocks(kernel, grid, 1024):
+        dv = v[start:stop, None] - v[None, :]
+        total += float(np.sum(J * dv * dv))
+        J *= vol  # in place: a second block-sized array would raise peak memory
+        # summed in difference form so constants cancel exactly
+        rows[start:stop] = np.sum(J * dv, axis=1)
+    return Field(grid, rows.reshape(grid.shape)), total * vol * vol
+
+
 def apply_direct(kernel: Kernel, field: Field) -> Field:
     """Reference O(N^2) summation of the defining double integral.
 
     Midpoint weights throughout; this is the oracle that the FFT fast path
     is held to.
     """
-    grid = field.grid
-    _check_resolution(kernel, grid)
-    v = field.values.ravel()
-    out = np.empty_like(v)
-    vol = grid.cell_volume
-    for start, stop, w in _pair_weight_blocks(kernel, grid, 2048):
-        w *= vol  # in place: a second block-sized array would raise peak memory
-        # summed in difference form so constants cancel exactly
-        out[start:stop] = np.sum(w * (v[start:stop, None] - v[None, :]), axis=1)
-    return Field(grid, out.reshape(grid.shape))
+    _check_resolution(kernel, field.grid)
+    return _pair_pass(kernel, field)[0]
 
 
 def apply_fft_values(kernel: Kernel, grid: UniformGrid, values: np.ndarray) -> np.ndarray:
@@ -277,13 +311,6 @@ def stencil_symbol(kernel: Kernel, grid: UniformGrid) -> np.ndarray:
     return _stencil_data(kernel, grid).symbol.copy()
 
 
-def apply_reflected(kernel: Kernel, field: Field) -> Field:
-    """Apply the stencil with reflected (or wrapped) extension, spectrally."""
-    data = _stencil_data(kernel, field.grid)
-    coeffs = spectral_coefficients(field)
-    return field_from_coefficients(field.grid, data.symbol * coeffs)
-
-
 # ---------------------------------------------------------------------------
 # energies
 
@@ -307,14 +334,7 @@ def pair_difference_double_sum(kernel: Kernel, field: Field) -> float:
     small grids, where it serves as the independent oracle for the energy
     identities.
     """
-    grid = field.grid
-    v = field.values.ravel()
-    vol = grid.cell_volume
-    total = 0.0
-    for start, stop, J in _pair_weight_blocks(kernel, grid, 1024):
-        dv = v[start:stop, None] - v[None, :]
-        total += float(np.sum(J * dv * dv))
-    return total * vol * vol
+    return _pair_pass(kernel, field)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,11 @@ class _Stepper:
         if equation not in EQUATIONS:
             raise ValueError(f"equation must be one of {EQUATIONS}")
         nonlocal_eq = equation.startswith("nonlocal")
-        if nonlocal_eq and any(k is None for k in kernels):
-            raise ValueError(f"{equation} needs a kernel")
+        if nonlocal_eq:
+            if any(k is None for k in kernels):
+                raise ValueError(f"{equation} needs a kernel")
+            for kernel in kernels:
+                nonlocal_ops.check_support_reaches_nodes(kernel, grid)
         self.grid = grid
         self.potential = potential
         self.kernels = tuple(kernels) if nonlocal_eq else (None,) * len(kernels)

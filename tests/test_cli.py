@@ -1,8 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
-from nonloclab import cli
+from nonloclab import cli, nonlocal_ops
 from nonloclab.cli import main
 from nonloclab.grid import load_field
 
@@ -36,12 +37,53 @@ class TestKernelChecks:
         def no_direct_pass(*args, **kwargs):
             raise AssertionError("the O(N^2) direct pass ran on invalid input")
 
-        monkeypatch.setattr(cli, "apply_direct", no_direct_pass)
-        monkeypatch.setattr(cli, "pair_difference_double_sum", no_direct_pass)
+        monkeypatch.setattr(cli, "_pair_pass", no_direct_pass)
         code = run_cli(["oracle-check", "--domain", "periodic", "--N", "64,64",
                         "--eps", "0.6", "--out", str(tmp_path / "wrap")])
         assert code == 2
         assert "wraps" in capsys.readouterr().err
+
+    def test_oracle_check_builds_the_pair_weights_once(self, tmp_path):
+        with mock.patch.object(nonlocal_ops, "_pair_weight_blocks",
+                               wraps=nonlocal_ops._pair_weight_blocks) as spy:
+            code = run_cli(["oracle-check", "--N", "24,24", "--eps", "0.2",
+                            "--out", str(tmp_path / "once")])
+        assert code == 0
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("grid_args", [
+        ["--N", "4", "--eps", "0.01"],      # support short of the nearest node
+        ["--N", "1", "--eps", "0.1"],       # a single node has no neighbour
+        ["--N", "8,8", "--eps", "0.1"],
+    ])
+    def test_oracle_check_rejects_kernel_reaching_no_node(self, tmp_path, monkeypatch,
+                                                          capsys, grid_args):
+        def no_direct_pass(*args, **kwargs):
+            raise AssertionError("the O(N^2) direct pass ran on invalid input")
+
+        monkeypatch.setattr(cli, "_pair_pass", no_direct_pass)
+        code = run_cli(["oracle-check", *grid_args, "--out", str(tmp_path / "coarse")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "eps = " in err and "spacing" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "abc"])
+    def test_oracle_check_rejects_bad_tolerance(self, tmp_path, monkeypatch, capsys, tol):
+        def no_direct_pass(*args, **kwargs):
+            raise AssertionError("the O(N^2) direct pass ran on invalid input")
+
+        monkeypatch.setattr(cli, "_pair_pass", no_direct_pass)
+        code = run_cli(["oracle-check", "--N", "64", f"--tol={tol}",
+                        "--out", str(tmp_path / "tol")])
+        assert code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_oracle_check_accepts_zero_tolerance(self, tmp_path):
+        # a zero tolerance is a valid (strict) request; it fails the band, not the parse
+        code = run_cli(["oracle-check", "--N", "32", "--eps", "0.2", "--tol", "0",
+                        "--out", str(tmp_path / "zero")])
+        assert code in (0, 1)
 
 
 class TestRateCommands:
@@ -88,6 +130,46 @@ class TestRateCommands:
         lines = (out / "remainder_rate.csv").read_text().splitlines()
         assert lines[0] == "epsilon,margin,value"
 
+    @pytest.mark.parametrize("command", [
+        ["symbol-rate", "--n", "1"],
+        ["operator-rate", "--N", "256"],
+        ["solution-rate", "--N", "256"],
+    ])
+    @pytest.mark.parametrize("flag", ["--slope-min", "--slope-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_slope_bound_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                   command, flag, value):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran with a non-finite band")
+
+        for name in ("symbol_study", "operator_rate_study", "solution_convergence_study"):
+            monkeypatch.setattr(cli, name, no_study)
+        code = run_cli([*command, f"{flag}={value}", "--out", str(tmp_path / "band")])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_slope_bound_from_config_file_is_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("slope_min=nan\n")
+        code = run_cli(["symbol-rate", "--config", str(cfg), "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "slope_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf"])
+    def test_bad_margin_factor_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the remainder study ran with a bad margin factor")
+
+        monkeypatch.setattr(cli, "remainder_rate_study", no_study)
+        code = run_cli(["remainder-rate", "--N", "256", f"--margin-factor={value}",
+                        "--out", str(tmp_path / "margin")])
+        assert code == 2
+        assert "--margin-factor" in capsys.readouterr().err
+
+    def test_zero_margin_factor_is_accepted(self, tmp_path):
+        assert run_cli(["remainder-rate", "--N", "512", "--eps", "0.2,0.1,0.05",
+                        "--margin-factor", "0", "--out", str(tmp_path / "m0")]) in (0, 1)
+
 
 class TestSolveCommand:
     def test_trajectory_and_checkpoints(self, tmp_path):
@@ -104,6 +186,14 @@ class TestSolveCommand:
         assert len(checkpoints) == len(lines) - 1
         field = load_field(checkpoints[0])
         assert field.grid.cells == (128,)
+
+    def test_kernel_reaching_no_node_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(["solve", "--eq", "nonlocal-ch", "--eps", "0.01", "--N", "64",
+                        "--T", "1e-4", "--out", str(tmp_path / "coarse")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "eps = 0.01" in err and "spacing 0.0156" in err
+        assert not (tmp_path / "coarse" / "trajectory.csv").exists()
 
     def test_nonlocal_needs_eps(self, tmp_path, capsys):
         out = tmp_path / "ne"

@@ -1,12 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonloclab import experiments
 from nonloclab.grid import UniformGrid, sample
-from nonloclab.kernels import Kernel, make_mollifier
+from nonloclab.kernels import Kernel, fourier_symbol, make_mollifier
 from nonloclab.potentials import DoubleWell
 from nonloclab.solvers import SolverConfig
 from nonloclab.experiments import (
@@ -107,6 +109,60 @@ class TestSymbolStudy:
         table = symbol_study(moll, (0.2, 0.1, 0.05, 0.025))
         assert table.fitted_slope >= 0.9
         assert table.r_squared > 0.99
+
+
+def _symbol_errors_per_point(mollifier, eps_list, lattice):
+    """Reference: the worst cubic-normalized symbol error per scale, with one
+    quadrature for every lattice point."""
+    errors = []
+    for eps in eps_list:
+        kernel = Kernel(mollifier, eps)
+        worst = 0.0
+        for xi in lattice:
+            xi_arr = np.asarray(xi, dtype=float)
+            q = float(np.sqrt(np.sum(xi_arr**2)))
+            err = abs(fourier_symbol(kernel, xi_arr) - q * q) / q**3
+            worst = max(worst, err)
+        errors.append(worst)
+    return errors
+
+
+# points sharing one radius in every order and sign, and in 1D two radii one
+# ulp apart, which a memo keyed on anything coarser than q would merge
+SHARED_RADII_2D = [(3.0, 4.0), (4.0, 3.0), (5.0, 0.0), (0.0, -5.0), (-3.0, -4.0),
+                   (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0)]
+NEAR_RADII_1D = [(1.0,), (-1.0,), (math.nextafter(1.0, 2.0),), (3.0,),
+                 (math.nextafter(3.0, 0.0),)]
+
+
+class TestSymbolQuadraturePerRadius:
+    LADDER = (0.2, 0.1, 0.05)
+
+    @pytest.mark.parametrize("n, lattice", [
+        (1, None),
+        (2, None),
+        (2, SHARED_RADII_2D),
+        (1, NEAR_RADII_1D),
+    ])
+    def test_equals_per_point_loop(self, n, lattice):
+        mollifier = make_mollifier(n)
+        points = default_symbol_lattice(n) if lattice is None else lattice
+        table = symbol_study(mollifier, self.LADDER, lattice=lattice)
+        assert table.errors == tuple(_symbol_errors_per_point(mollifier, self.LADDER, points))
+
+    @pytest.mark.parametrize("n, lattice, per_scale", [
+        (1, None, 8),
+        (2, None, 34),
+        (2, SHARED_RADII_2D, 4),
+        (1, NEAR_RADII_1D, 4),
+    ])
+    def test_one_quadrature_per_distinct_radius(self, n, lattice, per_scale):
+        with mock.patch.object(experiments, "fourier_symbol",
+                               wraps=experiments.fourier_symbol) as spy:
+            symbol_study(make_mollifier(n), self.LADDER, lattice=lattice)
+        assert spy.call_count == per_scale * len(self.LADDER)
+        radii = [float(np.sqrt(np.sum(np.asarray(c.args[1]) ** 2))) for c in spy.call_args_list]
+        assert len(set(radii)) == per_scale
 
 
 class TestOperatorStudy:

@@ -9,16 +9,24 @@ import scipy.integrate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonloclab import nonlocal_ops
+from nonloclab import experiments, nonlocal_ops
 from nonloclab.experiments import make_test_field
-from nonloclab.grid import Field, UniformGrid, integrate, l2_norm, sample
-from nonloclab.kernels import PROFILES, eval_J, make_kernel, total_mass
+from nonloclab.grid import (
+    Field,
+    UniformGrid,
+    field_from_coefficients,
+    integrate,
+    l2_norm,
+    sample,
+    spectral_coefficients,
+)
+from nonloclab.kernels import PROFILES, eval_J, make_kernel, make_mollifier, total_mass
 from nonloclab.local_ops import dirichlet_energy
 from nonloclab.nonlocal_ops import (
     ResolutionWarning,
     apply_direct,
     apply_fft,
-    apply_reflected,
+    check_support_reaches_nodes,
     degree_function,
     interior_remainder,
     l2_inner,
@@ -27,9 +35,17 @@ from nonloclab.nonlocal_ops import (
     stencil_symbol,
     wall_strip,
     _ghost_remainder,
+    _pair_pass,
     _pair_weight_blocks,
     _stencil_data,
+    _stencil_eigenvalues,
 )
+
+
+def apply_reflected(kernel, field):
+    """Apply the stencil with reflected (or wrapped) extension, spectrally."""
+    coeffs = spectral_coefficients(field)
+    return field_from_coefficients(field.grid, stencil_symbol(kernel, field.grid) * coeffs)
 
 
 @pytest.fixture
@@ -240,6 +256,134 @@ class TestPairWeights:
         eps = fraction * min(g.lengths)
         _assert_pair_oracles_match_dense(make_kernel(dimension, eps, profile),
                                          random_field(g, seed))
+
+
+def _separate_pair_oracles(kernel, field):
+    """Reference: the operator and the double sum as two loops over the dense
+    pair weights, the operator in 2048-row blocks and the double sum in
+    1024-row blocks."""
+    grid = field.grid
+    v = field.values.ravel()
+    vol = grid.cell_volume
+    rows = np.empty_like(v)
+    for start, stop, w in _dense_pair_weights(kernel, grid, 2048):
+        w *= vol
+        rows[start:stop] = np.sum(w * (v[start:stop, None] - v[None, :]), axis=1)
+    total = 0.0
+    for start, stop, J in _dense_pair_weights(kernel, grid, 1024):
+        dv = v[start:stop, None] - v[None, :]
+        total += float(np.sum(J * dv * dv))
+    return rows.reshape(grid.shape), total * vol * vol
+
+
+class TestPairPass:
+    @pytest.mark.parametrize("boundary, lengths, cells, eps", [
+        ("neumann", (1.0,), (256,), 0.1),
+        ("neumann", (0.9,), (300,), 0.1),               # cell volume 0.003
+        ("periodic", (1.0,), (1100,), 0.05),            # one operator block, two sum blocks
+        ("periodic", (1.3,), (70,), 0.25),
+        ("neumann", (1.0, 0.7), (48, 48), 0.15),        # 2304 nodes, volume not 2**-k
+        ("periodic", (1.3, 1.0), (30, 28), 0.2),
+        ("neumann", (1.0, 1.0), (16, 16), 0.2),
+    ])
+    def test_one_pass_equals_separate_loops(self, boundary, lengths, cells, eps):
+        g = UniformGrid(lengths, cells, boundary)
+        k = make_kernel(g.dimension, eps)
+        f = random_field(g, 31)
+        rows, total = _pair_pass(k, f)
+        ref_rows, ref_total = _separate_pair_oracles(k, f)
+        assert np.array_equal(rows.values, ref_rows)
+        assert total == ref_total
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            assert np.array_equal(apply_direct(k, f).values, ref_rows)
+        assert pair_difference_double_sum(k, f) == ref_total
+
+
+class TestSupportReachesNodes:
+    @pytest.mark.parametrize("lengths, cells, eps", [
+        ((1.0,), (64,), 0.01),
+        ((1.0,), (64,), 1 / 64),          # the support ends exactly at the nearest node
+        ((1.0,), (1,), 0.1),
+        ((1.0, 2.0), (16, 16), 0.06),     # short of the smaller spacing 1/16
+    ])
+    def test_rejected_when_every_neighbour_weight_is_zero(self, lengths, cells, eps):
+        g = UniformGrid(lengths, cells, "neumann")
+        k = make_kernel(g.dimension, eps)
+        weights = _stencil_data(k, g).weights
+        assert np.count_nonzero(weights) == 1  # the centre, which cancels
+        with pytest.raises(ValueError, match=r"eps = .*spacing"):
+            check_support_reaches_nodes(k, g)
+
+    @pytest.mark.parametrize("lengths, cells, eps", [
+        ((1.0,), (64,), 1.01 / 64),
+        ((1.0, 2.0), (16, 16), 0.07),     # reaches along the first axis only
+    ])
+    def test_accepted_when_a_neighbour_has_weight(self, lengths, cells, eps):
+        g = UniformGrid(lengths, cells, "neumann")
+        k = make_kernel(g.dimension, eps)
+        check_support_reaches_nodes(k, g)
+        assert np.count_nonzero(_stencil_data(k, g).weights) > 1
+
+
+class TestStencilSymbolOnDemand:
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    @pytest.mark.parametrize("lengths, cells, eps", [
+        ((1.0,), (256,), 0.1),
+        ((1.0,), (300,), 0.23),
+        ((1.0, 1.0), (32, 32), 0.2),
+        ((1.0, 2.0), (24, 40), 0.3),
+    ])
+    def test_equals_eigenvalues(self, profile, boundary, lengths, cells, eps):
+        g = UniformGrid(lengths, cells, boundary)
+        k = make_kernel(g.dimension, eps, profile)
+        data = _stencil_data(k, g)
+        direct = _stencil_eigenvalues(data.weights, data.reach, g)
+        assert np.array_equal(stencil_symbol(k, g), direct)
+
+    def test_operators_and_studies_never_build_the_table(self):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the eigenvalue table was built")
+
+        g1 = UniformGrid((1.0,), (256,), "neumann")
+        g2 = UniformGrid((1.0, 1.0), (48, 48), "neumann")
+        _stencil_data.cache_clear()
+        try:
+            with mock.patch.object(nonlocal_ops, "_stencil_eigenvalues", no_table):
+                for g, eps in ((g1, 0.1), (g2, 0.15),
+                               (UniformGrid((1.0,), (256,), "periodic"), 0.1)):
+                    k = make_kernel(g.dimension, eps)
+                    f = random_field(g, 33)
+                    apply_fft(k, f)
+                    apply_direct(k, f)
+                    degree_function(k, g)
+                    nonlocal_energy(k, f)
+                    if g.boundary == "neumann":
+                        interior_remainder(k, f, 0.5 * eps)
+                    if g.dimension == 1 and g.boundary == "neumann":
+                        wall_strip(k, g)
+                for g in (g1, g2):
+                    moll = make_mollifier(g.dimension)
+                    ladder = (0.4, 0.3, 0.2)
+                    experiments.operator_rate_study(g, moll, "cospix", ladder)
+                    experiments.energy_rate_study(g, moll, "cospix", ladder)
+                    experiments.remainder_rate_study(g, moll, "cospix", ladder)
+        finally:
+            _stencil_data.cache_clear()
+
+    def test_two_calls_build_the_table_once(self):
+        g = UniformGrid((1.0, 1.0), (32, 32), "periodic")
+        k = make_kernel(2, 0.2)
+        _stencil_data.cache_clear()
+        with mock.patch.object(nonlocal_ops, "_stencil_eigenvalues",
+                               wraps=nonlocal_ops._stencil_eigenvalues) as spy:
+            first = stencil_symbol(k, g)
+            first[:] = -1.0  # callers get a copy, never the cached array
+            second = stencil_symbol(k, g)
+        assert spy.call_count == 1
+        assert np.all(second >= 0.0)
+        assert np.array_equal(second, stencil_symbol(k, g))
 
 
 class TestReflectedOperator:

@@ -232,6 +232,36 @@ class TestSchemeProperties:
         with pytest.raises(ValueError, match="equation"):
             run(init, SMALL, pot, "heat")
 
+    @pytest.mark.parametrize("equation", ["nonlocal-ch", "nonlocal-ac"])
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "explicit"])
+    @pytest.mark.parametrize("lengths, cells, eps", [
+        ((1.0,), (128,), 0.005),                 # support well inside one cell
+        ((1.0,), (128,), 1 / 128),               # support ends exactly at the next node
+        ((1.0, 2.0), (32, 32), 0.03),            # short of both spacings
+    ])
+    def test_kernel_reaching_no_node_is_rejected(self, pot, equation, scheme,
+                                                 lengths, cells, eps):
+        # every off-centre stencil weight is zero: the flow would run a zero operator
+        g = UniformGrid(lengths, cells, "neumann")
+        init = Field(g, np.zeros(g.shape))
+        cfg = SolverConfig(tau=1e-7, t_final=1e-6, scheme=scheme)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            with pytest.raises(ValueError, match=r"eps = .*spacing"):
+                run(init, cfg, pot, equation, make_kernel(g.dimension, eps))
+            with pytest.raises(ValueError, match=r"eps = .*spacing"):
+                run_batch([init, init], cfg, pot, equation,
+                          [make_kernel(g.dimension, 0.2), make_kernel(g.dimension, eps)])
+
+    def test_kernel_reaching_one_node_runs(self, pot):
+        # just past one cell: the nearest neighbours carry weight, the operator is not zero
+        g = UniformGrid((1.0,), (128,), "neumann")
+        init = sample(g, lambda x: 0.1 * np.cos(np.pi * x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            out = step(init, SMALL, pot, "nonlocal-ac", make_kernel(1, 1.5 / 128))
+        assert np.all(np.isfinite(out.values))
+
 
 class TestTwoDimensional:
     def test_nonlocal_ch_2d_structure(self):

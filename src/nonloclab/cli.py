@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -191,14 +190,14 @@ def _cmd_check_kernel(args, outdir: Path) -> int:
 
 def _cmd_symbol_rate(args, outdir: Path) -> int:
     mollifier = make_mollifier(args.n, args.profile)
-    table = symbol_study(mollifier, args.eps, workers=args.workers)
+    table = symbol_study(mollifier, args.eps)
     return _emit_rate_outputs(outdir, "symbol_rate", table, (args.slope_min, args.slope_max))
 
 
 def _cmd_operator_rate(args, outdir: Path) -> int:
     grid = _make_grid(args)
     mollifier = make_mollifier(grid.dimension, args.profile)
-    table = operator_rate_study(grid, mollifier, args.func, args.eps, workers=args.workers)
+    table = operator_rate_study(grid, mollifier, args.func, args.eps)
     lo, hi = args.slope_min, args.slope_max
     if lo is None and hi is None:
         # default bands: square-root loss at a wall is sharp, so cospix on a
@@ -213,59 +212,53 @@ def _cmd_operator_rate(args, outdir: Path) -> int:
                               extra={"domain": grid.boundary, "func": args.func})
 
 
+def _emit_verdict_outputs(outdir: Path, study: str, result, header, columns, extra) -> int:
+    """Outputs of a study judged by its verdict and monotone decay, not a band:
+    the series CSV, the summary (``extra`` adds fields; tuples are written as
+    JSON arrays), and the log-log plot when a rate was fitted."""
+    name = study.replace("-", "_")
+    ok = result.verdict == "exact" or result.monotone_decreasing
+    summary = {
+        "study": study,
+        "verdict": result.verdict,
+        "monotone_decreasing": result.monotone_decreasing,
+        "epsilons": list(result.epsilons),
+        "pass": ok,
+        **extra,
+    }
+    write_series_csv(outdir / f"{name}.csv", header, columns)
+    if result.table is not None:
+        summary["slope"] = result.table.fitted_slope
+        write_loglog_svg(outdir / f"{name}.svg", result.table, title=name)
+    write_summary_json(outdir / f"{name}_summary.json", summary)
+    print(f"{study}: verdict {result.verdict}, monotone {result.monotone_decreasing} "
+          f"-> {'pass' if ok else 'FAIL'}")
+    return PASS if ok else BAND_FAIL
+
+
 def _cmd_energy_rate(args, outdir: Path) -> int:
     grid = _make_grid(args)
     mollifier = make_mollifier(grid.dimension, args.profile)
-    result = energy_rate_study(grid, mollifier, args.func, args.eps, workers=args.workers)
-    ok = result.verdict == "exact" or result.monotone_decreasing
-    summary = {
-        "study": "energy-rate",
-        "verdict": result.verdict,
-        "monotone_decreasing": result.monotone_decreasing,
-        "limit_value": result.limit_value,
-        "epsilons": list(result.epsilons),
-        "energies": list(result.energies),
-        "errors": list(result.errors),
-        "pass": ok,
-    }
-    write_series_csv(outdir / "energy_rate.csv",
-                     ["epsilon", "energy", "error"],
-                     [result.epsilons, result.energies, result.errors])
-    if result.table is not None:
-        summary["slope"] = result.table.fitted_slope
-        write_loglog_svg(outdir / "energy_rate.svg", result.table, title="energy_rate")
-    write_summary_json(outdir / "energy_rate_summary.json", summary)
-    print(f"energy-rate: verdict {result.verdict}, monotone {result.monotone_decreasing} "
-          f"-> {'pass' if ok else 'FAIL'}")
-    return PASS if ok else BAND_FAIL
+    result = energy_rate_study(grid, mollifier, args.func, args.eps)
+    return _emit_verdict_outputs(
+        outdir, "energy-rate", result, ["epsilon", "energy", "error"],
+        [result.epsilons, result.energies, result.errors],
+        {"limit_value": result.limit_value, "energies": result.energies,
+         "errors": result.errors},
+    )
 
 
 def _cmd_remainder_rate(args, outdir: Path) -> int:
     grid = _make_grid(args)
     mollifier = make_mollifier(grid.dimension, args.profile)
     result = remainder_rate_study(grid, mollifier, args.func, args.eps,
-                                  margin_factor=args.margin_factor, workers=args.workers)
-    ok = result.verdict == "exact" or result.monotone_decreasing
-    summary = {
-        "study": "remainder-rate",
-        "verdict": result.verdict,
-        "monotone_decreasing": result.monotone_decreasing,
-        "margin_factor": args.margin_factor,
-        "epsilons": list(result.epsilons),
-        "values": list(result.values),
-        "margins": list(result.margins),
-        "pass": ok,
-    }
-    write_series_csv(outdir / "remainder_rate.csv",
-                     ["epsilon", "margin", "value"],
-                     [result.epsilons, result.margins, result.values])
-    if result.table is not None:
-        summary["slope"] = result.table.fitted_slope
-        write_loglog_svg(outdir / "remainder_rate.svg", result.table, title="remainder_rate")
-    write_summary_json(outdir / "remainder_rate_summary.json", summary)
-    print(f"remainder-rate: verdict {result.verdict}, monotone {result.monotone_decreasing} "
-          f"-> {'pass' if ok else 'FAIL'}")
-    return PASS if ok else BAND_FAIL
+                                  margin_factor=args.margin_factor)
+    return _emit_verdict_outputs(
+        outdir, "remainder-rate", result, ["epsilon", "margin", "value"],
+        [result.epsilons, result.margins, result.values],
+        {"margin_factor": args.margin_factor, "values": result.values,
+         "margins": result.margins},
+    )
 
 
 def _cmd_solve(args, outdir: Path) -> int:
@@ -284,7 +277,8 @@ def _cmd_solve(args, outdir: Path) -> int:
         kernel = Kernel(make_mollifier(grid.dimension, args.profile), args.eps_value)
     initial = make_initial_field(grid, args.initial)
     record = run(initial, config, potential, args.eq, kernel)
-    record.to_csv(outdir / "trajectory.csv")
+    write_series_csv(outdir / "trajectory.csv", ["t", "mass", "energy"],
+                     [record.times, record.mass, record.energy])
     if args.checkpoints:
         for t, field in zip(record.times, record.fields):
             save_field(field, outdir / f"state_t{t:.8f}.bin")
@@ -303,7 +297,7 @@ def _solution_study(args):
                           record_every=args.record_every)
     result = solution_convergence_study(
         grid, config, parse_potential(args.potential), mollifier, args.eps, args.initial,
-        equation=args.eq, perturbation_scale=args.perturbation, workers=args.workers,
+        equation=args.eq, perturbation_scale=args.perturbation,
     )
     return result, mollifier
 
@@ -381,8 +375,8 @@ def _add_common(p, *, grid=True, eps_ladder=True):
     p.add_argument("--out", default=None, help="output directory (default out-<command>)")
     p.add_argument("--config", default=None, help="flat key=value config file; flags override")
     p.add_argument("--profile", default="poly-2-3", help="mollifier profile name")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="process pool size for per-scale work (default: all cores)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect (studies run in one process)")
     if grid:
         p.add_argument("--domain", choices=("neumann", "periodic"), default="neumann")
         p.add_argument("--N", default="256", help="cells per axis, comma separated for 2D")

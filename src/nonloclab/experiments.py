@@ -5,14 +5,13 @@ Every study walks a decreasing ladder of interaction scales, measures one
 error per rung, and fits a power law in log-log coordinates.  Points that sit
 on the numerical floor (within 10x of the cross-implementation agreement
 tolerance) are flagged and dropped from the fit rather than allowed to
-flatten it.  Studies are deterministic and never mutate their inputs; the
-per-scale work items are independent and can run in a process pool.
+flatten it.  Studies are deterministic, never mutate their inputs, and run
+their rungs one after another in the calling process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,13 +145,6 @@ def _check_resolution_ladder(grid: UniformGrid, mollifier: MollifierSpec, eps) -
         )
 
 
-def _pmap(fn, items, workers: int):
-    if workers is None or workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # test functions and initial data
 
@@ -278,16 +270,8 @@ def make_initial_field(grid: UniformGrid, name_or_field) -> Field:
 # ---------------------------------------------------------------------------
 # operator consistency rate
 
-def _operator_point(args):
-    mollifier, grid, values, eps = args
-    kernel = Kernel(mollifier, eps)
-    field = Field(grid, values)
-    residual = apply_fft(kernel, field) + laplacian(field)
-    return l2_norm(residual)
-
-
 def operator_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_function,
-                        eps_list, workers: int = 1) -> RateTable:
+                        eps_list) -> RateTable:
     """Rate at which the nonlocal operator approaches the negative Laplacian.
 
     The test function must respect the grid's boundary type (zero normal
@@ -297,8 +281,9 @@ def operator_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_functi
     eps = _check_ladder(eps_list)
     _check_resolution_ladder(grid, mollifier, eps)
     field = make_test_field(grid, test_function)
-    errors = _pmap(_operator_point, [(mollifier, grid, field.values, e) for e in eps], workers)
-    floor = FLOOR_FACTOR * l2_norm(laplacian(field))
+    lap = laplacian(field)
+    errors = [l2_norm(apply_fft(Kernel(mollifier, e), field) + lap) for e in eps]
+    floor = FLOOR_FACTOR * l2_norm(lap)
     return _fit_with_floor(eps, errors, floor)
 
 
@@ -316,13 +301,8 @@ class EnergyRateResult:
     table: RateTable | None
 
 
-def _energy_point(args):
-    mollifier, grid, values, eps = args
-    return nonlocal_energy(Kernel(mollifier, eps), Field(grid, values))
-
-
 def energy_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_function,
-                      eps_list, workers: int = 1) -> EnergyRateResult:
+                      eps_list) -> EnergyRateResult:
     """Convergence of the pair energy to the gradient energy.
 
     No rate is asserted, only monotone decay of the gap along the ladder;
@@ -333,7 +313,7 @@ def energy_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_function
     _check_resolution_ladder(grid, mollifier, eps)
     field = make_test_field(grid, test_function)
     limit = dirichlet_energy(field)
-    energies = _pmap(_energy_point, [(mollifier, grid, field.values, e) for e in eps], workers)
+    energies = [nonlocal_energy(Kernel(mollifier, e), field) for e in eps]
     errors = tuple(abs(e - limit) for e in energies)
     floor = FLOOR_FACTOR * max(limit, 1.0)
     if all(e <= floor for e in errors):
@@ -354,9 +334,7 @@ def default_symbol_lattice(n: int, extent: int = 8):
     return [(float(i), float(j)) for i in rng for j in rng]
 
 
-def _symbol_point(args):
-    mollifier, lattice, eps = args
-    kernel = Kernel(mollifier, eps)
+def _symbol_point(kernel: Kernel, lattice) -> float:
     # the symbol depends on xi only through q, which fourier_symbol forms by
     # the same sum of squares: one quadrature per distinct radius
     symbols: dict[float, float] = {}
@@ -371,8 +349,7 @@ def _symbol_point(args):
     return worst
 
 
-def symbol_study(mollifier: MollifierSpec, eps_list, lattice=None,
-                 workers: int = 1) -> RateTable:
+def symbol_study(mollifier: MollifierSpec, eps_list, lattice=None) -> RateTable:
     """Rate of the cubic-normalized symbol error over a frequency lattice."""
     eps = _check_ladder(eps_list)
     if lattice is None:
@@ -380,7 +357,7 @@ def symbol_study(mollifier: MollifierSpec, eps_list, lattice=None,
     lattice = [tuple(float(c) for c in xi) for xi in lattice]
     if any(all(c == 0 for c in xi) for xi in lattice):
         raise ValueError("the zero frequency is excluded (cubic normalization)")
-    errors = _pmap(_symbol_point, [(mollifier, lattice, e) for e in eps], workers)
+    errors = [_symbol_point(Kernel(mollifier, e), lattice) for e in eps]
     return _fit_with_floor(eps, errors, FLOOR_FACTOR)
 
 
@@ -397,14 +374,8 @@ class RemainderRateResult:
     table: RateTable | None
 
 
-def _remainder_point(args):
-    mollifier, grid, values, eps, margin = args
-    return interior_remainder(Kernel(mollifier, eps), Field(grid, values), margin)
-
-
 def remainder_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_function,
-                         eps_list, margin_factor: float = 0.5,
-                         workers: int = 1) -> RemainderRateResult:
+                         eps_list, margin_factor: float = 0.5) -> RemainderRateResult:
     """Decay of the boundary remainder on interior sub-boxes.
 
     The margin scales with the kernel support (``margin_factor`` times it);
@@ -415,11 +386,7 @@ def remainder_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_funct
     _check_resolution_ladder(grid, mollifier, eps)
     field = make_test_field(grid, test_function)
     margins = tuple(margin_factor * e * mollifier.support_radius for e in eps)
-    values = _pmap(
-        _remainder_point,
-        [(mollifier, grid, field.values, e, m) for e, m in zip(eps, margins)],
-        workers,
-    )
+    values = [interior_remainder(Kernel(mollifier, e), field, m) for e, m in zip(eps, margins)]
     if all(v == 0.0 for v in values):
         return RemainderRateResult(eps, tuple(values), margins, "exact", True, None)
     monotone = all(b < a for a, b in zip(values, values[1:]))
@@ -491,8 +458,7 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
 
     The ladder's runs step together as the members of one
     :func:`~nonloclab.solvers.run_batch` call, and each equals its own
-    :func:`run` bit for bit.  ``workers`` is accepted like the other studies'
-    and ignored: the batch is one process.
+    :func:`run` bit for bit.  ``workers`` is accepted and ignored.
     """
     if not equation.startswith("nonlocal"):
         raise ValueError("solution study compares a nonlocal flow to its local limit")

@@ -128,8 +128,8 @@ class RadialProfile:
 class _PolyBump:
     """Evaluator for r^p (1 - r^2)^q on (-1, 1), optionally divided by r^2.
 
-    A plain dataclass rather than a closure so profiles hash by their
-    parameters and pickle cleanly into worker processes.
+    A plain dataclass rather than a closure so profiles compare and hash by
+    their parameters, which the per-(kernel, grid) stencil cache keys on.
     """
 
     p: int
@@ -221,6 +221,8 @@ class Kernel:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
 
     @property
     def dimension(self) -> int:

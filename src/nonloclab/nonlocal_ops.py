@@ -158,16 +158,16 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
     if kernel.dimension != grid.dimension:
         raise ValueError("kernel and grid dimensions differ")
     spacing = grid.spacing
-    reach = tuple(
-        min(int(np.ceil(kernel.support_radius / h)), N)
-        for h, N in zip(spacing, grid.cells)
-    )
+    # the support checks run on the float ratio x, which may be inf, before
+    # any int(): for integer N, 2 ceil(x) + 1 > N exactly when x > (N - 1) // 2,
+    # and ceil(x) > N exactly when x > N
+    ratios = [kernel.support_radius / h for h in spacing]
     if grid.boundary == PERIODIC:
-        if any(2 * k + 1 > N for k, N in zip(reach, grid.cells)):
+        if any(x > (N - 1) // 2 for x, N in zip(ratios, grid.cells)):
             raise ValueError("kernel support wraps onto itself on this periodic grid")
-    else:
-        if any(int(np.ceil(kernel.support_radius / h)) > N for h, N in zip(spacing, grid.cells)):
-            raise ValueError("kernel support exceeds the box; no room for one reflection")
+    elif any(x > N for x, N in zip(ratios, grid.cells)):
+        raise ValueError("kernel support exceeds the box; no room for one reflection")
+    reach = tuple(int(np.ceil(x)) for x in ratios)
     weights = kernel.value_radial(_offset_distances(reach, spacing)) * grid.cell_volume
 
     if grid.boundary == PERIODIC:

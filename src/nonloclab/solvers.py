@@ -145,12 +145,6 @@ class TrajectoryRecord:
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, arr)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,mass,energy\n")
-            for t, m, e in zip(self.times, self.mass, self.energy):
-                fh.write(f"{t:.17g},{m:.17g},{e:.17g}\n")
-
 
 def resolve_stabilization(config: SolverConfig, potential) -> float:
     if config.stabilization is None:

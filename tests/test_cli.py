@@ -1,4 +1,5 @@
 import json
+import multiprocessing.process
 from unittest import mock
 
 import pytest
@@ -285,6 +286,67 @@ class TestUsageAndConfig:
                         "--workers", "1", "--out", str(tmp_path / "bad")])
         assert code == 2
         assert "whole number of steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["operator-rate", "--eps", "inf,0.1,0.05", "--N", "512"],
+        ["energy-rate", "--eps", "1e308,0.1,0.05", "--N", "512"],
+        ["solve", "--eq", "nonlocal-ch", "--eps", "inf", "--N", "64", "--T", "1e-4",
+         "--tau", "1e-5"],
+        ["oracle-check", "--eps", "inf", "--N", "64"],
+    ])
+    def test_non_finite_or_huge_scale_is_usage_error(self, tmp_path, capsys, argv):
+        assert run_cli([*argv, "--out", str(tmp_path / "huge")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+class TestWorkersFlag:
+    COMMANDS = {
+        "check-kernel": [],
+        "symbol-rate": [],
+        "operator-rate": [],
+        "energy-rate": [],
+        "remainder-rate": [],
+        "solve": ["--eq", "local-ch"],
+        "solution-rate": [],
+        "oracle-check": [],
+        "gronwall": [],
+    }
+
+    def test_every_subcommand_parses_workers(self, tmp_path):
+        parser = cli.build_parser()
+        assert sorted(parser.commands) == sorted(self.COMMANDS)
+        for command, required in self.COMMANDS.items():
+            args = parser.parse_args([command, *required, "--workers", "1"])
+            assert args.workers == 1
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text("workers=1\n")
+            assert main([command, *required, "--config", str(cfg), "--help"]) == 0
+
+    def test_workers_is_an_integer(self, tmp_path):
+        assert run_cli(["symbol-rate", "--workers", "two",
+                        "--out", str(tmp_path / "bad")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["symbol-rate", "--n", "1", "--eps", "0.2,0.1,0.05"],
+        ["operator-rate", "--N", "512", "--eps", "0.2,0.1,0.05"],
+        ["energy-rate", "--N", "512", "--eps", "0.2,0.1,0.05"],
+        ["remainder-rate", "--N", "512", "--eps", "0.2,0.1,0.05"],
+    ])
+    def test_studies_start_no_process(self, tmp_path, monkeypatch, argv):
+        def no_process(self):
+            raise AssertionError("a study started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert run_cli([*argv, "--workers", "1", "--out", str(one)]) == 0
+        assert run_cli([*argv, "--workers", "2", "--out", str(two)]) == 0
+        outputs = sorted(p.name for p in one.iterdir() if p.suffix in (".csv", ".json"))
+        assert outputs == sorted(p.name for p in two.iterdir() if p.suffix in (".csv", ".json"))
+        assert len(outputs) == 2
+        for name in outputs:
+            assert (one / name).read_bytes() == (two / name).read_bytes()
 
 
 class TestReproducibility:

@@ -181,13 +181,6 @@ class TestOperatorStudy:
         with pytest.raises(ValueError, match="resolve"):
             operator_rate_study(g, moll, "sinmix", (0.2, 0.1, 0.01))
 
-    def test_workers_match_serial(self, moll):
-        g = UniformGrid((1.0,), (512,), "periodic")
-        serial = operator_rate_study(g, moll, "sinmix", (0.2, 0.15, 0.1))
-        pooled = operator_rate_study(g, moll, "sinmix", (0.2, 0.15, 0.1), workers=2)
-        assert serial.errors == pooled.errors
-        assert serial.fitted_slope == pooled.fitted_slope
-
     def test_accepts_field_and_callable(self, moll):
         g = UniformGrid((1.0,), (512,), "periodic")
         f = sample(g, lambda x: np.sin(2 * np.pi * x))

@@ -79,6 +79,11 @@ class TestNormalization:
         with pytest.raises(ValueError):
             Kernel(make_mollifier(1), epsilon=0.0)
 
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan")])
+    def test_rejects_non_finite_scale(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be"):
+            Kernel(make_mollifier(1), epsilon=eps)
+
 
 class TestPointEvaluation:
     def test_compact_support(self):

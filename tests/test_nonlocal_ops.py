@@ -188,6 +188,17 @@ class TestOperatorApplications:
         with pytest.raises(ValueError, match="wraps"):
             apply_fft(make_kernel(1, 0.6), random_field(g, 8))
 
+    @pytest.mark.parametrize("boundary, message", [
+        ("neumann", "exceeds the box"),
+        ("periodic", "wraps"),
+    ])
+    @pytest.mark.parametrize("eps", [1e308, 1e300])
+    def test_huge_scale_is_rejected_before_integer_reach(self, boundary, message, eps):
+        # 1e308 / h overflows to inf, 1e300 / h does not; neither may reach int()
+        g = UniformGrid((1.0,), (64,), boundary)
+        with pytest.raises(ValueError, match=message):
+            apply_fft(make_kernel(1, eps), random_field(g, 8))
+
 
 def _dense_pair_weights(kernel, grid, block):
     """Reference pair weights: the kernel evaluated on every node pair, from

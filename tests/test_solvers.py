@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonloclab.cli import main
+from nonloclab.experiments import make_initial_field
 from nonloclab.grid import (
     Field,
     UniformGrid,
@@ -292,14 +294,16 @@ class TestRecords:
         assert np.allclose(rec.times, ref.times, rtol=1e-12, atol=1e-15)
 
     def test_csv_output(self, grid, pot, tmp_path):
-        init = sample(grid, lambda x: 0.1 * np.cos(np.pi * x))
+        code = main(["solve", "--eq", "local-ch", "--N", "128", "--T", "1e-3",
+                     "--tau", "1e-4", "--record-every", "5", "--out", str(tmp_path)])
+        assert code == 0
         cfg = SolverConfig(tau=1e-4, t_final=1e-3, record_every=5)
-        rec = run(init, cfg, pot, "local-ch")
-        path = tmp_path / "traj.csv"
-        rec.to_csv(path)
-        lines = path.read_text().splitlines()
+        rec = run(make_initial_field(grid, "cosmix"), cfg, pot, "local-ch")
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,mass,energy"
         assert len(lines) == len(rec.times) + 1
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(rows, np.column_stack([rec.times, rec.mass, rec.energy]))
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -504,13 +504,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
 
-    # apply config-file values as defaults, so flags keep precedence
-    if "--config" in argv:
-        try:
-            cfg_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            print("config error: --config needs a path", file=sys.stderr)
-            return USAGE_ERROR
+    # apply config-file values as defaults, so flags keep precedence; the
+    # path comes from a first pass that knows only --config, so every
+    # spelling argparse accepts (--config=PATH, the abbreviation --conf PATH)
+    # is read, and -h does not stop it
+    first = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    first.add_argument("--config")
+    try:
+        cfg_path = first.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        print("config error: --config needs a path", file=sys.stderr)
+        return USAGE_ERROR
+    if cfg_path is not None:
         try:
             file_values = _load_config_file(cfg_path)
         except (OSError, ValueError) as exc:

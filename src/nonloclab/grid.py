@@ -32,6 +32,7 @@ __all__ = [
     "transform_values",
     "inverse_transform_values",
     "laplacian_symbol",
+    "coefficient_weights",
     "zero_mode_index",
     "save_field",
     "load_field",
@@ -174,17 +175,26 @@ def transform_values(grid: UniformGrid, values: np.ndarray) -> np.ndarray:
     """Orthonormal transform over the trailing ``grid.dimension`` axes; any
     leading (member) axis passes through.
 
-    1D cosine transforms go through ``scipy.fftpack``, the legacy wrapper
-    over the same pocketfft kernel, which skips ``scipy.fft``'s per-call
-    dispatch; its output equals ``scipy.fft.dctn`` bit for bit.
+    Zero-flux boxes use the cosine transform (DCT-II), with one coefficient
+    per node.  1D cosine transforms go through ``scipy.fftpack``, the legacy
+    wrapper over the same pocketfft kernel, which skips ``scipy.fft``'s
+    per-call dispatch; its output equals ``scipy.fft.dctn`` bit for bit.
+
+    Periodic grids use the real-to-complex Fourier transform (``rfft`` /
+    ``rfftn``), which keeps only the half spectrum: the last axis has
+    ``N // 2 + 1`` columns, since the dropped ones are the complex conjugates
+    of kept ones.  A quadratic sum over the full spectrum is therefore a sum
+    over the half spectrum with each last-axis column weighted by its
+    Hermitian multiplicity (:func:`coefficient_weights`): 1 for column 0 and,
+    when N is even, for column N / 2; 2 for every other column.
     """
     if grid.dimension == 1:
         if grid.boundary == NEUMANN:
             return scipy.fftpack.dct(values, type=2, norm="ortho", axis=-1)
-        return scipy.fft.fft(values, norm="ortho")
+        return scipy.fft.rfft(values, norm="ortho")
     if grid.boundary == NEUMANN:
         return scipy.fft.dctn(values, type=2, norm="ortho", axes=(-2, -1))
-    return scipy.fft.fftn(values, norm="ortho", axes=(-2, -1))
+    return scipy.fft.rfftn(values, norm="ortho", axes=(-2, -1))
 
 
 def inverse_transform_values(grid: UniformGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -192,14 +202,16 @@ def inverse_transform_values(grid: UniformGrid, coeffs: np.ndarray) -> np.ndarra
     if grid.dimension == 1:
         if grid.boundary == NEUMANN:
             return scipy.fftpack.idct(coeffs, type=2, norm="ortho", axis=-1)
-        return scipy.fft.ifft(coeffs, norm="ortho").real
+        return scipy.fft.irfft(coeffs, n=grid.cells[0], norm="ortho")
     if grid.boundary == NEUMANN:
         return scipy.fft.idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
-    return scipy.fft.ifftn(coeffs, norm="ortho", axes=(-2, -1)).real
+    return scipy.fft.irfftn(coeffs, s=grid.shape, norm="ortho", axes=(-2, -1))
 
 
 def spectral_coefficients(field: Field) -> np.ndarray:
-    """Orthonormal transform coefficients (cosine basis or discrete Fourier)."""
+    """Orthonormal transform coefficients: the cosine basis, or the half
+    spectrum of the real discrete Fourier transform (see
+    :func:`transform_values`)."""
     return transform_values(field.grid, field.values)
 
 
@@ -209,7 +221,8 @@ def field_from_coefficients(grid: UniformGrid, coeffs: np.ndarray) -> Field:
 
 @lru_cache(maxsize=128)
 def laplacian_symbol(grid: UniformGrid) -> np.ndarray:
-    """Eigenvalues of the negative Laplacian in the grid's spectral basis.
+    """Eigenvalues of the negative Laplacian in the grid's spectral basis, in
+    the coefficient layout of :func:`transform_values`.
 
     The exact continuous symbols are used (not finite-difference ones) so
     spectral differentiation carries no discretization bias of its own.
@@ -219,6 +232,8 @@ def laplacian_symbol(grid: UniformGrid) -> np.ndarray:
         N, L = grid.cells[a], grid.lengths[a]
         if grid.boundary == NEUMANN:
             lam = (np.pi * np.arange(N) / L) ** 2
+        elif a == grid.dimension - 1:
+            lam = (2.0 * np.pi * scipy.fft.rfftfreq(N, d=L / N)) ** 2
         else:
             lam = (2.0 * np.pi * scipy.fft.fftfreq(N, d=L / N)) ** 2
         per_axis.append(lam)
@@ -226,6 +241,21 @@ def laplacian_symbol(grid: UniformGrid) -> np.ndarray:
         out = per_axis[0]
     else:
         out = per_axis[0][:, None] + per_axis[1][None, :]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=128)
+def coefficient_weights(grid: UniformGrid) -> np.ndarray:
+    """How many spectrum entries each coefficient of :func:`transform_values`
+    stands for, in its layout: 1 everywhere on zero-flux boxes; on periodic
+    grids the Hermitian multiplicity of each last-axis column of the half
+    spectrum, 1 for column 0 and (N even) column N / 2, and 2 otherwise."""
+    N = grid.cells[-1]
+    column = np.ones(N if grid.boundary == NEUMANN else N // 2 + 1)
+    if grid.boundary == PERIODIC:
+        column[1:(N + 1) // 2] = 2.0
+    out = np.broadcast_to(column, laplacian_symbol(grid).shape).copy()
     out.flags.writeable = False
     return out
 
@@ -244,7 +274,7 @@ def sobolev_norm(field: Field, s: float) -> float:
         raise ValueError("sobolev_norm supports s in [-1, 3]")
     coeffs = spectral_coefficients(field)
     lam = laplacian_symbol(field.grid)
-    weighted = (1.0 + lam) ** s * np.abs(coeffs) ** 2
+    weighted = (1.0 + lam) ** s * np.abs(coeffs) ** 2 * coefficient_weights(field.grid)
     return float(np.sqrt(weighted.sum() * field.grid.cell_volume))
 
 
@@ -258,11 +288,12 @@ def hminus1_norm(field: Field) -> float:
     grid = field.grid
     coeffs = spectral_coefficients(field)
     lam = laplacian_symbol(grid)
+    weights = coefficient_weights(grid)
     idx = zero_mode_index(grid)
     mean = integrate(field) / grid.volume
-    mask = np.ones(grid.shape, dtype=bool)
+    mask = np.ones(coeffs.shape, dtype=bool)
     mask[idx] = False
-    fluct_sq = np.sum(np.abs(coeffs[mask]) ** 2 / lam[mask]) * grid.cell_volume
+    fluct_sq = np.sum(np.abs(coeffs[mask]) ** 2 / lam[mask] * weights[mask]) * grid.cell_volume
     return float(np.sqrt(fluct_sq) + abs(mean) * np.sqrt(grid.volume))
 
 

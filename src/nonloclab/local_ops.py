@@ -6,6 +6,7 @@ import numpy as np
 
 from .grid import (
     Field,
+    coefficient_weights,
     field_from_coefficients,
     integrate,
     laplacian_symbol,
@@ -53,4 +54,5 @@ def dirichlet_energy(field: Field) -> float:
     """Half the squared gradient norm, evaluated spectrally."""
     coeffs = spectral_coefficients(field)
     lam = laplacian_symbol(field.grid)
-    return float(0.5 * np.sum(lam * np.abs(coeffs) ** 2) * field.grid.cell_volume)
+    weighted = lam * np.abs(coeffs) ** 2 * coefficient_weights(field.grid)
+    return float(0.5 * np.sum(weighted) * field.grid.cell_volume)

@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
+import scipy.fftpack
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import NEUMANN, PERIODIC, Field, UniformGrid
@@ -33,6 +34,8 @@ __all__ = [
     "pair_difference_double_sum",
     "interior_remainder",
     "wall_strip",
+    "WallRemainder",
+    "wall_remainder",
     "stencil_symbol",
     "l2_inner",
 ]
@@ -102,6 +105,12 @@ class _StencilData:
         cached (kernel, grid)."""
         return _stencil_eigenvalues(self.weights, self.reach, self.grid)
 
+    @cached_property
+    def wall_remainder(self) -> "WallRemainder":
+        """The boundary remainder's strip tables (neumann); built on first
+        use, once per cached (kernel, grid)."""
+        return _build_wall_remainder(self)
+
 
 def _offset_distances(reach, spacing):
     axes = [np.arange(-k, k + 1) * h for k, h in zip(reach, spacing)]
@@ -130,15 +139,15 @@ def _conv_truncate(padded: np.ndarray, shape) -> np.ndarray:
 
 def _stencil_eigenvalues(weights, reach, grid: UniformGrid) -> np.ndarray:
     # cosine tables fold the even stencil; angle pi k d / N diagonalizes the
-    # half-sample reflected extension, 2 pi k d / N the wrap-around one
+    # half-sample reflected extension, 2 pi k d / N the wrap-around one, whose
+    # last axis keeps the half spectrum of the real transform
     factor = 1.0 if grid.boundary == NEUMANN else 2.0
     tables = []
     for a in range(grid.dimension):
         N, k = grid.cells[a], reach[a]
-        d = np.arange(k + 1)
-        mult = np.where(d == 0, 1.0, 2.0)
-        angles = factor * np.pi * np.outer(d, np.arange(N)) / N
-        tables.append(mult[:, None] * np.cos(angles))  # (k+1, N)
+        last = a == grid.dimension - 1
+        modes = np.arange(N // 2 + 1 if grid.boundary == PERIODIC and last else N)
+        tables.append(_cosine_table(k, modes, factor, N))  # (k+1, modes)
     if grid.dimension == 1:
         k = reach[0]
         w_half = weights[k:].copy()
@@ -151,6 +160,16 @@ def _stencil_eigenvalues(weights, reach, grid: UniformGrid) -> np.ndarray:
     sym = total - cos_sum
     # clip tiny negative rounding residue; the exact eigenvalues are >= 0
     return np.where(sym < 0, 0.0, sym)
+
+
+def _cosine_table(k: int, modes: np.ndarray, factor: float, N: int) -> np.ndarray:
+    """``mult_d * cos(factor * pi * d * m / N)`` for stencil distances
+    ``d = 0..k`` (rows) and the given modes ``m`` (columns); ``mult_d`` counts
+    the offsets ``+d`` and ``-d``, so a half stencil row times the table is
+    the row's symbol."""
+    d = np.arange(k + 1)
+    mult = np.where(d == 0, 1.0, 2.0)
+    return mult[:, None] * np.cos(factor * np.pi * np.outer(d, modes) / N)
 
 
 @lru_cache(maxsize=64)
@@ -178,7 +197,7 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
         )
     kernel_hat = scipy.fft.rfftn(_wrap_stencil(weights, reach, pad_shape))
 
-    ones_hat = _zero_pad_rfftn(np.ones(grid.shape), pad_shape)
+    ones_hat = scipy.fft.rfftn(np.ones(grid.shape), s=pad_shape)
     degree = _conv_truncate(scipy.fft.irfftn(ones_hat * kernel_hat, s=pad_shape), grid.shape)
     return _StencilData(
         grid=grid,
@@ -189,15 +208,6 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
         kernel_hat=kernel_hat,
         degree=degree,
     )
-
-
-def _zero_pad_rfftn(values: np.ndarray, pad_shape) -> np.ndarray:
-    padded = np.zeros(pad_shape)
-    if values.ndim == 1:
-        padded[: values.shape[0]] = values
-    else:
-        padded[: values.shape[0], : values.shape[1]] = values
-    return scipy.fft.rfftn(padded)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +292,9 @@ def apply_direct(kernel: Kernel, field: Field) -> Field:
 def apply_fft_values(kernel: Kernel, grid: UniformGrid, values: np.ndarray) -> np.ndarray:
     """Raw-array variant of :func:`apply_fft` for solver inner loops."""
     data = _stencil_data(kernel, grid)
-    if grid.boundary == PERIODIC:
-        conv_hat = scipy.fft.rfftn(values) * data.kernel_hat
-        conv = scipy.fft.irfftn(conv_hat, s=data.pad_shape)
-    else:
-        conv_hat = _zero_pad_rfftn(values, data.pad_shape) * data.kernel_hat
-        conv = _conv_truncate(scipy.fft.irfftn(conv_hat, s=data.pad_shape), grid.shape)
+    # zero-padded to pad_shape on a box; pad_shape is the grid's on periodic grids
+    conv_hat = scipy.fft.rfftn(values, s=data.pad_shape) * data.kernel_hat
+    conv = _conv_truncate(scipy.fft.irfftn(conv_hat, s=data.pad_shape), grid.shape)
     return data.degree * values - conv
 
 
@@ -379,6 +386,25 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
     return out
 
 
+def _wall_matrices(ghost: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Remainder of one wall as ``k x k`` matrices ``M[i, r]``, any trailing
+    axes of ``ghost`` passing through: the ghost offsets of wall layer ``i``
+    at distances ``i + r + 1 <= k`` reflect onto layer ``r``.
+
+    ``ghost[d - 1]`` is what a ghost at distance ``d = 1..k`` contributes from
+    its reflected node, and ``totals[d - 1]`` its weight at the node itself:
+    ``M[i, r] = delta_ir * c_i - ghost[i + r]`` with ``c_i`` the sum of the
+    totals over ``d > i`` (compare :func:`_ghost_remainder`).
+    """
+    k = len(ghost)
+    dist = np.add.outer(np.arange(k), np.arange(k))  # i + r, i.e. distance - 1
+    inside = (dist < k).reshape(dist.shape + (1,) * (ghost.ndim - 1))
+    strip = -np.where(inside, ghost[np.minimum(dist, k - 1)], 0.0)
+    c = np.cumsum(totals[::-1])[::-1]
+    strip[np.diag_indices(k)] += c.reshape(c.shape + (1,) * (ghost.ndim - 1))
+    return strip
+
+
 def wall_strip(kernel: Kernel, grid: UniformGrid) -> np.ndarray:
     """The boundary remainder of a 1D box at its left wall as a dense
     ``reach x reach`` matrix ``S``.
@@ -392,13 +418,104 @@ def wall_strip(kernel: Kernel, grid: UniformGrid) -> np.ndarray:
     """
     if grid.dimension != 1 or grid.boundary != NEUMANN:
         raise ValueError("wall strips are defined for 1D bounded (neumann) grids")
-    data = _stencil_data(kernel, grid)
-    k = data.reach[0]
-    ghost_w = data.weights[k - 1::-1]  # weights at distances 1..reach
-    dist = np.add.outer(np.arange(k), np.arange(k))  # i + j, i.e. distance - 1
-    strip = -np.where(dist < k, ghost_w[np.minimum(dist, k - 1)], 0.0)
-    strip[np.diag_indices(k)] += np.cumsum(ghost_w[::-1])[::-1]
-    return strip
+    return wall_remainder(kernel, grid).strips[0].copy()
+
+
+# views of a 2D array that put each of its corners at index (0, 0)
+_CORNERS = tuple((slice(None, None, s0), slice(None, None, s1))
+                 for s0 in (1, -1) for s1 in (1, -1))
+
+
+@dataclass(frozen=True)
+class WallRemainder:
+    """The boundary remainder of a zero-flux box, the reflected minus the true
+    stencil operator, as tables over the ``reach``-deep layers at the walls.
+
+    In 1D, ``strips`` are the two ``reach x reach`` wall matrices
+    (:func:`wall_strip` and its mirror).  In 2D, ``strips[a]`` serves the two
+    walls across axis ``a``.  Along such a wall the remainder is a
+    convolution with the even stencil rows under a half-sample reflection,
+    so a cosine transform along the wall diagonalizes it, leaving one
+    ``reach_a x reach_a`` matrix per cosine mode: :func:`_wall_matrices` of
+    the rows' cosine symbols, shape ``(N_other, reach_a, reach_a)``.  These
+    matrices are symmetric, so they apply from either side.
+
+    A ghost node beyond two walls is counted by both wall passes, so each
+    corner gives it back once: ``corner_diag[i, j]`` is the weight of the
+    offsets of corner node ``(i, j)`` that land beyond both walls, and
+    ``corner_hankel[j, d, s]`` is ``w(d + 1, j + s + 1)``, the weight of the
+    ghost of node ``(d - r, j)`` that reflects onto node ``(r, s)`` (zero
+    where ``j + s`` reaches past the reach).  The corner work grows as
+    ``reach**4``; its arrays stay at ``reach**3``.
+    """
+
+    reach: tuple[int, ...]
+    strips: tuple[np.ndarray, ...]
+    corner_diag: np.ndarray | None = None
+    corner_hankel: np.ndarray | None = None
+
+    def subtract(self, values: np.ndarray, out: np.ndarray) -> None:
+        """``out -= remainder(values)``, in place; both have the grid's shape."""
+        if len(self.reach) == 1:
+            (k,) = self.reach
+            left, right = self.strips
+            out[:k] -= left @ values[:k]
+            out[-k:] -= right @ values[-k:]
+            return
+        for axis, (k, tables) in enumerate(zip(self.reach, self.strips)):
+            # the wall axis last: rows run along the wall, columns into the box
+            v, o = np.moveaxis(values, axis, -1), np.moveaxis(out, axis, -1)
+            slabs = np.stack((v[:, :k], v[:, ::-1][:, :k]), axis=1)  # (n, 2, k), wall first
+            hat = scipy.fftpack.dct(slabs, type=2, norm="ortho", axis=0)
+            remainder = scipy.fftpack.idct(hat @ tables, type=2, norm="ortho", axis=0)
+            o[:, :k] -= remainder[:, 0]
+            o[:, ::-1][:, :k] -= remainder[:, 1]
+        # corner node (i, j) gives back w(i + r + 1, j + s + 1) * (v[i, j] - v[r, s])
+        # for each ghost (r, s); one matmul per corner row i covers all four
+        # corners, with the Hankel blocks of the rows d = i + r
+        k0, k1 = self.reach
+        blocks = np.stack([values[c][:k0, :k1] for c in _CORNERS], axis=-1)  # [r, s, corner]
+        ghosts = np.empty_like(blocks)
+        for i in range(k0):
+            ghosts[i] = (self.corner_hankel[:, i:].reshape(k1, -1)
+                         @ blocks[:k0 - i].reshape(-1, len(_CORNERS)))
+        overlap = self.corner_diag[..., None] * blocks - ghosts
+        for n, c in enumerate(_CORNERS):
+            out[c][:k0, :k1] += overlap[..., n]
+
+
+def _build_wall_remainder(data: _StencilData) -> WallRemainder:
+    grid = data.grid
+    if grid.boundary != NEUMANN:
+        raise ValueError("the wall remainder is defined for bounded (neumann) grids")
+    if grid.dimension == 1:
+        (k,) = data.reach
+        ghost_w = data.weights[k - 1::-1]  # weights at distances 1..reach
+        left = _wall_matrices(ghost_w, ghost_w)
+        return WallRemainder(data.reach, (left, left[::-1, ::-1].copy()))
+    strips = []
+    for a in range(2):
+        b = 1 - a
+        k, kb, n = data.reach[a], data.reach[b], grid.cells[b]
+        rows = np.moveaxis(data.weights, a, 0)[k - 1::-1]  # distances 1..k from the wall
+        symbols = rows[:, kb:] @ _cosine_table(kb, np.arange(n), 1.0, n)  # (k, n)
+        tables = _wall_matrices(symbols, rows.sum(axis=1))  # [i, r, mode], symmetric in i, r
+        strips.append(np.ascontiguousarray(np.moveaxis(tables, -1, 0)))
+    k0, k1 = data.reach
+    quadrant = data.weights[k0 + 1:, k1 + 1:]  # w(d0, d1) for d0, d1 >= 1
+    corner_diag = quadrant[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
+    padded = np.zeros((k0, 2 * k1 - 1))
+    padded[:, :k1] = quadrant
+    hankel = sliding_window_view(padded, k1, axis=1)  # [d, j, s] = w(d + 1, j + s + 1)
+    return WallRemainder(data.reach, tuple(strips), corner_diag.copy(),
+                         np.ascontiguousarray(hankel.transpose(1, 0, 2)))
+
+
+def wall_remainder(kernel: Kernel, grid: UniformGrid) -> WallRemainder:
+    """The cached :class:`WallRemainder` of ``kernel`` on the bounded box
+    ``grid``: ``stencil_symbol(kernel, grid)`` diagonalizes the reflected
+    operator, and the true operator is that minus this remainder."""
+    return _stencil_data(kernel, grid).wall_remainder
 
 
 def interior_remainder(kernel: Kernel, field: Field, margin: float) -> float:

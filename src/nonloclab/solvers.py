@@ -9,30 +9,32 @@ and the transforms act on the trailing grid axes, so each step transforms
 the whole batch at once.
 
 The loop carries the state as its coefficients ``chat`` in the grid's
-transform basis (cosine for zero-flux boxes, Fourier for periodic ones).
-The implicit part is the constant-coefficient portion ``nu`` of the driving
-operator, which is diagonal in that basis: the Laplacian symbol for the
-local flows, and for the nonlocal flows the symbol of the member's
-reflected/wrapped stencil operator, both plus the scalar stabilizer.
-Everything else is explicit, so one step is
+transform basis (cosine for zero-flux boxes, the real-to-complex Fourier
+half spectrum for periodic ones).  The implicit part is the
+constant-coefficient portion ``nu`` of the driving operator, which is
+diagonal in that basis: the Laplacian symbol for the local flows, and for
+the nonlocal flows the symbol of the member's reflected/wrapped stencil
+operator, both plus the scalar stabilizer.  Everything else is explicit, so
+one step is
 
     values = inverse transform of chat
-    ghat   = nu * chat + T(fprime(values) + E(values))
+    ghat   = nu * chat + T(fprime(values) - R(values))
     chat  -= tau * drive * ghat / denom
 
 with two transforms per step for the whole batch.  ``nu`` and the gain
 ``tau * drive / denom`` are stacked along the member axis.  ``values`` also
 serve the divergence guard, checked per member, and the records.  The
-explicit operator part ``E`` depends only on the grid, and is applied member
+explicit operator part ``R`` depends only on the grid, and is applied member
 by member with that member's kernel:
 
 - local flows and periodic grids: none, the symbol is exact;
-- 1D zero-flux boxes: minus the boundary remainder, which lives within
-  ``reach`` cells of each wall and is applied as two small dense strip
-  matrices (:func:`~nonloclab.nonlocal_ops.wall_strip`);
-- 2D zero-flux boxes: the whole true operator through the padded FFT
-  (:func:`~nonloclab.nonlocal_ops.apply_fft_values`), with ``nu`` left out
-  of ``ghat``.
+- zero-flux boxes: the boundary remainder, the reflected operator minus the
+  true one, which lives within ``reach`` cells of each wall
+  (:class:`~nonloclab.nonlocal_ops.WallRemainder`).  In 1D it is two small
+  dense strip matrices; in 2D, per wall, a cosine transform along the wall
+  of the ``reach``-deep edge layers with one ``reach x reach`` matrix per
+  cosine mode, plus a small correction at each corner.  No step applies the
+  padded-FFT operator.
 
 Each member's arithmetic is the same as in a batch of one, so batched
 records equal separate runs bit for bit.  With stabilization at least the
@@ -61,7 +63,7 @@ from .grid import (
 )
 from .kernels import Kernel
 from .local_ops import dirichlet_energy
-from .nonlocal_ops import apply_fft_values, degree_function, stencil_symbol
+from .nonlocal_ops import degree_function, stencil_symbol
 from . import nonlocal_ops
 
 __all__ = [
@@ -218,41 +220,28 @@ class _Stepper:
                     else:
                         raise ValueError(msg + "; shrink tau or set allow_unstable_tau")
         self.gain = config.tau * drive / denom
-
-        # the explicit operator part, chosen from the grid alone; it adds into
-        # the (fresh) array fprime returns
         self.nu = nu
-        self.explicit = None
+
+        # the explicit operator part, chosen from the grid alone: none but on
+        # the zero-flux boxes of the nonlocal flows
+        self.remainders = []
         if nonlocal_eq and grid.boundary == NEUMANN:
-            if grid.dimension == 1:
-                self.strips = [nonlocal_ops.wall_strip(k, grid) for k in self.kernels]
-                self.strips_right = [s[::-1, ::-1].copy() for s in self.strips]
-                self.explicit = self._subtract_wall_remainder
-            else:
-                # the whole true operator is explicit; nu stays in denom only
-                self.nu = None
-                self.explicit = self._add_true_operator
+            self.remainders = [nonlocal_ops.wall_remainder(k, grid) for k in self.kernels]
 
     def _subtract_wall_remainder(self, values: np.ndarray, out: np.ndarray) -> None:
-        # true operator = reflected operator (nu) minus the boundary remainder
-        for m, (left, right) in enumerate(zip(self.strips, self.strips_right)):
-            k = left.shape[0]
-            out[m, :k] -= left @ values[m, :k]
-            out[m, -k:] -= right @ values[m, -k:]
-
-    def _add_true_operator(self, values: np.ndarray, out: np.ndarray) -> None:
-        for m, kernel in enumerate(self.kernels):
-            out[m] += apply_fft_values(kernel, self.grid, values[m])
+        # true operator = reflected operator (nu) minus the boundary remainder;
+        # it subtracts from the (fresh) array fprime returns
+        for m, remainder in enumerate(self.remainders):
+            remainder.subtract(values[m], out[m])
 
     def step_values(self, values: np.ndarray, chat: np.ndarray):
         """One step from the members' values and transform coefficients;
         returns both for the new states."""
         g = self.potential.fprime(values)
-        if self.explicit is not None:
-            self.explicit(values, g)
+        if self.remainders:
+            self._subtract_wall_remainder(values, g)
         ghat = transform_values(self.grid, g)
-        if self.nu is not None:
-            ghat += self.nu * chat
+        ghat += self.nu * chat
         chat = chat - self.gain * ghat
         return inverse_transform_values(self.grid, chat), chat
 

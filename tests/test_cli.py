@@ -261,6 +261,21 @@ class TestUsageAndConfig:
         assert code == 0
         assert "N=256" in (out / "resolved_config.txt").read_text()
 
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]])
+    def test_every_config_spelling_reads_the_file(self, tmp_path, spelling):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("eps=0.3\n")
+        out = tmp_path / "ck"
+        flag = [part.format(cfg) for part in spelling]
+        assert run_cli(["check-kernel", *flag, "--out", str(out)]) == 0
+        assert "eps=0.3\n" in (out / "resolved_config.txt").read_text()
+
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]])
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys, spelling):
+        flag = [part.format(tmp_path / "absent.cfg") for part in spelling]
+        assert run_cli(["check-kernel", *flag, "--out", str(tmp_path / "ck")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frobs=3\n")

@@ -221,13 +221,16 @@ class TestTransformLayer:
         assert np.array_equal(forward, scipy.fft.dctn(x, type=2, norm="ortho", axes=-1))
         assert np.array_equal(inverse, scipy.fft.idctn(x, type=2, norm="ortho", axes=-1))
 
-    def test_1d_periodic_matches_fftn(self):
-        g = UniformGrid((1.0,), (48,), "periodic")
-        x = np.random.default_rng(6).standard_normal(48)
+    @pytest.mark.parametrize("cells", [48, 49])
+    def test_1d_periodic_matches_rfft(self, cells):
+        # the half spectrum of the real transform: N // 2 + 1 coefficients
+        g = UniformGrid((1.0,), (cells,), "periodic")
+        x = np.random.default_rng(6).standard_normal(cells)
         coeffs = transform_values(g, x)
-        assert np.array_equal(coeffs, scipy.fft.fftn(x, norm="ortho"))
+        assert coeffs.shape == (cells // 2 + 1,)
+        assert np.array_equal(coeffs, scipy.fft.rfft(x, norm="ortho"))
         assert np.array_equal(inverse_transform_values(g, coeffs),
-                              scipy.fft.ifftn(coeffs, norm="ortho").real)
+                              scipy.fft.irfft(coeffs, n=cells, norm="ortho"))
 
 
 class TestSerialization:

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from nonloclab.grid import Field, UniformGrid, integrate, l2_norm, sample
+from nonloclab.grid import (
+    Field,
+    UniformGrid,
+    hminus1_norm,
+    integrate,
+    l2_norm,
+    sample,
+    sobolev_norm,
+)
 from nonloclab.local_ops import dirichlet_energy, inv_neumann_laplacian, laplacian
 from nonloclab.nonlocal_ops import l2_inner
 
@@ -96,3 +105,52 @@ class TestDirichletEnergy:
         f2 = sample(g, lambda x: 0.5 * np.cos(4 * np.pi * x))
         total = dirichlet_energy(f1 + f2)
         assert total == pytest.approx(dirichlet_energy(f1) + dirichlet_energy(f2), rel=1e-12)
+
+
+def _full_spectrum(field):
+    """Complex-spectrum coefficients and Laplacian symbol of a periodic field,
+    over every mode: the formulas the half-spectrum layout must reproduce."""
+    g = field.grid
+    coeffs = scipy.fft.fftn(field.values, norm="ortho")
+    per_axis = [(2 * np.pi * scipy.fft.fftfreq(N, d=L / N)) ** 2
+                for N, L in zip(g.cells, g.lengths)]
+    lam = per_axis[0] if g.dimension == 1 else per_axis[0][:, None] + per_axis[1][None, :]
+    return coeffs, lam
+
+
+class TestHalfSpectrum:
+    """Periodic grids keep the half spectrum of the real transform; every
+    quadratic sum weights its columns by their Hermitian multiplicity."""
+
+    @pytest.mark.parametrize("lengths, cells", [
+        ((1.0,), (48,)), ((1.3,), (49,)),
+        ((1.0, 1.5), (24, 20)), ((1.0, 0.7), (17, 23)), ((2.0, 1.0), (16, 15)),
+    ])
+    def test_norms_and_operators_match_full_spectrum(self, lengths, cells):
+        g = UniformGrid(lengths, cells, "periodic")
+        rng = np.random.default_rng(sum(cells))
+        f = Field(g, rng.standard_normal(g.shape) + 0.4)
+        coeffs, lam = _full_spectrum(f)
+        vol = g.cell_volume
+        power = np.abs(coeffs) ** 2
+
+        def close(value, expected):
+            return abs(value - expected) <= 1e-13 * abs(expected)
+
+        for s in (-1.0, -0.5, 0.0, 1.0, 3.0):
+            assert close(sobolev_norm(f, s), math.sqrt(np.sum((1 + lam) ** s * power) * vol))
+        nonzero = lam > 0
+        mean = integrate(f) / g.volume
+        assert close(hminus1_norm(f), math.sqrt(np.sum(power[nonzero] / lam[nonzero]) * vol)
+                     + abs(mean) * math.sqrt(g.volume))
+        assert close(dirichlet_energy(f), 0.5 * np.sum(lam * power) * vol)
+
+        def field_close(out, expected):
+            return np.max(np.abs(out.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+        assert field_close(laplacian(f), scipy.fft.ifftn(-lam * coeffs, norm="ortho").real)
+        zero_mean = Field(g, f.values - f.values.mean())
+        coeffs, _ = _full_spectrum(zero_mean)
+        inverse = np.where(nonzero, coeffs / np.where(nonzero, lam, 1.0), 0.0)
+        assert field_close(inv_neumann_laplacian(zero_mean),
+                           scipy.fft.ifftn(inverse, norm="ortho").real)

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nonloclab import experiments, nonlocal_ops
@@ -16,9 +16,11 @@ from nonloclab.grid import (
     UniformGrid,
     field_from_coefficients,
     integrate,
+    inverse_transform_values,
     l2_norm,
     sample,
     spectral_coefficients,
+    transform_values,
 )
 from nonloclab.kernels import PROFILES, eval_J, make_kernel, make_mollifier, total_mass
 from nonloclab.local_ops import dirichlet_energy
@@ -26,6 +28,7 @@ from nonloclab.nonlocal_ops import (
     ResolutionWarning,
     apply_direct,
     apply_fft,
+    apply_fft_values,
     check_support_reaches_nodes,
     degree_function,
     interior_remainder,
@@ -591,3 +594,55 @@ class TestInteriorRemainder:
         f = sample(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
         assert interior_remainder(k, f, margin=0.2) == 0.0
         assert interior_remainder(k, f, margin=0.075) > 0.0
+
+
+def _box_and_kernel(dimension, cells, lengths, fraction, profile):
+    """A zero-flux box and a kernel whose support is ``fraction`` of its
+    shortest side, reaching at least 1.5 cells along every axis."""
+    g = UniformGrid(lengths[:dimension], cells[:dimension], "neumann")
+    eps = fraction * min(g.lengths)
+    assume(eps >= 1.5 * max(g.spacing))
+    return g, make_kernel(dimension, eps, profile)
+
+
+_BOXES = dict(
+    cells=st.tuples(st.integers(6, 48), st.integers(6, 48)),
+    lengths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    fraction=st.floats(0.05, 0.95),
+    profile=st.sampled_from(sorted(PROFILES)),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
+class TestWallRemainder:
+    @settings(max_examples=40, deadline=None)
+    @given(**_BOXES)
+    # reach below N / 2 on both axes, above it on both, and 128^2 at eps 0.1
+    @example(cells=(40, 56), lengths=(1.0, 1.4), fraction=0.3, profile="poly-2-3", seed=1)
+    @example(cells=(20, 24), lengths=(1.0, 1.5), fraction=0.8, profile="poly-4-3", seed=2)
+    @example(cells=(128, 128), lengths=(1.0, 1.0), fraction=0.1, profile="poly-2-3", seed=3)
+    def test_2d_strips_match_ghost_loop(self, cells, lengths, fraction, profile, seed):
+        g, k = _box_and_kernel(2, cells, lengths, fraction, profile)
+        v = np.random.default_rng(seed).standard_normal(g.shape)
+        out = np.zeros(g.shape)
+        nonlocal_ops.wall_remainder(k, g).subtract(v, out)
+        full = _ghost_remainder(_stencil_data(k, g), g, v, tuple(slice(0, n) for n in cells))
+        assert np.max(np.abs(out + full)) <= 1e-13 * np.max(np.abs(full))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dimension=st.sampled_from([1, 2]), **_BOXES)
+    @example(dimension=2, cells=(20, 24), lengths=(1.0, 1.5), fraction=0.8,
+             profile="poly-2-3", seed=4)
+    def test_reflected_minus_remainder_is_true_operator(self, dimension, cells, lengths,
+                                                        fraction, profile, seed):
+        g, k = _box_and_kernel(dimension, cells, lengths, fraction, profile)
+        v = np.random.default_rng(seed).standard_normal(g.shape)
+        out = inverse_transform_values(g, stencil_symbol(k, g) * transform_values(g, v))
+        nonlocal_ops.wall_remainder(k, g).subtract(v, out)
+        true = apply_fft_values(k, g, v)
+        assert np.max(np.abs(out - true)) <= 1e-13 * np.max(np.abs(true))
+
+    def test_needs_a_bounded_grid(self):
+        with pytest.raises(ValueError, match="bounded"):
+            nonlocal_ops.wall_remainder(make_kernel(2, 0.2),
+                                        UniformGrid((1.0, 1.0), (32, 32), "periodic"))

@@ -1,11 +1,14 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonloclab import nonlocal_ops
 from nonloclab.cli import main
 from nonloclab.experiments import make_initial_field
 from nonloclab.grid import (
@@ -277,6 +280,24 @@ class TestTwoDimensional:
         assert np.max(np.abs(rec.mass - rec.mass[0])) <= 1e-12
         assert np.all(np.diff(rec.energy) <= 1e-10)
 
+    @pytest.mark.parametrize("equation", ["nonlocal-ch", "nonlocal-ac"])
+    def test_zero_flux_steps_apply_no_padded_fft(self, equation):
+        # the steps take the wall remainder from strips; only the records'
+        # energies go through the padded-FFT operator, once per record
+        g = UniformGrid((1.0, 1.5), (32, 40), "neumann")
+        k = make_kernel(2, 0.2)
+        rng = np.random.default_rng(8)
+        init = Field(g, 0.05 * rng.standard_normal(g.shape))
+        cfg = SolverConfig(tau=2e-5, t_final=50 * 2e-5, record_every=50)
+        nonlocal_ops.degree_function(k, g)  # the cached stencil build runs one irfftn
+        with mock.patch.object(nonlocal_ops, "apply_fft_values",
+                               wraps=nonlocal_ops.apply_fft_values) as operator, \
+                mock.patch.object(scipy.fft, "irfftn", wraps=scipy.fft.irfftn) as padded:
+            rec = run(init, cfg, DoubleWell(K=1.0), equation, k)
+        assert len(rec.times) == 2
+        assert operator.call_count == len(rec.times)
+        assert padded.call_count == len(rec.times)
+
     def test_local_ch_2d_fixed_point(self):
         g = UniformGrid((1.0, 2.0), (16, 32), "neumann")
         c = Field(g, np.full(g.shape, -0.2))
@@ -353,6 +374,8 @@ class TestSpectralStateStepper:
     @pytest.mark.parametrize("lengths, cells, eps", [
         ((1.0,), (64,), 0.2),
         ((1.0, 1.5), (20, 24), 0.3),
+        ((1.0, 1.0), (128, 128), 0.1),   # 2D wall strips of reach 13
+        ((1.0, 1.0), (128, 128), 0.07),  # and of reach 9
     ])
     @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
     @pytest.mark.parametrize("scheme", ["semi-implicit", "explicit"])

@@ -10,6 +10,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -500,10 +501,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of :func:`main`, built on its first call, once per process."""
+    return build_parser()
 
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # every call in the process shares the parser, so the defaults a config
+    # file replaces are put back when the call ends, however it ends
+    saved: dict[argparse.Action, object] = {}
+    try:
+        return _main(_shared_parser(), argv, saved)
+    finally:
+        for action, default in saved.items():
+            action.default = default
+
+
+def _main(parser: _Parser, argv: list[str], saved: dict) -> int:
     # apply config-file values as defaults, so flags keep precedence; the
     # path comes from a first pass that knows only --config, so every
     # spelling argparse accepts (--config=PATH, the abbreviation --conf PATH)
@@ -540,6 +556,7 @@ def main(argv=None) -> int:
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 print(f"config error: bad value for {key!r}: {exc}", file=sys.stderr)
                 return USAGE_ERROR
+            saved.setdefault(action, action.default)
             action.default = raw
 
     try:

@@ -128,6 +128,10 @@ def _check_ladder(eps_list) -> tuple[float, ...]:
     eps = tuple(float(e) for e in eps_list)
     if len(eps) < 3:
         raise ValueError("the scale ladder needs at least 3 entries")
+    # NaN passes both comparisons below, inf the order check
+    bad = [e for e in eps if not math.isfinite(e)]
+    if bad:
+        raise ValueError(f"scales must be finite, got {bad}")
     if any(e <= 0 for e in eps):
         raise ValueError("scales must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):

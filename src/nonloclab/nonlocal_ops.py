@@ -354,35 +354,61 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
     ghost node of the reflected extension, of weight * (node value - ghost
     value).
 
-    Only wall layers within ``reach`` have ghost offsets, and each term is
-    formed from the two values themselves, so a field that is flat wherever
-    the stencil reaches past a wall gives exactly zero there.
+    Only the layers of ``box`` within ``reach`` of a wall have ghost offsets,
+    and only those are visited.  In 1D they are summed all at once.  In 2D
+    the walk goes over the ghost distances ``m`` from each wall: the layers
+    closer to the wall than ``m`` all reach the stencil row at distance
+    ``m``, whose nonzero span is slid along the other axis.  Each term is
+    formed from the two values themselves and every other term is an exact
+    zero, so a field that is flat wherever the stencil reaches past a wall
+    gives exactly zero there.
     """
     reach = data.reach
     padded = np.pad(values, [(k, k) for k in reach], mode="symmetric")
     out = np.zeros(tuple(s.stop - s.start for s in box))
+    if grid.dimension == 1:
+        (N,), (k,), (nodes,) = grid.cells, reach, box
+        layers = np.arange(nodes.start, nodes.stop)
+        layers = layers[(layers < k) | (layers >= N - k)]
+        pos = layers[:, None] + np.arange(-k, k + 1)
+        ghost = (pos < 0) | (pos >= N)
+        windows = sliding_window_view(padded, 2 * k + 1)
+        # blocks of about 2**18 terms keep memory flat for wide kernels
+        step = max(1, 2**18 // (2 * k + 1))
+        for s in range(0, len(layers), step):
+            i = layers[s:s + step]
+            terms = np.where(ghost[s:s + step], values[i, None] - windows[i], 0.0)
+            out[i - nodes.start] += terms @ data.weights
+        return out
     for a, (N, k) in enumerate(zip(grid.cells, reach)):
-        # wall axis first; in 2D the other axis is slid over as a window
+        # wall axis first; windows[row, j, x] is the padded value that stencil
+        # column j reaches from node nodes.start + x of the other axis
+        b = 1 - a
+        nodes, kb = box[b], reach[b]
         v_a, p_a, w_a, out_a = (np.moveaxis(arr, a, 0)
                                 for arr in (values, padded, data.weights, out))
-        offsets = np.arange(-k, k + 1)
-        for i in range(box[a].start, box[a].stop):
-            ghost = (i + offsets < 0) | (i + offsets >= N)
-            if not ghost.any():
-                continue
-            rows = p_a[i + k + offsets[ghost]]
-            if grid.dimension == 1:
-                out_a[i - box[a].start] += w_a[ghost] @ (v_a[i] - rows)
-                continue
-            b = 1 - a
-            nodes, kb = box[b], reach[b]
-            diff = (v_a[i, nodes][None, :, None]
-                    - sliding_window_view(rows, 2 * kb + 1, axis=1)[:, nodes])
-            if b < a:
-                # ghosts also outside along axis b were counted with axis b
-                pos = np.arange(nodes.start, nodes.stop)[:, None] + np.arange(-kb, kb + 1)
-                diff *= (pos >= 0) & (pos < grid.cells[b])
-            out_a[i - box[a].start] += np.einsum("gxo,go->x", diff, w_a[ghost])
+        windows = sliding_window_view(p_a, nodes.stop - nodes.start, axis=1)[:, nodes.start:]
+        # ghosts also outside along axis b are counted with axis b
+        pos_b = np.arange(-kb, kb + 1)[:, None] + np.arange(nodes.start, nodes.stop)
+        inside_b = (pos_b >= 0) & (pos_b < grid.cells[b])
+        for direction in (1, -1):
+            # the far wall is the near wall of the box flipped along axis a
+            v, p, o = (arr[::direction] for arr in (v_a, windows, out_a))
+            first, stop = box[a].start, box[a].stop
+            if direction < 0:
+                first, stop = N - stop, N - first
+            for m in range(first + 1, k + 1):
+                # layer i reaches ghost row i - m (padded row i - m + k)
+                w = w_a[k - m]
+                span = np.flatnonzero(w)
+                if span.size == 0:
+                    continue
+                lo, hi = span[0], span[-1] + 1
+                top = min(m, stop)
+                diff = v[first:top, None, nodes] - p[first - m + k:top - m + k, lo:hi]
+                if b < a:
+                    diff *= inside_b[lo:hi]
+                o[:top - first] += w[lo:hi] @ diff  # diff is [layer, o, x]
     return out
 
 
@@ -523,9 +549,12 @@ def interior_remainder(kernel: Kernel, field: Field, margin: float) -> float:
     picks up from the reflected extension beyond the boundary.
 
     The remainder is the reflected stencil operator minus the true one,
-    summed term by term over the ghost nodes (see :func:`_ghost_remainder`).
-    The sum is empty once ``margin`` reaches the kernel support, so the norm
-    is exactly zero there, as it is on a constant field.
+    summed term by term over the ghost nodes (see :func:`_ghost_remainder`);
+    only the sub-box layers within the stencil reach of a wall have ghost
+    nodes, and only they are visited.  The sum is empty once ``margin``
+    reaches the kernel support, so the norm is exactly zero there, as it is
+    on a constant field and wherever the field is flat as far as the kernel
+    reaches past the walls.
     """
     grid = field.grid
     if grid.boundary != NEUMANN:

@@ -315,6 +315,31 @@ class TestUsageAndConfig:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["eps=0.3\n", "eps=0.3\nn=seven\n"])
+    def test_config_does_not_leak_into_the_next_call(self, tmp_path, text):
+        # the second file sets eps, then fails on n: exit 2 with eps replaced
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(text)
+        code = run_cli(["check-kernel", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        assert code == (0 if text == "eps=0.3\n" else 2)
+        assert run_cli(["check-kernel", "--out", str(tmp_path / "b")]) == 0
+        assert "eps=0.1\n" in (tmp_path / "b" / "resolved_config.txt").read_text()
+
+    def test_parser_is_built_once_per_process(self, tmp_path):
+        cli._shared_parser.cache_clear()
+        with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+            for name in ("a", "b"):
+                assert run_cli(["check-kernel", "--out", str(tmp_path / name)]) == 0
+        assert build.call_count == 1
+
+    @pytest.mark.parametrize("command", ["operator-rate", "solution-rate"])
+    def test_non_finite_scale_in_ladder_is_named(self, tmp_path, capsys, command):
+        argv = [command, "--eps", "0.2,nan,0.05", "--N", "256", "--out", str(tmp_path / "nan")]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scales must be finite")
+        assert "[nan]" in err
+
 
 class TestWorkersFlag:
     COMMANDS = {

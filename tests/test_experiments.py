@@ -92,6 +92,24 @@ class TestFitRate:
         assert a == b
 
 
+class TestScaleLadder:
+    @pytest.mark.parametrize("ladder, bad", [
+        ((0.2, math.nan, 0.05), "[nan]"),
+        ((math.inf, 0.1, 0.05), "[inf]"),
+        ((0.2, 0.1, -math.inf), "[-inf]"),
+        ((math.nan, math.inf, 0.05, math.nan), "[nan, inf, nan]"),
+    ])
+    def test_non_finite_scales_are_named(self, moll, ladder, bad):
+        g = UniformGrid((1.0,), (256,), "neumann")
+        with pytest.raises(ValueError, match="scales must be finite") as info:
+            operator_rate_study(g, moll, "cospix", ladder)
+        assert bad in str(info.value)
+        cfg = SolverConfig(tau=5e-5, t_final=0.01)
+        with pytest.raises(ValueError, match="scales must be finite") as info:
+            solution_convergence_study(g, cfg, DoubleWell(), moll, ladder, "cosmix")
+        assert bad in str(info.value)
+
+
 class TestSymbolStudy:
     def test_default_lattice(self):
         lat = default_symbol_lattice(1)

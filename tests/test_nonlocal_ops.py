@@ -463,9 +463,9 @@ class TestEnergies:
         assert all(b > a for a, b in zip(values, values[1:]))  # climbing to the limit
 
 
-def _ghost_loop_remainder(kernel, field, margin):
+def _ghost_loop_array(kernel, field):
     """Independent reference: sum each stencil weight that reaches a ghost
-    node of the reflected extension, one offset at a time."""
+    node of the reflected extension, one offset at a time, on the whole grid."""
     grid = field.grid
     data = _stencil_data(kernel, grid)
     reach = data.reach
@@ -482,14 +482,43 @@ def _ghost_loop_remainder(kernel, field, margin):
         is_ghost = ghost[shifted]
         if is_ghost.any():
             remainder += weight * is_ghost * (v - padded[shifted])
-    inside = np.ones(grid.shape, dtype=bool)
+    return remainder
+
+
+def _interior_box(grid, margin):
+    """The node sub-box at depth ``margin``, one slice per axis; ``None``
+    when it holds no node."""
+    box = []
     for a in range(grid.dimension):
         nodes = grid.axis_nodes(a)
-        ok = (nodes >= margin) & (nodes <= grid.lengths[a] - margin)
-        shape = [1] * grid.dimension
-        shape[a] = -1
-        inside &= ok.reshape(shape)
-    return float(np.sqrt(np.sum(remainder[inside] ** 2) * grid.cell_volume))
+        idx = np.flatnonzero((nodes >= margin) & (nodes <= grid.lengths[a] - margin))
+        if idx.size == 0:
+            return None
+        box.append(slice(idx[0], idx[-1] + 1))
+    return tuple(box)
+
+
+def _ghost_loop_remainder(kernel, field, margin):
+    remainder = _ghost_loop_array(kernel, field)[_interior_box(field.grid, margin)]
+    return float(np.sqrt(np.sum(remainder ** 2) * field.grid.cell_volume))
+
+
+def _box_and_kernel(dimension, cells, lengths, fraction, profile):
+    """A zero-flux box and a kernel whose support is ``fraction`` of its
+    shortest side, reaching at least 1.5 cells along every axis."""
+    g = UniformGrid(lengths[:dimension], cells[:dimension], "neumann")
+    eps = fraction * min(g.lengths)
+    assume(eps >= 1.5 * max(g.spacing))
+    return g, make_kernel(dimension, eps, profile)
+
+
+_BOXES = dict(
+    cells=st.tuples(st.integers(6, 48), st.integers(6, 48)),
+    lengths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    fraction=st.floats(0.05, 0.95),
+    profile=st.sampled_from(sorted(PROFILES)),
+    seed=st.integers(0, 2**31 - 1),
+)
 
 
 class TestInteriorRemainder:
@@ -515,6 +544,9 @@ class TestInteriorRemainder:
         ((1.0,), (256,), 0.1),
         ((1.0, 1.0), (48, 48), 0.15),
         ((1.0, 1.5), (40, 48), 0.15),
+        # reach above N / 2: layers with ghosts beyond both walls
+        ((1.0,), (64,), 0.6),
+        ((1.0, 1.0), (24, 20), 0.7),
     ])
     @pytest.mark.parametrize("data", ["smooth", "random", "flatbump", "ramps"])
     def test_matches_ghost_loop_reference(self, profile, lengths, cells, eps, data):
@@ -532,12 +564,45 @@ class TestInteriorRemainder:
             f = sample(g, lambda *xs: sum((a + 1) * np.clip((x - 0.3) / 0.4, 0.0, 1.0)
                                           for a, x in enumerate(xs)))
         bound = 1e-13 * _stencil_data(k, g).weight_sum * l2_norm(f)
-        for factor in (0.5, 0.9, 0.999, 1.001):
+        # factors 0 and 0.1 put the wall layers themselves in the sub-box
+        for factor in (0.0, 0.1, 0.5, 0.9, 0.999, 1.001):
             margin = factor * k.support_radius
+            if margin >= min(g.lengths) / 2:
+                continue
             new = interior_remainder(k, f, margin)
             ref = _ghost_loop_remainder(k, f, margin)
             assert abs(new - ref) <= bound
             assert (new == 0.0) == (ref == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dimension=st.sampled_from([1, 2]), margin_factor=st.floats(0.0, 1.2),
+           flat=st.floats(0.0, 0.5), **_BOXES)
+    @example(dimension=1, margin_factor=0.0, flat=0.5, cells=(40, 6), lengths=(1.0, 1.0),
+             fraction=0.8, profile="poly-2-3", seed=1)
+    @example(dimension=2, margin_factor=0.1, flat=0.3, cells=(20, 24), lengths=(1.0, 1.5),
+             fraction=0.7, profile="poly-4-3", seed=2)
+    def test_matches_ghost_loop_property(self, dimension, margin_factor, flat, cells, lengths,
+                                         fraction, profile, seed):
+        # random data, constant on the frame within ``flat`` of the walls
+        # (a fraction of each side), so some layers have exact zeros
+        g, k = _box_and_kernel(dimension, cells, lengths, fraction, profile)
+        margin = margin_factor * k.support_radius
+        box = _interior_box(g, margin)
+        assume(margin < min(g.lengths) / 2 and box is not None)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(g.shape)
+        frame = np.zeros(g.shape, dtype=bool)
+        for a, x in enumerate(g.meshgrid()):
+            frame |= (x < flat * g.lengths[a]) | (x > (1 - flat) * g.lengths[a])
+        v[frame] = rng.standard_normal()
+        f = Field(g, v)
+        data = _stencil_data(k, g)
+        new = _ghost_remainder(data, g, v, box)
+        ref = _ghost_loop_array(k, f)[box]
+        bound = 1e-13 * data.weight_sum * l2_norm(f)
+        assert np.max(np.abs(new - ref)) <= bound
+        assert np.array_equal(new == 0.0, ref == 0.0)
+        assert abs(interior_remainder(k, f, margin) - _ghost_loop_remainder(k, f, margin)) <= bound
 
     @pytest.mark.parametrize("profile", ["poly-2-3", "poly-4-3"])
     @pytest.mark.parametrize("cells, eps", [
@@ -594,24 +659,6 @@ class TestInteriorRemainder:
         f = sample(g, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
         assert interior_remainder(k, f, margin=0.2) == 0.0
         assert interior_remainder(k, f, margin=0.075) > 0.0
-
-
-def _box_and_kernel(dimension, cells, lengths, fraction, profile):
-    """A zero-flux box and a kernel whose support is ``fraction`` of its
-    shortest side, reaching at least 1.5 cells along every axis."""
-    g = UniformGrid(lengths[:dimension], cells[:dimension], "neumann")
-    eps = fraction * min(g.lengths)
-    assume(eps >= 1.5 * max(g.spacing))
-    return g, make_kernel(dimension, eps, profile)
-
-
-_BOXES = dict(
-    cells=st.tuples(st.integers(6, 48), st.integers(6, 48)),
-    lengths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
-    fraction=st.floats(0.05, 0.95),
-    profile=st.sampled_from(sorted(PROFILES)),
-    seed=st.integers(0, 2**31 - 1),
-)
 
 
 class TestWallRemainder:

@@ -89,10 +89,9 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _write_resolved_config(outdir: Path, args: argparse.Namespace) -> None:
-    skip = {"config", "func_builder"}
     lines = []
     for key in sorted(vars(args)):
-        if key in skip or key.startswith("_"):
+        if key == "config" or key.startswith("_"):
             continue
         value = getattr(args, key)
         if callable(value):
@@ -388,17 +387,21 @@ def _add_common(p, *, grid=True, eps_ladder=True):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that keeps what ``--config`` defaults need: its own
-    actions by destination and its subcommand parsers by name."""
+    """Argument parser that keeps what ``--config`` files need: its own
+    options by config key (the long flag name, dashes as underscores) and its
+    subcommand parsers by name."""
 
     def __init__(self, *args, **kwargs):
-        self.actions: dict[str, argparse.Action] = {}
+        self.options: dict[str, argparse.Action] = {}
         self.commands: dict[str, _Parser] = {}
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.actions[action.dest] = action
+        if action.dest not in ("help", "config"):
+            for flag in action.option_strings:
+                if flag.startswith("--"):
+                    self.options[flag[2:].replace("-", "_")] = action
         return action
 
     def add_subparsers(self, **kwargs):
@@ -507,23 +510,48 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+_SWITCH_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _config_arguments(parser: _Parser, argv: list[str], entries: dict[str, str]) -> list[str]:
+    """``argv`` with the config ``entries`` inserted as ``--flag=value``
+    tokens right after the subcommand, so flags typed after it win; a switch
+    is inserted bare when its value is true.  Raises ``ValueError`` for a
+    missing subcommand, an unknown key or a bad value."""
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
+    command = None if at is None else argv[at]
+    if command not in parser.commands:
+        raise ValueError(f"unknown or missing subcommand {command!r}")
+    options = parser.commands[command].options
+    unknown = sorted(set(entries) - set(options))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    tokens = []
+    for key, raw in entries.items():
+        action = options[key]
+        flag = next(f for f in action.option_strings if f.startswith("--"))
+        if action.nargs == 0:  # a switch such as --checkpoints
+            on = _SWITCH_VALUES.get(raw.lower())
+            if on is None:
+                raise ValueError(f"bad value for {key!r}: expected one of "
+                                 f"{'/'.join(_SWITCH_VALUES)}, got {raw!r}")
+            tokens += [flag] if on else []
+            continue
+        try:
+            if action.type is not None:
+                action.type(raw)
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"bad value for {key!r}: {exc}") from None
+        tokens.append(f"{flag}={raw}")
+    return argv[:at + 1] + tokens + argv[at + 1:]
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # every call in the process shares the parser, so the defaults a config
-    # file replaces are put back when the call ends, however it ends
-    saved: dict[argparse.Action, object] = {}
-    try:
-        return _main(_shared_parser(), argv, saved)
-    finally:
-        for action, default in saved.items():
-            action.default = default
-
-
-def _main(parser: _Parser, argv: list[str], saved: dict) -> int:
-    # apply config-file values as defaults, so flags keep precedence; the
-    # path comes from a first pass that knows only --config, so every
-    # spelling argparse accepts (--config=PATH, the abbreviation --conf PATH)
-    # is read, and -h does not stop it
+    parser = _shared_parser()
+    # the config path comes from a first pass that knows only --config, so
+    # every spelling argparse accepts (--config=PATH, the abbreviation --conf
+    # PATH) is read, and -h does not stop it
     first = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     first.add_argument("--config")
     try:
@@ -533,31 +561,10 @@ def _main(parser: _Parser, argv: list[str], saved: dict) -> int:
         return USAGE_ERROR
     if cfg_path is not None:
         try:
-            file_values = _load_config_file(cfg_path)
+            argv = _config_arguments(parser, argv, _load_config_file(cfg_path))
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        command = next((a for a in argv if not a.startswith("-")), None)
-        if command not in parser.commands:
-            print(f"config error: unknown or missing subcommand {command!r}", file=sys.stderr)
-            return USAGE_ERROR
-        actions = parser.commands[command].actions
-        unknown = sorted(set(file_values) - set(actions))
-        if unknown:
-            print(f"config error: unknown keys {unknown}", file=sys.stderr)
-            return USAGE_ERROR
-        for key, raw in file_values.items():
-            action = actions[key]
-            try:
-                if action.type is not None:
-                    raw = action.type(raw)
-                elif isinstance(action.default, bool):
-                    raw = raw.lower() in ("1", "true", "yes")
-            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-                print(f"config error: bad value for {key!r}: {exc}", file=sys.stderr)
-                return USAGE_ERROR
-            saved.setdefault(action, action.default)
-            action.default = raw
 
     try:
         args = parser.parse_args(argv)

@@ -384,7 +384,9 @@ def remainder_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_funct
 
     The margin scales with the kernel support (``margin_factor`` times it);
     factors above 1 leave the sub-box outside the kernel's reach and every
-    value is exactly zero, reported as the "exact" verdict.
+    value is exactly zero, reported as the "exact" verdict.  The decay is
+    monotone when each value is below its predecessor or both are exact
+    zeros, as on a field that is flat wherever the narrower kernels reach.
     """
     eps = _check_ladder(eps_list)
     _check_resolution_ladder(grid, mollifier, eps)
@@ -393,7 +395,7 @@ def remainder_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_funct
     values = [interior_remainder(Kernel(mollifier, e), field, m) for e, m in zip(eps, margins)]
     if all(v == 0.0 for v in values):
         return RemainderRateResult(eps, tuple(values), margins, "exact", True, None)
-    monotone = all(b < a for a, b in zip(values, values[1:]))
+    monotone = all(b < a or a == b == 0.0 for a, b in zip(values, values[1:]))
     floor = FLOOR_FACTOR * max(l2_norm(field), 1.0)
     table = _fit_with_floor(eps, values, floor) if all(v > 0 for v in values) else None
     return RemainderRateResult(eps, tuple(values), margins, "fitted", monotone, table)

@@ -33,7 +33,6 @@ __all__ = [
     "nonlocal_energy",
     "pair_difference_double_sum",
     "interior_remainder",
-    "wall_strip",
     "WallRemainder",
     "wall_remainder",
     "stencil_symbol",
@@ -100,9 +99,8 @@ class _StencilData:
     @cached_property
     def symbol(self) -> np.ndarray:
         """Transform-basis eigenvalues of the wrapped (periodic) or reflected
-        (neumann) stencil operator.  Only the solvers read them, so the
-        ``(reach + 1) x N`` cosine tables are built on first use, once per
-        cached (kernel, grid)."""
+        (neumann) stencil operator.  Only the solvers read them, so they are
+        built on first use, once per cached (kernel, grid)."""
         return _stencil_eigenvalues(self.weights, self.reach, self.grid)
 
     @cached_property
@@ -121,55 +119,26 @@ def _offset_distances(reach, spacing):
 
 
 def _wrap_stencil(weights: np.ndarray, reach, shape) -> np.ndarray:
-    """Place a centered stencil into a circular-convolution array."""
-    out = np.zeros(shape)
-    idx_per_axis = [(np.arange(-k, k + 1)) % m for k, m in zip(reach, shape)]
-    if len(shape) == 1:
-        out[idx_per_axis[0]] = weights
-    else:
-        out[np.ix_(idx_per_axis[0], idx_per_axis[1])] = weights
+    """Place a centered stencil, ``2 * reach + 1`` offsets on each of its
+    trailing axes, into a circular-convolution array of trailing ``shape``;
+    leading axes pass through."""
+    out = np.zeros(weights.shape[:weights.ndim - len(shape)] + tuple(shape))
+    out[(...,) + np.ix_(*[np.arange(-k, k + 1) % m for k, m in zip(reach, shape)])] = weights
     return out
 
 
-def _conv_truncate(padded: np.ndarray, shape) -> np.ndarray:
-    if len(shape) == 1:
-        return padded[: shape[0]]
-    return padded[: shape[0], : shape[1]]
-
-
 def _stencil_eigenvalues(weights, reach, grid: UniformGrid) -> np.ndarray:
-    # cosine tables fold the even stencil; angle pi k d / N diagonalizes the
-    # half-sample reflected extension, 2 pi k d / N the wrap-around one, whose
-    # last axis keeps the half spectrum of the real transform
-    factor = 1.0 if grid.boundary == NEUMANN else 2.0
-    tables = []
-    for a in range(grid.dimension):
-        N, k = grid.cells[a], reach[a]
-        last = a == grid.dimension - 1
-        modes = np.arange(N // 2 + 1 if grid.boundary == PERIODIC and last else N)
-        tables.append(_cosine_table(k, modes, factor, N))  # (k+1, modes)
-    if grid.dimension == 1:
-        k = reach[0]
-        w_half = weights[k:].copy()
-        cos_sum = w_half @ tables[0]
-    else:
-        k1, k2 = reach
-        w_fold = weights[k1:, k2:].copy()  # multiplicities live in the tables
-        cos_sum = tables[0].T @ w_fold @ tables[1]
-    total = float(weights.sum())
-    sym = total - cos_sum
+    # the cosine transform of the half-sample reflected extension is the real
+    # DFT of that extension on twice the period, so one real FFT of the
+    # stencil wrapped on 2N gives the cosine symbols at its first N modes; on
+    # periodic grids the period is N and [:N] keeps the whole half spectrum.
+    # The outermost weight is zero, so offsets +-N never collide on 2N.
+    factor = 2 if grid.boundary == NEUMANN else 1
+    period = tuple(factor * N for N in grid.cells)
+    cos_sum = scipy.fft.rfftn(_wrap_stencil(weights, reach, period)).real
+    sym = float(weights.sum()) - cos_sum[tuple(map(slice, grid.shape))]
     # clip tiny negative rounding residue; the exact eigenvalues are >= 0
     return np.where(sym < 0, 0.0, sym)
-
-
-def _cosine_table(k: int, modes: np.ndarray, factor: float, N: int) -> np.ndarray:
-    """``mult_d * cos(factor * pi * d * m / N)`` for stencil distances
-    ``d = 0..k`` (rows) and the given modes ``m`` (columns); ``mult_d`` counts
-    the offsets ``+d`` and ``-d``, so a half stencil row times the table is
-    the row's symbol."""
-    d = np.arange(k + 1)
-    mult = np.where(d == 0, 1.0, 2.0)
-    return mult[:, None] * np.cos(factor * np.pi * np.outer(d, modes) / N)
 
 
 @lru_cache(maxsize=64)
@@ -198,7 +167,9 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
     kernel_hat = scipy.fft.rfftn(_wrap_stencil(weights, reach, pad_shape))
 
     ones_hat = scipy.fft.rfftn(np.ones(grid.shape), s=pad_shape)
-    degree = _conv_truncate(scipy.fft.irfftn(ones_hat * kernel_hat, s=pad_shape), grid.shape)
+    # the leading grid-shaped block of the padded circular convolution is the
+    # linear one restricted to the box
+    degree = scipy.fft.irfftn(ones_hat * kernel_hat, s=pad_shape)[tuple(map(slice, grid.shape))]
     return _StencilData(
         grid=grid,
         reach=reach,
@@ -290,11 +261,12 @@ def apply_direct(kernel: Kernel, field: Field) -> Field:
 
 
 def apply_fft_values(kernel: Kernel, grid: UniformGrid, values: np.ndarray) -> np.ndarray:
-    """Raw-array variant of :func:`apply_fft` for solver inner loops."""
+    """Raw-array variant of :func:`apply_fft`: the true operator on a grid-shaped
+    array, without the resolution check."""
     data = _stencil_data(kernel, grid)
     # zero-padded to pad_shape on a box; pad_shape is the grid's on periodic grids
     conv_hat = scipy.fft.rfftn(values, s=data.pad_shape) * data.kernel_hat
-    conv = _conv_truncate(scipy.fft.irfftn(conv_hat, s=data.pad_shape), grid.shape)
+    conv = scipy.fft.irfftn(conv_hat, s=data.pad_shape)[tuple(map(slice, grid.shape))]
     return data.degree * values - conv
 
 
@@ -431,22 +403,6 @@ def _wall_matrices(ghost: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return strip
 
 
-def wall_strip(kernel: Kernel, grid: UniformGrid) -> np.ndarray:
-    """The boundary remainder of a 1D box at its left wall as a dense
-    ``reach x reach`` matrix ``S``.
-
-    ``S @ c[:reach]`` is the reflected minus true stencil operator on the
-    first ``reach`` nodes, and ``S[::-1, ::-1] @ c[-reach:]`` the same on the
-    last ``reach`` nodes; the remainder is zero everywhere else.  Row ``i``
-    collects the ghost offsets ``-(i + j + 1)``, whose reflected node is
-    ``j``: weight ``w_{i+j+1}`` on the diagonal and ``-w_{i+j+1}`` at column
-    ``j`` (compare :func:`_ghost_remainder`).
-    """
-    if grid.dimension != 1 or grid.boundary != NEUMANN:
-        raise ValueError("wall strips are defined for 1D bounded (neumann) grids")
-    return wall_remainder(kernel, grid).strips[0].copy()
-
-
 # views of a 2D array that put each of its corners at index (0, 0)
 _CORNERS = tuple((slice(None, None, s0), slice(None, None, s1))
                  for s0 in (1, -1) for s1 in (1, -1))
@@ -457,9 +413,10 @@ class WallRemainder:
     """The boundary remainder of a zero-flux box, the reflected minus the true
     stencil operator, as tables over the ``reach``-deep layers at the walls.
 
-    In 1D, ``strips`` are the two ``reach x reach`` wall matrices
-    (:func:`wall_strip` and its mirror).  In 2D, ``strips[a]`` serves the two
-    walls across axis ``a``.  Along such a wall the remainder is a
+    In 1D, ``strips`` are the two ``reach x reach`` wall matrices, the left
+    one ``S`` and its mirror ``S[::-1, ::-1]``: ``S @ c[:reach]`` is the
+    remainder on the first ``reach`` nodes.  In 2D, ``strips[a]`` serves the
+    two walls across axis ``a``.  Along such a wall the remainder is a
     convolution with the even stencil rows under a half-sample reflection,
     so a cosine transform along the wall diagonalizes it, leaving one
     ``reach_a x reach_a`` matrix per cosine mode: :func:`_wall_matrices` of
@@ -524,7 +481,8 @@ def _build_wall_remainder(data: _StencilData) -> WallRemainder:
         b = 1 - a
         k, kb, n = data.reach[a], data.reach[b], grid.cells[b]
         rows = np.moveaxis(data.weights, a, 0)[k - 1::-1]  # distances 1..k from the wall
-        symbols = rows[:, kb:] @ _cosine_table(kb, np.arange(n), 1.0, n)  # (k, n)
+        # each row's cosine symbols: one real FFT of the row wrapped on 2n
+        symbols = scipy.fft.rfft(_wrap_stencil(rows, (kb,), (2 * n,))).real[:, :n]  # (k, n)
         tables = _wall_matrices(symbols, rows.sum(axis=1))  # [i, r, mode], symmetric in i, r
         strips.append(np.ascontiguousarray(np.moveaxis(tables, -1, 0)))
     k0, k1 = data.reach

@@ -131,6 +131,18 @@ class TestRateCommands:
         lines = (out / "remainder_rate.csv").read_text().splitlines()
         assert lines[0] == "epsilon,margin,value"
 
+    @pytest.mark.parametrize("argv", [
+        ["--N", "1024", "--eps", "0.4,0.1,0.05"],
+        ["--N", "128,128", "--eps", "0.2,0.1,0.07"],
+    ])
+    def test_remainder_falling_to_exact_zeros_passes(self, tmp_path, capsys, argv):
+        out = tmp_path / "flat"
+        assert run_cli(["remainder-rate", "--func", "flatbump", *argv, "--out", str(out)]) == 0
+        assert "monotone True -> pass" in capsys.readouterr().out
+        summary = json.loads((out / "remainder_rate_summary.json").read_text())
+        assert summary["values"][1:] == [0.0, 0.0]
+        assert summary["monotone_decreasing"] is True
+
     @pytest.mark.parametrize("command", [
         ["symbol-rate", "--n", "1"],
         ["operator-rate", "--N", "256"],
@@ -325,6 +337,58 @@ class TestUsageAndConfig:
         assert run_cli(["check-kernel", "--out", str(tmp_path / "b")]) == 0
         assert "eps=0.1\n" in (tmp_path / "b" / "resolved_config.txt").read_text()
 
+    def test_config_supplies_a_required_flag(self, tmp_path):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("eq=local-ac\nN=64\nT=0.001\ntau=1e-4\n")
+        out = tmp_path / "solve"
+        assert run_cli(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        resolved = (out / "resolved_config.txt").read_text()
+        assert "eq=local-ac\n" in resolved and "N=64\n" in resolved
+
+    @pytest.mark.parametrize("command", ["solve", "oracle-check"])
+    def test_config_key_is_the_flag_name(self, tmp_path, command):
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text("eps=0.2\n")
+        out = tmp_path / "eps"
+        argv = [command, "--config", str(cfg), "--N", "32", "--out", str(out)]
+        if command == "solve":
+            argv += ["--eq", "nonlocal-ac", "--T", "1e-4", "--tau", "1e-5"]
+        assert run_cli(argv) == 0
+        assert "eps_value=0.2\n" in (out / "resolved_config.txt").read_text()
+        cfg.write_text("eps_value=0.2\n")  # the internal destination is no key
+        assert run_cli(argv) == 2
+
+    @pytest.mark.parametrize("text, written", [
+        ("true", True), ("Yes", True), ("1", True), ("false", False), ("no", False),
+        ("0", False),
+    ])
+    def test_boolean_config_values(self, tmp_path, text, written):
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text(f"checkpoints={text}\n")
+        out = tmp_path / "flag"
+        assert run_cli(["solve", "--eq", "local-ac", "--N", "32", "--T", "1e-3",
+                        "--tau", "1e-4", "--config", str(cfg), "--out", str(out)]) == 0
+        assert f"checkpoints={written}\n" in (out / "resolved_config.txt").read_text()
+        assert bool(list(out.glob("state_t*.bin"))) is written
+
+    @pytest.mark.parametrize("text", ["maybe", "", "on", "2"])
+    def test_bad_boolean_config_value_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text(f"checkpoints={text}\n")
+        assert run_cli(["solve", "--eq", "local-ac", "--N", "32", "--T", "1e-3",
+                        "--tau", "1e-4", "--config", str(cfg),
+                        "--out", str(tmp_path / "flag")]) == 2
+        assert "config error: bad value for 'checkpoints'" in capsys.readouterr().err
+
+    def test_typed_flag_beats_config_boolean(self, tmp_path):
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text("checkpoints=false\n")
+        out = tmp_path / "flag"
+        assert run_cli(["solve", "--eq", "local-ac", "--N", "32", "--T", "1e-3",
+                        "--tau", "1e-4", "--config", str(cfg), "--checkpoints",
+                        "--out", str(out)]) == 0
+        assert "checkpoints=True\n" in (out / "resolved_config.txt").read_text()
+
     def test_parser_is_built_once_per_process(self, tmp_path):
         cli._shared_parser.cache_clear()
         with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
@@ -387,6 +451,40 @@ class TestWorkersFlag:
         assert len(outputs) == 2
         for name in outputs:
             assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+class TestConfigRoundTrip:
+    REQUIRED = {"solve": {"eq": "local-ch"}}
+
+    @staticmethod
+    def _text(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, tuple):
+            return ",".join(str(v) for v in value)
+        return str(value)
+
+    @pytest.mark.parametrize("command", sorted(TestWorkersFlag.COMMANDS))
+    def test_defaults_from_a_file_resolve_like_the_bare_call(self, tmp_path, monkeypatch,
+                                                             command):
+        # the commands themselves are stubbed: this pins how arguments resolve
+        parser = cli.build_parser()
+        for sub in parser.commands.values():
+            sub.set_defaults(func_impl=lambda args, outdir: 0)
+        monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
+        lines = [f"{key}={value}" for key, value in self.REQUIRED.get(command, {}).items()]
+        for action in parser.commands[command]._actions:
+            if action.dest != "help" and action.default is not None:
+                flag = next(f for f in action.option_strings if f.startswith("--"))
+                lines.append(f"{flag[2:]}={self._text(action.default)}")
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        required = [f"--{key}={value}" for key, value in self.REQUIRED.get(command, {}).items()]
+        assert run_cli([command, *required, "--out", str(out)]) == 0
+        bare = (out / "resolved_config.txt").read_text()
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "resolved_config.txt").read_text() == bare
 
 
 class TestReproducibility:

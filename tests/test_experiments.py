@@ -256,6 +256,32 @@ class TestRemainderStudy:
         assert res.verdict == "exact"
         assert res.values == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("lengths, cells, ladder", [
+        ((1.0,), (1024,), (0.4, 0.1, 0.05)),
+        ((1.0, 1.0), (128, 128), (0.2, 0.1, 0.07)),
+    ])
+    def test_exact_zeros_after_the_first_rung_are_decreasing(self, lengths, cells, ladder):
+        # flatbump is flat within 10% of each wall: only the widest kernel
+        # reaches past its flat frame, and the later rungs are exact zeros
+        g = UniformGrid(lengths, cells, "neumann")
+        res = remainder_rate_study(g, make_mollifier(g.dimension), "flatbump", ladder)
+        assert res.values[0] > 0.0
+        assert res.values[1:] == (0.0, 0.0)
+        assert res.verdict == "fitted"
+        assert res.monotone_decreasing
+        assert res.table is None
+
+    @pytest.mark.parametrize("values", [(0.5, 0.5, 0.2), (0.0, 0.5, 0.0)])
+    def test_only_exact_zeros_may_repeat(self, moll, values):
+        g = UniformGrid((1.0,), (1024,), "neumann")
+        ladder = (0.4, 0.1, 0.05)
+        by_scale = dict(zip(ladder, values))
+        with mock.patch.object(experiments, "interior_remainder",
+                               lambda kernel, field, margin: by_scale[kernel.epsilon]):
+            res = remainder_rate_study(g, moll, "flatbump", ladder)
+        assert res.values == values
+        assert not res.monotone_decreasing
+
 
 @pytest.fixture(scope="module")
 def small_study():

@@ -36,12 +36,10 @@ from nonloclab.nonlocal_ops import (
     nonlocal_energy,
     pair_difference_double_sum,
     stencil_symbol,
-    wall_strip,
     _ghost_remainder,
     _pair_pass,
     _pair_weight_blocks,
     _stencil_data,
-    _stencil_eigenvalues,
 )
 
 
@@ -340,6 +338,33 @@ class TestSupportReachesNodes:
         assert np.count_nonzero(_stencil_data(k, g).weights) > 1
 
 
+def _cosine_sum_eigenvalues(weights, reach, grid):
+    """Reference eigenvalues by the plain sum over the stencil offsets:
+    ``weight_sum - sum_o w_o prod_a cos(theta m_a o_a / N_a)``, with theta pi
+    on zero-flux boxes and 2 pi on periodic grids, whose last axis keeps the
+    half spectrum of the real transform."""
+    theta = np.pi if grid.boundary == "neumann" else 2 * np.pi
+    cos_sum = weights
+    for a, (N, k) in enumerate(zip(grid.cells, reach)):
+        half = grid.boundary == "periodic" and a == grid.dimension - 1
+        modes = np.arange(N // 2 + 1 if half else N)
+        table = np.cos(theta * np.outer(np.arange(-k, k + 1), modes) / N)
+        # contracts the offsets of axis a, which lead, and appends its modes
+        cos_sum = np.tensordot(cos_sum, table, axes=(0, 0))
+    return weights.sum() - cos_sum
+
+
+def _check_symbol_against_cosine_sum(boundary, lengths, cells, eps, profile):
+    g = UniformGrid(lengths, cells, boundary)
+    k = make_kernel(g.dimension, eps, profile)
+    data = _stencil_data(k, g)
+    ref = _cosine_sum_eigenvalues(data.weights, data.reach, g)
+    symbol = stencil_symbol(k, g)
+    assert symbol.shape == ref.shape
+    assert np.all(symbol >= 0.0)
+    assert np.max(np.abs(symbol - ref)) <= 1e-14 * data.weight_sum
+
+
 class TestStencilSymbolOnDemand:
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
@@ -350,11 +375,17 @@ class TestStencilSymbolOnDemand:
         ((1.0, 2.0), (24, 40), 0.3),
     ])
     def test_equals_eigenvalues(self, profile, boundary, lengths, cells, eps):
-        g = UniformGrid(lengths, cells, boundary)
-        k = make_kernel(g.dimension, eps, profile)
-        data = _stencil_data(k, g)
-        direct = _stencil_eigenvalues(data.weights, data.reach, g)
-        assert np.array_equal(stencil_symbol(k, g), direct)
+        _check_symbol_against_cosine_sum(boundary, lengths, cells, eps, profile)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("lengths, cells, eps", [
+        ((1.0,), (64,), 0.6),            # reach above N / 2
+        ((1.0,), (64,), 0.99),           # reach = N
+        ((1.0, 1.5), (20, 24), 0.7),     # reach above half of both sides
+    ])
+    def test_equals_eigenvalues_past_half_the_box(self, profile, lengths, cells, eps):
+        # only a zero-flux box has room for such a reach; a periodic grid wraps
+        _check_symbol_against_cosine_sum("neumann", lengths, cells, eps, profile)
 
     def test_operators_and_studies_never_build_the_table(self):
         def no_table(*args, **kwargs):
@@ -375,8 +406,8 @@ class TestStencilSymbolOnDemand:
                     nonlocal_energy(k, f)
                     if g.boundary == "neumann":
                         interior_remainder(k, f, 0.5 * eps)
-                    if g.dimension == 1 and g.boundary == "neumann":
-                        wall_strip(k, g)
+                    if g.boundary == "neumann":
+                        nonlocal_ops.wall_remainder(k, g)
                 for g in (g1, g2):
                     moll = make_mollifier(g.dimension)
                     ladder = (0.4, 0.3, 0.2)
@@ -622,7 +653,7 @@ class TestInteriorRemainder:
             f = make_test_field(g, "flatbump")
         else:
             f = sample(g, lambda x: np.clip((x - 0.3) / 0.4, 0.0, 1.0))
-        strip = wall_strip(k, g)
+        strip = nonlocal_ops.wall_remainder(k, g).strips[0]
         reach = strip.shape[0]
         v = f.values
         out = np.zeros(g.shape)
@@ -635,12 +666,6 @@ class TestInteriorRemainder:
         full = _ghost_remainder(stencil, g, v, (slice(0, cells),))
         assert np.max(np.abs(out - full)) <= bound
         assert abs(l2_norm(Field(g, out)) - _ghost_loop_remainder(k, f, 0.0)) <= bound
-
-    def test_wall_strip_needs_1d_neumann(self, kernel_1d):
-        with pytest.raises(ValueError, match="1D bounded"):
-            wall_strip(kernel_1d, UniformGrid((1.0,), (128,), "periodic"))
-        with pytest.raises(ValueError, match="1D bounded"):
-            wall_strip(make_kernel(2, 0.2), UniformGrid((1.0, 1.0), (32, 32), "neumann"))
 
     def test_margin_too_large(self, grid_1d, kernel_1d):
         f = sample(grid_1d, lambda x: x)

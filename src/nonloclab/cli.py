@@ -88,13 +88,14 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _write_resolved_config(outdir: Path, args: argparse.Namespace) -> None:
-    lines = []
-    for key in sorted(vars(args)):
-        if key == "config" or key.startswith("_"):
-            continue
-        value = getattr(args, key)
-        if callable(value):
+def _write_resolved_config(outdir: Path, parser: _Parser, args: argparse.Namespace) -> None:
+    """Write the call's options as a config file that ``--config`` reads back:
+    one ``key=value`` line per set option of the subcommand, keyed by flag
+    name, after a comment line naming the subcommand."""
+    lines = [f"# nonloclab {args.command}"]
+    for key, action in sorted(parser.commands[args.command].options.items()):
+        value = getattr(args, action.dest)
+        if value is None:
             continue
         if isinstance(value, (tuple, list)):
             value = ",".join(repr(v) if not isinstance(v, float) else f"{v:.17g}" for v in value)
@@ -583,7 +584,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _write_resolved_config(outdir, args)
+    _write_resolved_config(outdir, parser, args)
     return code
 
 

@@ -11,6 +11,7 @@ their rungs one after another in the calling process.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -332,10 +333,8 @@ def energy_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_function
 
 def default_symbol_lattice(n: int, extent: int = 8):
     """Frequency lattice with every component in +-{1, ..., extent}."""
-    rng = [k for k in range(-extent, extent + 1) if k != 0]
-    if n == 1:
-        return [(float(k),) for k in rng]
-    return [(float(i), float(j)) for i in rng for j in rng]
+    components = [float(k) for k in range(-extent, extent + 1) if k != 0]
+    return list(itertools.product(components, repeat=n))
 
 
 def _symbol_point(kernel: Kernel, lattice) -> float:
@@ -575,24 +574,20 @@ def gronwall_trace(record_eps: TrajectoryRecord, record_ref: TrajectoryRecord,
     consist = np.asarray(consist)
 
     y = 0.5 * dual_sq
-    derivative = np.diff(y) / np.diff(times)
-    lhs = derivative + 0.5 * l2_sq[:-1] + 0.5 * pair[:-1]
-    rhs = dual_sq[:-1] + consist[:-1]
-    positive = rhs > 1e-300
-    if positive.any():
-        constant = float(np.max(np.where(positive, lhs / np.where(positive, rhs, 1.0), 0.0)))
-        constant = max(constant, 0.0)
-    else:
-        constant = 0.0
-    energy_integral = float(np.trapezoid(pair, times))
-    return GronwallTrace(
+    trace = GronwallTrace(
         times=times,
         dual_sq_half=y,
-        derivative=derivative,
+        derivative=np.diff(y) / np.diff(times),
         l2_sq_half=0.5 * l2_sq,
         pair_energy_half=0.5 * pair,
         dual_sq=dual_sq,
         consistency_sq=consist,
-        empirical_constant=constant,
-        energy_time_integral=energy_integral,
+        empirical_constant=0.0,
+        energy_time_integral=float(np.trapezoid(pair, times)),
     )
+    lhs, rhs = trace.lhs(), trace.rhs()
+    positive = rhs > 1e-300
+    if not positive.any():
+        return trace
+    constant = float(np.max(np.where(positive, lhs / np.where(positive, rhs, 1.0), 0.0)))
+    return replace(trace, empirical_constant=max(constant, 0.0))

@@ -36,7 +36,6 @@ __all__ = [
     "zero_mode_index",
     "save_field",
     "load_field",
-    "field_to_csv",
 ]
 
 PERIODIC = "periodic"
@@ -188,6 +187,7 @@ def transform_values(grid: UniformGrid, values: np.ndarray) -> np.ndarray:
     Hermitian multiplicity (:func:`coefficient_weights`): 1 for column 0 and,
     when N is even, for column N / 2; 2 for every other column.
     """
+    # 1D skips the n-dimensional dispatch: faster at the same bits
     if grid.dimension == 1:
         if grid.boundary == NEUMANN:
             return scipy.fftpack.dct(values, type=2, norm="ortho", axis=-1)
@@ -199,6 +199,7 @@ def transform_values(grid: UniformGrid, values: np.ndarray) -> np.ndarray:
 
 def inverse_transform_values(grid: UniformGrid, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`transform_values`, over the same trailing axes."""
+    # 1D skips the n-dimensional dispatch: faster at the same bits
     if grid.dimension == 1:
         if grid.boundary == NEUMANN:
             return scipy.fftpack.idct(coeffs, type=2, norm="ortho", axis=-1)
@@ -237,10 +238,7 @@ def laplacian_symbol(grid: UniformGrid) -> np.ndarray:
         else:
             lam = (2.0 * np.pi * scipy.fft.fftfreq(N, d=L / N)) ** 2
         per_axis.append(lam)
-    if grid.dimension == 1:
-        out = per_axis[0]
-    else:
-        out = per_axis[0][:, None] + per_axis[1][None, :]
+    out = sum(np.ix_(*per_axis))
     out.flags.writeable = False
     return out
 
@@ -345,19 +343,3 @@ def load_field(path) -> Field:
                              f"its grid needs {8 * grid.node_count}")
         values = np.frombuffer(fh.read(payload_bytes), dtype="<f8").reshape(grid.shape)
     return Field(grid, values.copy())
-
-
-def field_to_csv(field: Field, path) -> None:
-    """Plain-text dump for plotting: coordinates followed by the value."""
-    grid = field.grid
-    with open(path, "w") as fh:
-        if grid.dimension == 1:
-            fh.write("x,value\n")
-            for x, v in zip(grid.axis_nodes(0), field.values):
-                fh.write(f"{x:.17g},{v:.17g}\n")
-        else:
-            fh.write("x,y,value\n")
-            xs, ys = grid.axis_nodes(0), grid.axis_nodes(1)
-            for i, x in enumerate(xs):
-                for j, y in enumerate(ys):
-                    fh.write(f"{x:.17g},{y:.17g},{field.values[i, j]:.17g}\n")

@@ -45,6 +45,11 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi}
 # so the equispaced rule converges spectrally and 128 nodes are far beyond
 # the 1e-10 target for every epsilon*|xi| this package exercises
 _N_ANGLE = 128
+_ANGLES = np.arange(_N_ANGLE) * (2.0 * math.pi / _N_ANGLE)
+
+# first coordinates of equispaced points on S^{n-1}: both points of S^0, and
+# the angular nodes on S^1; a mean over them is the mean over the sphere
+_DIRECTION_COSINES = {1: np.array([1.0, -1.0]), 2: np.cos(_ANGLES)}
 
 
 def sphere_area(n: int) -> float:
@@ -223,6 +228,11 @@ class Kernel:
             raise ValueError("epsilon must be positive")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        try:
+            float(self.epsilon) ** (-self.dimension - 2)  # value_radial's scale
+        except OverflowError:
+            raise ValueError(f"kernel scale eps = {self.epsilon:g} is too small: "
+                             f"eps**-{self.dimension + 2} overflows a float") from None
 
     @property
     def dimension(self) -> int:
@@ -257,10 +267,6 @@ def eval_J(kernel: Kernel, x) -> float:
 # ---------------------------------------------------------------------------
 # moments and symbol
 
-def _angle_nodes():
-    return np.arange(_N_ANGLE) * (2.0 * math.pi / _N_ANGLE)
-
-
 def moment_first(kernel: Kernel, axis: int = 0) -> float:
     """Numerical first moment of the kernel along one axis; vanishes by parity.
 
@@ -271,27 +277,28 @@ def moment_first(kernel: Kernel, axis: int = 0) -> float:
     if not 0 <= axis < n:
         raise ValueError(f"axis {axis} out of range for dimension {n}")
     s = kernel.support_radius
+    # 1D integrates over the whole support on purpose, so the cancellation is exercised
     if n == 1:
         return adaptive_gauss_legendre(lambda x: kernel.value_radial(np.abs(x)) * x, -s, s)
-    theta = _angle_nodes()
-    direction = np.cos(theta) if axis == 0 else np.sin(theta)
+    direction = np.cos(_ANGLES) if axis == 0 else np.sin(_ANGLES)
     ang = float(direction.sum()) * (2.0 * math.pi / _N_ANGLE)
     rad = adaptive_gauss_legendre(lambda r: kernel.value_radial(r) * r**2, 0.0, s)
     return rad * ang
 
 
+def _radial_integral(kernel: Kernel, f) -> float:
+    """Integral over all of space of the radial function ``f(r)``, which
+    vanishes beyond the kernel support: ``sphere_area(n) * int f(r) r**(n-1) dr``."""
+    n = kernel.dimension
+    return sphere_area(n) * adaptive_gauss_legendre(
+        lambda r: f(r) * r ** (n - 1), 0.0, kernel.support_radius
+    )
+
+
 def moment_second_trace(kernel: Kernel) -> float:
     """Half the second-moment trace of the kernel; equals n when normalized."""
-    n = kernel.dimension
-    s = kernel.support_radius
     moll, eps = kernel.mollifier, kernel.epsilon
-    if n == 1:
-        integral = 2.0 * adaptive_gauss_legendre(lambda r: moll.rho_scaled(r, eps), 0.0, s)
-    else:
-        integral = 2.0 * math.pi * adaptive_gauss_legendre(
-            lambda r: moll.rho_scaled(r, eps) * r, 0.0, s
-        )
-    return 0.5 * integral
+    return 0.5 * _radial_integral(kernel, lambda r: moll.rho_scaled(r, eps))
 
 
 def second_moment_per_axis(kernel: Kernel) -> float:
@@ -301,11 +308,7 @@ def second_moment_per_axis(kernel: Kernel) -> float:
 
 def total_mass(kernel: Kernel) -> float:
     """Integral of the kernel over all of space (finite, scales like 1/epsilon^2)."""
-    n = kernel.dimension
-    s = kernel.support_radius
-    if n == 1:
-        return 2.0 * adaptive_gauss_legendre(lambda r: kernel.value_radial(r), 0.0, s)
-    return 2.0 * math.pi * adaptive_gauss_legendre(lambda r: kernel.value_radial(r) * r, 0.0, s)
+    return _radial_integral(kernel, kernel.value_radial)
 
 
 def fourier_symbol(kernel: Kernel, xi) -> float:
@@ -323,17 +326,11 @@ def fourier_symbol(kernel: Kernel, xi) -> float:
     q = float(np.sqrt(np.sum(xi * xi)))
     if q == 0.0:
         return 0.0
-    s = kernel.support_radius
-    if n == 1:
-        return 2.0 * adaptive_gauss_legendre(
-            lambda r: kernel.value_radial(r) * (1.0 - np.cos(q * r)), 0.0, s
-        )
-    cos_theta = np.cos(_angle_nodes())
+    cosines = _DIRECTION_COSINES[n]
 
     def integrand(r):
-        # mean over angles of 1 - cos(q r cos(theta)), times 2 pi, times J(r) r
-        phase = np.outer(np.asarray(r, dtype=float), cos_theta) * q
-        ang = 2.0 * math.pi * np.mean(1.0 - np.cos(phase), axis=1)
-        return kernel.value_radial(r) * np.asarray(r) * ang
+        # mean of 1 - cos(q r c) over the direction cosines c of the unit sphere
+        phase = np.outer(r, cosines) * q
+        return kernel.value_radial(r) * np.mean(1.0 - np.cos(phase), axis=1)
 
-    return adaptive_gauss_legendre(integrand, 0.0, s)
+    return _radial_integral(kernel, integrand)

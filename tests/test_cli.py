@@ -354,7 +354,7 @@ class TestUsageAndConfig:
         if command == "solve":
             argv += ["--eq", "nonlocal-ac", "--T", "1e-4", "--tau", "1e-5"]
         assert run_cli(argv) == 0
-        assert "eps_value=0.2\n" in (out / "resolved_config.txt").read_text()
+        assert "eps=0.2\n" in (out / "resolved_config.txt").read_text()
         cfg.write_text("eps_value=0.2\n")  # the internal destination is no key
         assert run_cli(argv) == 2
 
@@ -395,6 +395,17 @@ class TestUsageAndConfig:
             for name in ("a", "b"):
                 assert run_cli(["check-kernel", "--out", str(tmp_path / name)]) == 0
         assert build.call_count == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["check-kernel", "--eps", "1e-300"],
+        ["check-kernel", "--n", "2", "--eps", "1e-160"],
+        ["symbol-rate", "--n", "2", "--eps", "1e-100,1e-101,1e-102"],
+    ])
+    def test_scale_too_small_for_a_float_kernel_is_usage_error(self, tmp_path, capsys, argv):
+        assert run_cli([*argv, "--out", str(tmp_path / "tiny")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eps = " in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["operator-rate", "solution-rate"])
     def test_non_finite_scale_in_ladder_is_named(self, tmp_path, capsys, command):
@@ -485,6 +496,30 @@ class TestConfigRoundTrip:
         bare = (out / "resolved_config.txt").read_text()
         assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "resolved_config.txt").read_text() == bare
+
+    @pytest.mark.parametrize("command", sorted(TestWorkersFlag.COMMANDS))
+    def test_resolved_config_reads_back_as_itself(self, tmp_path, monkeypatch, command):
+        parser = cli.build_parser()
+        for sub in parser.commands.values():
+            sub.set_defaults(func_impl=lambda args, outdir: 0)
+        monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
+        out = tmp_path / "out"
+        required = [f"--{key}={value}" for key, value in self.REQUIRED.get(command, {}).items()]
+        assert run_cli([command, *required, "--out", str(out)]) == 0
+        resolved = out / "resolved_config.txt"
+        first = resolved.read_text()
+        assert first.startswith(f"# nonloclab {command}\n")
+        assert "None" not in first
+        assert run_cli([command, "--config", str(resolved)]) == 0
+        assert resolved.read_text() == first
+
+    def test_oracle_check_reruns_from_its_resolved_config(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(["oracle-check", "--N", "32", "--eps", "0.2", "--out", str(first)]) == 0
+        assert run_cli(["oracle-check", "--config", str(first / "resolved_config.txt"),
+                        "--out", str(second)]) == 0
+        name = "oracle_check_summary.json"
+        assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 class TestReproducibility:

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from nonloclab.grid import (
     Field,
     UniformGrid,
-    field_to_csv,
     hminus1_norm,
     integrate,
     inverse_transform_values,
     l2_norm,
+    laplacian_symbol,
     load_field,
     lp_norm,
     sample,
@@ -233,6 +233,30 @@ class TestTransformLayer:
                               scipy.fft.irfft(coeffs, n=cells, norm="ortho"))
 
 
+class TestLaplacianSymbol:
+    @staticmethod
+    def _axis_terms(boundary, N, L, last):
+        if boundary == "neumann":
+            return (np.pi * np.arange(N) / L) ** 2
+        # wavenumbers in transform order: the half spectrum on the last axis,
+        # 0, 1, ..., then the negative ones on the others
+        k = np.arange(N // 2 + 1) if last else np.r_[0:(N + 1) // 2, -(N // 2):0]
+        return (2.0 * np.pi * k / L) ** 2
+
+    # power-of-two lengths, so the transform's frequency k / (N h) rounds
+    # exactly like k / L and the terms match bit for bit
+    @pytest.mark.parametrize("lengths, cells", [((2.0,), (16,)), ((0.5,), (9,)),
+                                                ((1.0, 2.0), (8, 16)), ((2.0, 1.0), (7, 12))])
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    def test_sum_of_per_axis_terms(self, lengths, cells, boundary):
+        g = UniformGrid(lengths, cells, boundary)
+        assert all(N * (L / N) == L for N, L in zip(cells, lengths))
+        terms = [self._axis_terms(boundary, N, L, a == len(cells) - 1)
+                 for a, (N, L) in enumerate(zip(cells, lengths))]
+        expected = terms[0] if len(terms) == 1 else np.add.outer(*terms)
+        assert np.array_equal(laplacian_symbol(g), expected)
+
+
 class TestSerialization:
     def test_binary_roundtrip(self, tmp_path):
         g = UniformGrid((1.0, 2.0), (16, 32), "periodic")
@@ -297,22 +321,3 @@ class TestSerialization:
         # a flip the format cannot detect still yields a valid field
         assert all(math.isfinite(L) and L > 0 for L in back.grid.lengths)
         assert np.all(np.isfinite(back.values))
-
-    def test_csv_1d(self, tmp_path):
-        g = UniformGrid((1.0,), (4,))
-        f = sample(g, lambda x: x)
-        path = tmp_path / "f.csv"
-        field_to_csv(f, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,value"
-        assert lines[1].startswith("0.125,")
-        assert len(lines) == 5
-
-    def test_csv_2d(self, tmp_path):
-        g = UniformGrid((1.0, 1.0), (2, 2))
-        f = sample(g, lambda x, y: x + y)
-        path = tmp_path / "f2.csv"
-        field_to_csv(f, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,value"
-        assert len(lines) == 5

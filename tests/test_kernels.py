@@ -84,6 +84,17 @@ class TestNormalization:
         with pytest.raises(ValueError, match="epsilon must be"):
             Kernel(make_mollifier(1), epsilon=eps)
 
+    @pytest.mark.parametrize("n, eps", [(1, 1e-300), (2, 1e-160), (2, 1e-100)])
+    def test_rejects_scale_whose_kernel_value_overflows(self, n, eps):
+        # the kernel's value scale is eps**(-n - 2), beyond the float range here
+        with pytest.raises(ValueError, match=f"eps = {eps:g}"):
+            Kernel(make_mollifier(n), epsilon=eps)
+
+    @pytest.mark.parametrize("n, eps", [(1, 1e-100), (2, 1e-75)])
+    def test_tiny_scale_within_range_is_accepted(self, n, eps):
+        k = Kernel(make_mollifier(n), epsilon=eps)
+        assert math.isfinite(float(k.value_radial(0.5 * eps)))
+
 
 class TestPointEvaluation:
     def test_compact_support(self):
@@ -192,6 +203,32 @@ class TestFourierSymbol:
     def test_2d_limit(self):
         val = fourier_symbol(make_kernel(2, 0.02), (3.0, 4.0))
         assert val == pytest.approx(25.0, rel=1e-3)
+
+    @pytest.mark.parametrize("eps, xi", [(0.1, 1.0), (0.1, 7.0), (0.2, -40.0)])
+    def test_1d_matches_scipy_quad(self, eps, xi):
+        # independent oracle: the defining integral of J(x)(1 - cos(xi x)) over the support
+        k = make_kernel(1, eps)
+        s = k.support_radius
+        ref, _ = scipy.integrate.quad(
+            lambda x: float(k.value_radial(abs(x))) * (1.0 - math.cos(xi * x)),
+            -s, s, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert fourier_symbol(k, xi) == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("eps, xi", [(0.2, (3.0, 4.0)), (0.3, (1.0, -8.0))])
+    def test_2d_matches_scipy_dblquad(self, eps, xi):
+        # independent oracle: the double integral over the support disk
+        k = make_kernel(2, eps)
+        s = k.support_radius
+
+        def integrand(y, x):
+            r = math.hypot(x, y)
+            return float(k.value_radial(r)) * (1.0 - math.cos(xi[0] * x + xi[1] * y))
+
+        half_chord = lambda x: math.sqrt(max(s * s - x * x, 0.0))
+        ref, _ = scipy.integrate.dblquad(integrand, -s, s, lambda x: -half_chord(x),
+                                         half_chord, epsabs=0.0, epsrel=1e-11)
+        assert fourier_symbol(k, xi) == pytest.approx(ref, rel=1e-8)
 
 
 class TestQuadrature:

@@ -37,6 +37,7 @@ from nonloclab.nonlocal_ops import (
     pair_difference_double_sum,
     stencil_symbol,
     _ghost_remainder,
+    _offset_distances,
     _pair_pass,
     _pair_weight_blocks,
     _stencil_data,
@@ -134,6 +135,8 @@ class TestOperatorApplications:
         fraction=st.floats(0.05, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(dimension=1, cells=(15, 3), lengths=(1.1, 1.0), boundary="neumann",
+             profile="poly-2-2", fraction=1.0, seed=0)
     def test_oracle_equivalence_property(self, dimension, cells, lengths, boundary,
                                          profile, fraction, seed):
         g = UniformGrid(lengths[:dimension], cells[:dimension], boundary)
@@ -141,6 +144,9 @@ class TestOperatorApplications:
         # torus, one reflection's room in a box
         room = [(N - 1) // 2 if boundary == "periodic" else N for N in g.cells]
         eps = fraction * min(k * h for k, h in zip(room, g.spacing))
+        # (k * h) / h may round above k; the widest accepted scale is just below
+        while any(eps / h > k for k, h in zip(room, g.spacing)):
+            eps = math.nextafter(eps, 0.0)
         assume(eps > 0)
         k = make_kernel(dimension, eps, profile)
         f = random_field(g, seed)
@@ -363,6 +369,21 @@ def _check_symbol_against_cosine_sum(boundary, lengths, cells, eps, profile):
     assert symbol.shape == ref.shape
     assert np.all(symbol >= 0.0)
     assert np.max(np.abs(symbol - ref)) <= 1e-14 * data.weight_sum
+
+
+class TestOffsetDistances:
+    @pytest.mark.parametrize("k, h", [(7, 0.013), (40, 1 / 3), (1000, 1 / 4096)])
+    def test_1d_is_the_absolute_offset(self, k, h):
+        offsets = np.arange(-k, k + 1) * h
+        assert np.array_equal(_offset_distances((k,), (h,)), np.abs(offsets))
+
+    @pytest.mark.parametrize("reach, spacing", [((5, 9), (0.1, 1 / 7)), ((3, 3), (0.25, 0.3)),
+                                                ((13, 13), (1 / 128, 1 / 128))])
+    def test_2d_is_the_euclidean_length(self, reach, spacing):
+        (kx, ky), (hx, hy) = reach, spacing
+        dx = (np.arange(-kx, kx + 1) * hx)[:, None]
+        dy = (np.arange(-ky, ky + 1) * hy)[None, :]
+        assert np.array_equal(_offset_distances(reach, spacing), np.sqrt(dx * dx + dy * dy))
 
 
 class TestStencilSymbolOnDemand:

@@ -47,9 +47,10 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi}
 _N_ANGLE = 128
 _ANGLES = np.arange(_N_ANGLE) * (2.0 * math.pi / _N_ANGLE)
 
-# first coordinates of equispaced points on S^{n-1}: both points of S^0, and
-# the angular nodes on S^1; a mean over them is the mean over the sphere
-_DIRECTION_COSINES = {1: np.array([1.0, -1.0]), 2: np.cos(_ANGLES)}
+# first coordinates of equispaced points on S^{n-1}: the angular nodes on S^1,
+# and one point of S^0, since the integrands are even in the cosine; a mean
+# over them is the mean over the sphere
+_DIRECTION_COSINES = {1: np.array([1.0]), 2: np.cos(_ANGLES)}
 
 
 def sphere_area(n: int) -> float:
@@ -228,11 +229,15 @@ class Kernel:
             raise ValueError("epsilon must be positive")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        # value_radial's scale; the profile quotients it multiplies are at most 1
+        c, p = self.mollifier.norm_constant, -self.dimension - 2
         try:
-            float(self.epsilon) ** (-self.dimension - 2)  # value_radial's scale
+            scale = c * float(self.epsilon) ** p
         except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
             raise ValueError(f"kernel scale eps = {self.epsilon:g} is too small: "
-                             f"eps**-{self.dimension + 2} overflows a float") from None
+                             f"the kernel value scale {c:.3g} * eps**{p} overflows a float")
 
     @property
     def dimension(self) -> int:
@@ -330,7 +335,7 @@ def fourier_symbol(kernel: Kernel, xi) -> float:
 
     def integrand(r):
         # mean of 1 - cos(q r c) over the direction cosines c of the unit sphere
-        phase = np.outer(r, cosines) * q
-        return kernel.value_radial(r) * np.mean(1.0 - np.cos(phase), axis=1)
+        phase = r[:, None] * cosines * q
+        return kernel.value_radial(r) * ((1.0 - np.cos(phase)).sum(axis=1) / cosines.size)
 
     return _radial_integral(kernel, integrand)

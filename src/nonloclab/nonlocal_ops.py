@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 RESOLUTION_FACTOR = 4  # warn when h exceeds (support radius) / 4
+# relative rounding of support / h: h, eps, the support and the quotient each
+# round once by at most half an ulp
+_RATIO_ROUNDING = 4 * np.finfo(float).eps
 
 
 class ResolutionWarning(UserWarning):
@@ -147,16 +150,18 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
     if kernel.dimension != grid.dimension:
         raise ValueError("kernel and grid dimensions differ")
     spacing = grid.spacing
-    # the support checks run on the float ratio x, which may be inf, before
-    # any int(): for integer N, 2 ceil(x) + 1 > N exactly when x > (N - 1) // 2,
-    # and ceil(x) > N exactly when x > N
+    # the room is the widest reach with no wrap onto itself on a torus
+    # (2 k + 1 <= N) and one reflection's room in a box (k <= N).  The float
+    # ratio x, which may be inf, is checked before any int(); it carries the
+    # rounding of h = L / N, so a support of exactly k h (or of the box length
+    # L) may give x a few ulps above k, and such an x still reaches k nodes
     ratios = [kernel.support_radius / h for h in spacing]
-    if grid.boundary == PERIODIC:
-        if any(x > (N - 1) // 2 for x, N in zip(ratios, grid.cells)):
-            raise ValueError("kernel support wraps onto itself on this periodic grid")
-    elif any(x > N for x, N in zip(ratios, grid.cells)):
-        raise ValueError("kernel support exceeds the box; no room for one reflection")
-    reach = tuple(int(np.ceil(x)) for x in ratios)
+    rooms = [(N - 1) // 2 if grid.boundary == PERIODIC else N for N in grid.cells]
+    if any(x > k * (1.0 + _RATIO_ROUNDING) for x, k in zip(ratios, rooms)):
+        raise ValueError("kernel support wraps onto itself on this periodic grid"
+                         if grid.boundary == PERIODIC else
+                         "kernel support exceeds the box; no room for one reflection")
+    reach = tuple(min(int(np.ceil(x)), k) for x, k in zip(ratios, rooms))
     weights = kernel.value_radial(_offset_distances(reach, spacing)) * grid.cell_volume
 
     if grid.boundary == PERIODIC:

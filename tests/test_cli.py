@@ -33,6 +33,11 @@ class TestKernelChecks:
         summary = json.loads((out / "oracle_check_summary.json").read_text())
         assert summary["quadratic_form_over_double_sum"] == pytest.approx(0.5, abs=1e-10)
 
+    def test_oracle_check_accepts_support_equal_to_the_box(self, tmp_path):
+        # 1.1 / (1.1 / 15) rounds one ulp above 15 cells
+        argv = ["oracle-check", "--L", "1.1", "--N", "15", "--eps", "1.1"]
+        assert run_cli([*argv, "--out", str(tmp_path / "box")]) == 0
+
     def test_oracle_check_rejects_wrapping_support_before_direct_pass(self, tmp_path,
                                                                      monkeypatch, capsys):
         def no_direct_pass(*args, **kwargs):
@@ -400,6 +405,8 @@ class TestUsageAndConfig:
         ["check-kernel", "--eps", "1e-300"],
         ["check-kernel", "--n", "2", "--eps", "1e-160"],
         ["symbol-rate", "--n", "2", "--eps", "1e-100,1e-101,1e-102"],
+        ["check-kernel", "--eps", "3e-103"],
+        ["check-kernel", "--n", "2", "--eps", "1e-77"],
     ])
     def test_scale_too_small_for_a_float_kernel_is_usage_error(self, tmp_path, capsys, argv):
         assert run_cli([*argv, "--out", str(tmp_path / "tiny")]) == 2

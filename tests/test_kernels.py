@@ -84,9 +84,12 @@ class TestNormalization:
         with pytest.raises(ValueError, match="epsilon must be"):
             Kernel(make_mollifier(1), epsilon=eps)
 
-    @pytest.mark.parametrize("n, eps", [(1, 1e-300), (2, 1e-160), (2, 1e-100)])
+    # 3e-103 and 1e-77 leave eps**(-n - 2) finite but not its product with the
+    # normalization constant, about 19.7 in 1D and 25.5 in 2D
+    @pytest.mark.parametrize("n, eps", [(1, 1e-300), (2, 1e-160), (2, 1e-100),
+                                        (1, 3e-103), (2, 1e-77)])
     def test_rejects_scale_whose_kernel_value_overflows(self, n, eps):
-        # the kernel's value scale is eps**(-n - 2), beyond the float range here
+        # the kernel's value scale is c * eps**(-n - 2), beyond the float range here
         with pytest.raises(ValueError, match=f"eps = {eps:g}"):
             Kernel(make_mollifier(n), epsilon=eps)
 

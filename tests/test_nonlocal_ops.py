@@ -144,9 +144,6 @@ class TestOperatorApplications:
         # torus, one reflection's room in a box
         room = [(N - 1) // 2 if boundary == "periodic" else N for N in g.cells]
         eps = fraction * min(k * h for k, h in zip(room, g.spacing))
-        # (k * h) / h may round above k; the widest accepted scale is just below
-        while any(eps / h > k for k, h in zip(room, g.spacing)):
-            eps = math.nextafter(eps, 0.0)
         assume(eps > 0)
         k = make_kernel(dimension, eps, profile)
         f = random_field(g, seed)
@@ -194,6 +191,37 @@ class TestOperatorApplications:
         g = UniformGrid((1.0,), (64,), "periodic")
         with pytest.raises(ValueError, match="wraps"):
             apply_fft(make_kernel(1, 0.6), random_field(g, 8))
+
+    @pytest.mark.parametrize("boundary, length, cells, room", [
+        # support equal to the box length; 1.1 / (1.1 / 15) rounds to 15 + 1 ulp
+        ("neumann", 1.1, 15, 15),
+        ("neumann", 1.7, 27, 27),
+        # support equal to (N - 1) // 2 cells; (5 h) / h rounds to 5 + 1 ulp
+        ("periodic", 1.3, 12, 5),
+        ("periodic", 0.7, 15, 7),
+    ])
+    def test_support_equal_to_the_room_is_accepted(self, boundary, length, cells, room):
+        g = UniformGrid((length,), (cells,), boundary)
+        eps = length if boundary == "neumann" else room * g.spacing[0]
+        assert eps / g.spacing[0] > room  # the rounding the check must forgive
+        kernel = make_kernel(1, eps, "poly-2-2")
+        assert _stencil_data(kernel, g).reach == (room,)
+        f = random_field(g, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            direct = apply_direct(kernel, f)
+            fast = apply_fft(kernel, f)
+        assert l2_norm(fast - direct) <= 1e-10 * l2_norm(direct)
+
+    @pytest.mark.parametrize("boundary, message", [
+        ("neumann", "exceeds the box"),
+        ("periodic", "wraps"),
+    ])
+    def test_support_past_the_room_beyond_rounding_is_rejected(self, boundary, message):
+        g = UniformGrid((1.0,), (64,), boundary)
+        room = 64 if boundary == "neumann" else 31
+        with pytest.raises(ValueError, match=message):
+            apply_fft(make_kernel(1, room * g.spacing[0] * (1 + 1e-12)), random_field(g, 8))
 
     @pytest.mark.parametrize("boundary, message", [
         ("neumann", "exceeds the box"),

@@ -36,6 +36,7 @@ from .kernels import (
     eval_J,
     make_mollifier,
     moment_first,
+    moment_first_absolute,
     moment_second_trace,
     radial_mass_target,
     second_moment_per_axis,
@@ -157,11 +158,13 @@ def _cmd_check_kernel(args, outdir: Path) -> int:
         0.0, kernel.support_radius,
     )
     firsts = [moment_first(kernel, a) for a in range(args.n)]
+    # rounding residues of integrals of size int |x_a| J, which grows like 1/eps
+    first_scale = moment_first_absolute(kernel)
     trace = moment_second_trace(kernel)
     per_axis = second_moment_per_axis(kernel)
     checks = {
         "normalization": abs(radial - target) <= 1e-10 * target,
-        "first_moments": all(abs(v) <= 1e-10 for v in firsts),
+        "first_moments": all(abs(v) <= 1e-12 * first_scale for v in firsts),
         "second_moment_per_axis": abs(per_axis - 2.0) <= 1e-8,
     }
     summary = {
@@ -322,7 +325,7 @@ def _cmd_oracle_check(args, outdir: Path) -> int:
     check_support_reaches_nodes(kernel, grid)
     rng = np.random.default_rng(args.seed)
     field = Field(grid, rng.standard_normal(grid.shape))
-    fast = apply_fft(kernel, field)  # validates the stencil before the O(N^2) pass
+    fast = apply_fft(kernel, field)  # validates the stencil before the direct pass
     direct, double_sum = _pair_pass(kernel, field)
     rel = l2_norm(fast - direct) / l2_norm(direct)
     quad_form = l2_inner(direct, field)

@@ -26,6 +26,7 @@ __all__ = [
     "make_kernel",
     "eval_J",
     "moment_first",
+    "moment_first_absolute",
     "moment_second_trace",
     "second_moment_per_axis",
     "total_mass",
@@ -291,6 +292,18 @@ def moment_first(kernel: Kernel, axis: int = 0) -> float:
     return rad * ang
 
 
+def moment_first_absolute(kernel: Kernel) -> float:
+    """Absolute first moment ``int |x_a| J(x) dx``, the same along every axis.
+
+    It grows like ``1 / epsilon`` and sets the scale of the rounding residue
+    that :func:`moment_first` leaves.
+    """
+    n = kernel.dimension
+    # mean of |c| over the unit sphere, c its first coordinate: 1 in 1D, 2/pi in 2D
+    mean_abs_cosine = math.gamma(n / 2) / (math.sqrt(math.pi) * math.gamma((n + 1) / 2))
+    return mean_abs_cosine * _radial_integral(kernel, lambda r: kernel.value_radial(r) * r)
+
+
 def _radial_integral(kernel: Kernel, f) -> float:
     """Integral over all of space of the radial function ``f(r)``, which
     vanishes beyond the kernel support: ``sphere_area(n) * int f(r) r**(n-1) dr``."""
@@ -320,9 +333,11 @@ def fourier_symbol(kernel: Kernel, xi) -> float:
     """Multiplier of the induced nonlocal operator at frequency xi.
 
     Computed as the real cosine integral of the kernel against
-    ``1 - cos(x . xi)`` over the support (the odd part integrates to zero),
-    which avoids any domain-truncation error.  Nonnegative, vanishes at
-    xi = 0, and approaches ``|xi|**2`` as epsilon shrinks.
+    ``1 - cos(x . xi) = 2 sin(x . xi / 2)**2`` over the support (the odd part
+    integrates to zero), which avoids any domain-truncation error; the sine
+    form keeps full precision where ``x . xi`` is small and the difference
+    would cancel.  Nonnegative, vanishes at xi = 0, and approaches
+    ``|xi|**2`` as epsilon shrinks.
     """
     n = kernel.dimension
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -334,8 +349,8 @@ def fourier_symbol(kernel: Kernel, xi) -> float:
     cosines = _DIRECTION_COSINES[n]
 
     def integrand(r):
-        # mean of 1 - cos(q r c) over the direction cosines c of the unit sphere
-        phase = r[:, None] * cosines * q
-        return kernel.value_radial(r) * ((1.0 - np.cos(phase)).sum(axis=1) / cosines.size)
+        # mean of 2 sin(q r c / 2)**2 over the direction cosines c of the unit sphere
+        sine = np.sin(r[:, None] * cosines * (0.5 * q))
+        return kernel.value_radial(r) * ((2.0 * sine * sine).sum(axis=1) / cosines.size)
 
     return _radial_integral(kernel, integrand)

@@ -1,10 +1,14 @@
 """The nonlocal diffusion operator on a box and its associated energies.
 
 Two independent discretizations of the same midpoint-rule quadrature are
-provided: an O(N^2) direct summation that serves as the reference oracle,
-and an FFT convolution fast path built from identical weights so the two
-agree to rounding rather than merely to discretization order.  Restriction
-to the box is realized by zero extension plus an explicit degree function.
+provided: a direct summation over the node pairs, each pair's weight formed
+from the two nodes' coordinates, that serves as the reference oracle, and an
+FFT convolution fast path built from identical weights so the two agree to
+rounding rather than merely to discretization order.  The direct sum visits
+only the pairs whose index offsets lie in the kernel's support window, so
+its cost grows with the node count times the window, not with its square.
+Restriction to the box is realized by zero extension plus an explicit degree
+function.
 
 The solvers step with the stencil operator of the wrapped (periodic) or
 reflected (zero-flux) extension, which the transform basis diagonalizes
@@ -15,6 +19,7 @@ boundary remainder, which :class:`WallRemainder` applies at the walls and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -47,6 +52,9 @@ RESOLUTION_FACTOR = 4  # warn when h exceeds (support radius) / 4
 # relative rounding of support / h: h, eps, the support and the quotient each
 # round once by at most half an ulp
 _RATIO_ROUNDING = 4 * np.finfo(float).eps
+# node pairs per block of the direct sums; a block's few temporaries of this
+# size keep memory flat as the node count grows
+_PAIR_BLOCK_TERMS = 2**19
 
 
 class ResolutionWarning(UserWarning):
@@ -74,7 +82,7 @@ def check_support_reaches_nodes(kernel: Kernel, grid: UniformGrid) -> None:
     kernel, for which zero is the right answer.
     """
     h = min(grid.spacing)
-    # the profile vanishes from its support radius on (compare _pair_weight_blocks)
+    # the profile vanishes from its support radius on (compare _pair_blocks)
     if not h / kernel.epsilon < kernel.mollifier.support_radius:
         raise ValueError(
             f"kernel support {kernel.support_radius:.3g} (eps = {kernel.epsilon:g}) "
@@ -201,66 +209,119 @@ def degree_function(kernel: Kernel, grid: UniformGrid) -> Field:
     return Field(grid, data.degree.copy())
 
 
-def _pair_weight_blocks(kernel: Kernel, grid: UniformGrid, block: int):
-    """Yield ``(start, stop, J(x_i - x_j))`` for consecutive row blocks of
-    node pairs, with periodic grids using the nearest image.
+def _window_offsets(kernel: Kernel, grid: UniformGrid, axis: int) -> np.ndarray:
+    """The node-index offsets along ``axis`` that may reach a partner inside
+    the kernel support, from the kernel and the grid alone: ``ceil(support /
+    h)`` each way, clipped at the walls of a box.  On a torus whose period
+    the window spans it holds each residue once."""
+    N = grid.cells[axis]
+    ratio = kernel.support_radius / grid.spacing[axis]
+    reach = N if not ratio < N else math.ceil(ratio)  # the ratio may be inf
+    if grid.boundary == PERIODIC and 2 * reach + 1 >= N:
+        return np.arange(N) - N // 2
+    reach = min(reach, N - 1)
+    return np.arange(-reach, reach + 1)
 
-    Distances are built one axis at a time into one ``(rows, n)`` array, and
-    the profile is evaluated only inside the support; every other pair keeps
-    the exact zero its weight has there.
+
+def _axis_pairs(grid: UniformGrid, axis: int, nodes: np.ndarray, offsets: np.ndarray):
+    """``(partner, sq)`` of shape ``(len(nodes), len(offsets))``: the index of
+    each node's partner at each offset along ``axis``, and their squared
+    coordinate difference, to the nearest image on a torus and inf past a
+    wall of a box."""
+    N = grid.cells[axis]
+    pos = nodes[:, None] + offsets
+    partner = pos % N if grid.boundary == PERIODIC else np.clip(pos, 0, N - 1)
+    x = grid.axis_nodes(axis)
+    d = x[nodes, None] - x[partner]
+    if grid.boundary == PERIODIC:
+        length = grid.lengths[axis]
+        d -= length * np.round(d / length)
+    else:
+        d[pos != partner] = np.inf
+    d *= d
+    return partner, d
+
+
+def _pair_blocks(kernel: Kernel, field: Field):
+    """Yield the node pairs in the support window (:func:`_window_offsets`)
+    in blocks ``(index, partners, J)``: ``index`` picks nodes from the field's
+    values viewed as ``(rows, N_last)``, one row in 1D; ``partners`` holds
+    their partners' values, the window on one more axis, as a fresh array;
+    and ``J`` the pair weights, an exact zero past a wall.
+
+    Each pair's distance is formed from the two nodes' coordinates axis by
+    axis, and the profile runs only inside its support.  The walk goes over
+    column blocks of the last axis, then the offsets along the first axis of
+    a 2D grid, then blocks of rows, with at most about ``_PAIR_BLOCK_TERMS``
+    pairs per block.
     """
+    grid = field.grid
     if kernel.dimension != grid.dimension:
         raise ValueError("kernel and grid dimensions differ")
-    coords = [m.ravel() for m in grid.meshgrid()]
-    n = coords[0].size
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        dist = np.zeros((stop - start, n))
-        for x, length in zip(coords, grid.lengths):
-            d = x[start:stop, None] - x[None, :]
-            if grid.boundary == PERIODIC:
-                d -= length * np.round(d / length)
-            d *= d
-            dist += d
-        np.sqrt(dist, out=dist)
-        # the scaled radius value_radial computes; the profile vanishes from
-        # its support radius on, so every skipped pair is an exact zero already
-        inside = dist / kernel.epsilon < kernel.mollifier.support_radius
-        r = dist[inside]
-        dist.fill(0.0)
-        dist[inside] = kernel.value_radial(r)
-        yield start, stop, dist
+    last = grid.dimension - 1
+    N = grid.cells[last]
+    values = field.values.reshape(-1, N)
+    if grid.dimension == 1:
+        lead_partner, lead_sq = np.zeros((1, 1), dtype=int), np.zeros((1, 1))
+    else:
+        lead_partner, lead_sq = _axis_pairs(grid, 0, np.arange(grid.cells[0]),
+                                            _window_offsets(kernel, grid, 0))
+    offsets = _window_offsets(kernel, grid, last)
+    width = offsets.size
+    # windows[row, i, o] is the value at offset offsets[o] from node i of the
+    # row; past a wall it is a zero, whose weight is zero
+    padded = np.pad(values, [(0, 0), (-offsets[0], offsets[-1])],
+                    mode="wrap" if grid.boundary == PERIODIC else "constant")
+    windows = sliding_window_view(padded, width, axis=1)
+    cols = min(N, max(1, _PAIR_BLOCK_TERMS // width))
+    for c in range(0, N, cols):
+        block = slice(c, min(c + cols, N))
+        _, sq = _axis_pairs(grid, last, np.arange(N)[block], offsets)
+        step = max(1, _PAIR_BLOCK_TERMS // sq.size)
+        for o in range(lead_sq.shape[1]):
+            # the rows whose partner row at this offset lies in the box
+            rows = np.flatnonzero(np.isfinite(lead_sq[:, o]))
+            for r in range(0, rows.size, step):
+                i = rows[r:r + step]
+                dist = lead_sq[i, o, None, None] + sq
+                np.sqrt(dist, out=dist)
+                # the scaled radius value_radial computes; the profile vanishes
+                # from its support radius on, so every skipped pair is a zero
+                inside = dist / kernel.epsilon < kernel.mollifier.support_radius
+                r_inside = dist[inside]
+                dist.fill(0.0)
+                dist[inside] = kernel.value_radial(r_inside)
+                yield (i, block), windows[lead_partner[i, o], block], dist
 
 
 def _pair_pass(kernel: Kernel, field: Field) -> tuple[Field, float]:
-    """Both pairwise oracles from one pass over the pair weights: the direct
-    operator of :func:`apply_direct` and the double sum of
+    """Both pairwise oracles from one pass over the node pairs inside the
+    kernel's support window (:func:`_pair_blocks`): the direct operator of
+    :func:`apply_direct` and the double sum of
     :func:`pair_difference_double_sum`.
 
-    Each ``1024 x n`` block of weights ``J`` serves the double sum first and
-    is then scaled in place to the operator's midpoint weights.  Each row of
-    the operator is summed on its own, so its bits do not depend on the
-    block height.
+    Both are summed in difference form, so constants cancel exactly.  Each
+    row of the operator is summed on its own, window by window in a fixed
+    order, so its bits do not depend on the block size.
     """
     grid = field.grid
-    v = field.values.ravel()
-    vol = grid.cell_volume
-    rows = np.empty_like(v)
+    values = field.values.reshape(-1, grid.cells[-1])
+    rows = np.zeros_like(values)
     total = 0.0
-    for start, stop, J in _pair_weight_blocks(kernel, grid, 1024):
-        dv = v[start:stop, None] - v[None, :]
-        total += float(np.sum(J * dv * dv))
-        J *= vol  # in place: a second block-sized array would raise peak memory
-        # summed in difference form so constants cancel exactly
-        rows[start:stop] = np.sum(J * dv, axis=1)
-    return Field(grid, rows.reshape(grid.shape)), total * vol * vol
+    for index, partners, J in _pair_blocks(kernel, field):
+        dv = np.subtract(values[index][..., None], partners, out=partners)
+        J *= dv
+        total += float(np.sum(J * dv))
+        rows[index] += np.sum(J, axis=-1)
+    vol = grid.cell_volume
+    return Field(grid, rows.reshape(grid.shape) * vol), total * vol * vol
 
 
 def apply_direct(kernel: Kernel, field: Field) -> Field:
-    """Reference O(N^2) summation of the defining double integral.
+    """Reference direct summation of the defining double integral.
 
-    Midpoint weights throughout; this is the oracle that the FFT fast path
-    is held to.
+    Midpoint weights throughout, over the node pairs in the kernel's support
+    window; this is the oracle that the FFT fast path is held to.
     """
     _check_resolution(kernel, field.grid)
     return _pair_pass(kernel, field)[0]
@@ -313,11 +374,12 @@ def nonlocal_energy(kernel: Kernel, field: Field) -> float:
 def pair_difference_double_sum(kernel: Kernel, field: Field) -> float:
     """Brute-force double sum of J(x - y) |c(x) - c(y)|^2 over all node pairs.
 
-    Every node pair is visited, so the cost is quadratic in the node count
-    (the kernel profile itself runs only on the pairs inside its support);
-    memory is one ``1024 x n`` block of pair weights at a time.  Intended for
-    small grids, where it serves as the independent oracle for the energy
-    identities.
+    Only the pairs whose index offsets lie in the kernel's support window are
+    visited, every other pair having an exact zero weight, so the cost is the
+    node count times the window (the kernel profile itself runs only on the
+    pairs inside its support); memory is one block of at most
+    ``_PAIR_BLOCK_TERMS`` pairs at a time.  It serves as the independent
+    oracle for the energy identities.
     """
     return _pair_pass(kernel, field)[1]
 

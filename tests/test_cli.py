@@ -26,6 +26,15 @@ class TestKernelChecks:
         out = tmp_path / "ck2"
         assert run_cli(["check-kernel", "--n", "2", "--eps", "0.2", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    @pytest.mark.parametrize("eps", ["0.1", "1e-6"])
+    def test_check_kernel_first_moments_scale_with_the_kernel(self, tmp_path, n, eps):
+        # the first moments are rounding residues of integrals of size ~1/eps
+        out = tmp_path / "ck"
+        assert run_cli(["check-kernel", "--n", n, "--eps", eps, "--out", str(out)]) == 0
+        summary = json.loads((out / "check_kernel_summary.json").read_text())
+        assert summary["checks"]["first_moments"] is True
+
     def test_oracle_check(self, tmp_path):
         out = tmp_path / "oc"
         code = run_cli(["oracle-check", "--N", "128", "--eps", "0.15", "--out", str(out)])
@@ -49,13 +58,19 @@ class TestKernelChecks:
         assert code == 2
         assert "wraps" in capsys.readouterr().err
 
-    def test_oracle_check_builds_the_pair_weights_once(self, tmp_path):
-        with mock.patch.object(nonlocal_ops, "_pair_weight_blocks",
-                               wraps=nonlocal_ops._pair_weight_blocks) as spy:
+    def test_oracle_check_walks_the_node_pairs_once(self, tmp_path):
+        with mock.patch.object(nonlocal_ops, "_pair_blocks",
+                               wraps=nonlocal_ops._pair_blocks) as spy:
             code = run_cli(["oracle-check", "--N", "24,24", "--eps", "0.2",
                             "--out", str(tmp_path / "once")])
         assert code == 0
         assert spy.call_count == 1
+
+    @pytest.mark.parametrize("cells", ["128,128", "4096"])
+    def test_oracle_check_reference_cases(self, tmp_path, cells):
+        code = run_cli(["oracle-check", "--N", cells, "--eps", "0.05",
+                        "--out", str(tmp_path / "ref")])
+        assert code == 0
 
     @pytest.mark.parametrize("grid_args", [
         ["--N", "4", "--eps", "0.01"],      # support short of the nearest node

@@ -14,6 +14,7 @@ from nonloclab.kernels import (
     make_kernel,
     make_mollifier,
     moment_first,
+    moment_first_absolute,
     moment_second_trace,
     radial_mass_target,
     second_moment_per_axis,
@@ -132,6 +133,21 @@ class TestMoments:
         for axis in range(n):
             assert abs(moment_first(k, axis)) <= 1e-10
 
+    @pytest.mark.parametrize("n, eps", [(1, 0.1), (2, 0.3)])
+    def test_absolute_first_moment_matches_scipy(self, n, eps):
+        k = make_kernel(n, eps)
+        s = k.support_radius
+        if n == 1:
+            ref, _ = scipy.integrate.quad(lambda x: eval_J(k, x) * abs(x), -s, s,
+                                          epsabs=0.0, epsrel=1e-12)
+        else:
+            ref, _ = scipy.integrate.dblquad(lambda y, x: eval_J(k, (x, y)) * abs(x),
+                                             -s, s, -s, s, epsabs=0.0, epsrel=1e-11)
+        assert moment_first_absolute(k) == pytest.approx(ref, rel=1e-8)
+        # it grows like 1/eps
+        assert moment_first_absolute(make_kernel(n, eps / 10)) == pytest.approx(
+            10 * moment_first_absolute(k), rel=1e-10)
+
     def test_half_support_is_positive(self):
         # anti-test: integrating over x > 0 only must NOT cancel
         k = make_kernel(1, 0.1)
@@ -206,6 +222,13 @@ class TestFourierSymbol:
     def test_2d_limit(self):
         val = fourier_symbol(make_kernel(2, 0.02), (3.0, 4.0))
         assert val == pytest.approx(25.0, rel=1e-3)
+
+    @pytest.mark.parametrize("n, xi", [(1, (1.0,)), (2, (1.0, 0.0)), (2, (0.6, -0.8))])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-12])
+    def test_no_cancellation_at_small_scale(self, n, xi, eps):
+        # the gap to |xi|^2 = 1 is of order eps^2; 1 - cos(xi . x) would cancel
+        # to a few digits at eps 1e-6 and to exactly 0 from eps 1e-8 on
+        assert abs(1.0 - fourier_symbol(make_kernel(n, eps), xi)) < 1e-12
 
     @pytest.mark.parametrize("eps, xi", [(0.1, 1.0), (0.1, 7.0), (0.2, -40.0)])
     def test_1d_matches_scipy_quad(self, eps, xi):

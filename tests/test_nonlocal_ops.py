@@ -39,7 +39,6 @@ from nonloclab.nonlocal_ops import (
     _ghost_remainder,
     _offset_distances,
     _pair_pass,
-    _pair_weight_blocks,
     _stencil_data,
 )
 
@@ -235,56 +234,78 @@ class TestOperatorApplications:
             apply_fft(make_kernel(1, eps), random_field(g, 8))
 
 
-def _dense_pair_weights(kernel, grid, block):
+def _dense_pair_weights(kernel, grid):
     """Reference pair weights: the kernel evaluated on every node pair, from
-    one ``(rows, n, dimension)`` difference array per row block, with the
-    nearest image on periodic grids.  The oracle's weights must equal these
-    bit for bit."""
+    one ``(n, n, dimension)`` difference array, with the nearest image on
+    periodic grids.  The oracle's weights must equal these bit for bit."""
     coords = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
-    lengths = np.asarray(grid.lengths)
-    for start in range(0, coords.shape[0], block):
-        stop = min(start + block, coords.shape[0])
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        if grid.boundary == "periodic":
-            diff -= lengths * np.round(diff / lengths)
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        yield start, stop, kernel.value_radial(dist)
+    diff = coords[:, None, :] - coords[None, :, :]
+    if grid.boundary == "periodic":
+        lengths = np.asarray(grid.lengths)
+        diff -= lengths * np.round(diff / lengths)
+    return kernel.value_radial(np.sqrt(np.sum(diff * diff, axis=2)))
 
 
-def _assert_pair_oracles_match_dense(kernel, field):
+def _windowed_pair_weights(kernel, grid):
+    """The windowed pass's pair weights scattered into an ``n x n`` matrix.
+    The field holds each node's flat index, so the partner values name the
+    partners; a pair visited twice would add its weight twice."""
+    n = grid.node_count
+    field = Field(grid, np.arange(n, dtype=float).reshape(grid.shape))
+    nodes = field.values.reshape(-1, grid.cells[-1])
+    weights = np.zeros((n, n))
+    for index, partners, J in nonlocal_ops._pair_blocks(kernel, field):
+        rows = np.broadcast_to(nodes[index][..., None], J.shape)
+        np.add.at(weights, (rows.astype(int), partners.astype(int)), J)
+    return weights
+
+
+# rows and double sum may differ from the dense loops by the rounding of
+# their sums, which run in another order
+_SUM_ROUNDING = 16 * np.finfo(float).eps
+
+
+def _assert_pair_pass_matches_dense(kernel, field):
     grid = field.grid
-    for block in (1024, 97):
-        blocks = list(_pair_weight_blocks(kernel, grid, block))
-        dense = list(_dense_pair_weights(kernel, grid, block))
-        assert [b[:2] for b in blocks] == [d[:2] for d in dense]
-        assert all(np.array_equal(b[2], d[2]) for b, d in zip(blocks, dense))
+    J = _dense_pair_weights(kernel, grid)
+    assert np.array_equal(_windowed_pair_weights(kernel, grid), J)
+    v = field.values.ravel()
+    dv = v[:, None] - v[None, :]
+    terms = J * grid.cell_volume * dv
+    pair_terms = J * dv * dv * grid.cell_volume**2
+    rows, total = _pair_pass(kernel, field)
+    assert np.all(np.abs(rows.values.ravel() - terms.sum(axis=1))
+                  <= _SUM_ROUNDING * np.abs(terms).sum(axis=1))
+    assert abs(total - pair_terms.sum()) <= _SUM_ROUNDING * pair_terms.sum()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
-        with mock.patch.object(nonlocal_ops, "_pair_weight_blocks", _dense_pair_weights):
-            ref_direct = apply_direct(kernel, field).values
-            ref_sum = pair_difference_double_sum(kernel, field)
-        assert np.array_equal(apply_direct(kernel, field).values, ref_direct)
-        assert pair_difference_double_sum(kernel, field) == ref_sum
+        assert np.array_equal(apply_direct(kernel, field).values, rows.values)
+    assert pair_difference_double_sum(kernel, field) == total
 
 
-class TestPairWeights:
+class TestWindowedPairPass:
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     @pytest.mark.parametrize("boundary, lengths, cells, eps", [
         ("neumann", (1.0,), (256,), 0.1),
+        ("neumann", (0.9,), (300,), 0.1),               # cell volume 0.003
         ("neumann", (1.0,), (64,), 10 / 64),            # support exactly 10 h
+        ("neumann", (1.0,), (64,), 3.0),                # window clipped at both walls
         ("periodic", (1.0,), (64,), 10 / 64),
         ("periodic", (1.0,), (64,), 0.3),               # support above L / 4
         ("periodic", (1.0,), (64,), 0.6),               # wider than the torus
+        ("periodic", (1.3,), (70,), 0.25),
         ("neumann", (1.0, 1.0), (24, 24), 5 / 24),      # support exactly 5 h
         ("periodic", (1.0, 1.0), (24, 24), 5 / 24),
         ("neumann", (2.0, 1.0), (40, 18), 0.2),
+        ("neumann", (1.0, 0.7), (36, 36), 0.15),        # volume not 2**-k
         ("periodic", (1.0, 2.0), (20, 36), 0.3),        # above L / 4 on one axis
         ("periodic", (1.0, 1.0), (24, 24), 0.35),
+        ("periodic", (1.0, 1.0), (7, 1), 0.9),          # one node across the last axis
     ])
-    def test_bit_identical_to_dense_reference(self, profile, boundary, lengths, cells, eps):
+    def test_matches_dense_reference(self, profile, boundary, lengths, cells, eps):
         g = UniformGrid(lengths, cells, boundary)
-        _assert_pair_oracles_match_dense(make_kernel(len(cells), eps, profile),
-                                         random_field(g, 21))
+        _assert_pair_pass_matches_dense(make_kernel(len(cells), eps, profile),
+                                        random_field(g, 21))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -293,57 +314,57 @@ class TestPairWeights:
         lengths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
         boundary=st.sampled_from(["neumann", "periodic"]),
         profile=st.sampled_from(sorted(PROFILES)),
-        fraction=st.floats(0.01, 1.2),
+        cells_reached=st.floats(1.0, 30.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bit_identical_property(self, dimension, cells, lengths, boundary, profile,
-                                    fraction, seed):
+    @example(dimension=1, cells=(16, 2), lengths=(1.0, 1.0), boundary="periodic",
+             profile="poly-2-3", cells_reached=1.0, seed=0)   # support of one cell
+    @example(dimension=2, cells=(9, 10), lengths=(1.0, 1.0), boundary="periodic",
+             profile="poly-2-2", cells_reached=6.0, seed=1)   # beyond half the torus
+    def test_matches_dense_reference_property(self, dimension, cells, lengths, boundary,
+                                              profile, cells_reached, seed):
         g = UniformGrid(lengths[:dimension], cells[:dimension], boundary)
-        eps = fraction * min(g.lengths)
-        _assert_pair_oracles_match_dense(make_kernel(dimension, eps, profile),
-                                         random_field(g, seed))
+        eps = cells_reached * max(g.spacing)
+        _assert_pair_pass_matches_dense(make_kernel(dimension, eps, profile),
+                                        random_field(g, seed))
 
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    @pytest.mark.parametrize("cells, eps", [((200,), 0.3), ((20, 24), 0.4)])
+    def test_constant_field_gives_exact_zeros(self, boundary, cells, eps):
+        g = UniformGrid((1.0,) * len(cells), cells, boundary)
+        rows, total = _pair_pass(make_kernel(g.dimension, eps), Field(g, np.full(cells, 0.3)))
+        assert np.all(rows.values == 0.0)
+        assert total == 0.0
 
-def _separate_pair_oracles(kernel, field):
-    """Reference: the operator and the double sum as two loops over the dense
-    pair weights, the operator in 2048-row blocks and the double sum in
-    1024-row blocks."""
-    grid = field.grid
-    v = field.values.ravel()
-    vol = grid.cell_volume
-    rows = np.empty_like(v)
-    for start, stop, w in _dense_pair_weights(kernel, grid, 2048):
-        w *= vol
-        rows[start:stop] = np.sum(w * (v[start:stop, None] - v[None, :]), axis=1)
-    total = 0.0
-    for start, stop, J in _dense_pair_weights(kernel, grid, 1024):
-        dv = v[start:stop, None] - v[None, :]
-        total += float(np.sum(J * dv * dv))
-    return rows.reshape(grid.shape), total * vol * vol
-
-
-class TestPairPass:
-    @pytest.mark.parametrize("boundary, lengths, cells, eps", [
-        ("neumann", (1.0,), (256,), 0.1),
-        ("neumann", (0.9,), (300,), 0.1),               # cell volume 0.003
-        ("periodic", (1.0,), (1100,), 0.05),            # one operator block, two sum blocks
-        ("periodic", (1.3,), (70,), 0.25),
-        ("neumann", (1.0, 0.7), (48, 48), 0.15),        # 2304 nodes, volume not 2**-k
-        ("periodic", (1.3, 1.0), (30, 28), 0.2),
-        ("neumann", (1.0, 1.0), (16, 16), 0.2),
+    @pytest.mark.parametrize("boundary, cells, eps", [
+        ("neumann", (300,), 0.2),
+        ("periodic", (300,), 0.7),
+        ("neumann", (24, 30), 0.3),
+        ("periodic", (20, 28), 0.6),
     ])
-    def test_one_pass_equals_separate_loops(self, boundary, lengths, cells, eps):
-        g = UniformGrid(lengths, cells, boundary)
-        k = make_kernel(g.dimension, eps)
-        f = random_field(g, 31)
-        rows, total = _pair_pass(k, f)
-        ref_rows, ref_total = _separate_pair_oracles(k, f)
-        assert np.array_equal(rows.values, ref_rows)
-        assert total == ref_total
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResolutionWarning)
-            assert np.array_equal(apply_direct(k, f).values, ref_rows)
-        assert pair_difference_double_sum(k, f) == ref_total
+    @pytest.mark.parametrize("block", [1, 50, 700])
+    def test_row_bits_do_not_depend_on_the_block_size(self, monkeypatch, boundary, cells,
+                                                      eps, block):
+        g = UniformGrid((1.0,) * len(cells), cells, boundary)
+        k, f = make_kernel(g.dimension, eps), random_field(g, 5)
+        rows, _ = _pair_pass(k, f)
+        monkeypatch.setattr(nonlocal_ops, "_PAIR_BLOCK_TERMS", block)
+        assert np.array_equal(_pair_pass(k, f)[0].values, rows.values)
+
+    def test_visits_only_the_support_window(self, monkeypatch):
+        # 128^2 with eps 0.05: 15 x 15 window offsets per node, not 128^2
+        g = UniformGrid((1.0, 1.0), (128, 128), "periodic")
+        visited = []
+        blocks = nonlocal_ops._pair_blocks
+
+        def counting(kernel, field):
+            for index, partners, J in blocks(kernel, field):
+                visited.append(J.size)
+                yield index, partners, J
+
+        monkeypatch.setattr(nonlocal_ops, "_pair_blocks", counting)
+        _pair_pass(make_kernel(2, 0.05), random_field(g, 3))
+        assert sum(visited) == 128 * 128 * 15 * 15
 
 
 class TestSupportReachesNodes:

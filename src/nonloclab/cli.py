@@ -76,7 +76,7 @@ def _nonnegative_float(text: str) -> float:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value text; blank lines and # comments ignored."""
+    """Flat key=value text, each key once; blank lines and # comments ignored."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -85,7 +85,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -390,6 +393,17 @@ def _add_common(p, *, grid=True, eps_ladder=True):
                        help="decreasing comma-separated scale ladder")
 
 
+def _add_flow(p, *, T, tau, record_every):
+    """The gradient-flow options of ``solve``, ``solution-rate`` and
+    ``gronwall``, with the command's own defaults for the time grid."""
+    p.add_argument("--potential", default="doublewell:K=1")
+    p.add_argument("--initial", default="cosmix", help=f"one of {sorted(INITIAL_DATA)}")
+    p.add_argument("--T", type=float, default=T)
+    p.add_argument("--tau", type=float, default=tau)
+    p.add_argument("--mobility", type=float, default=1.0)
+    p.add_argument("--record-every", type=int, default=record_every)
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser that keeps what ``--config`` files need: its own
     options by config key (the long flag name, dashes as underscores) and its
@@ -460,26 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("local-ch", "nonlocal-ch", "local-ac", "nonlocal-ac"))
     p.add_argument("--eps", dest="eps_value", type=float, default=None,
                    help="kernel scale for the nonlocal equations")
-    p.add_argument("--potential", default="doublewell:K=1")
-    p.add_argument("--initial", default="cosmix", help=f"one of {sorted(INITIAL_DATA)}")
-    p.add_argument("--T", type=float, default=0.05)
-    p.add_argument("--tau", type=float, default=1e-5)
-    p.add_argument("--mobility", type=float, default=1.0)
+    _add_flow(p, T=0.05, tau=1e-5, record_every=100)
     p.add_argument("--stabilization", type=float, default=None)
     p.add_argument("--scheme", choices=("semi-implicit", "explicit"), default="semi-implicit")
-    p.add_argument("--record-every", type=int, default=100)
     p.add_argument("--checkpoints", action="store_true", help="write binary state checkpoints")
     p.set_defaults(func_impl=_cmd_solve)
 
     p = sub.add_parser("solution-rate", help="nonlocal-to-local solution convergence rate")
     _add_common(p)
     p.add_argument("--eq", default="nonlocal-ch", choices=("nonlocal-ch", "nonlocal-ac"))
-    p.add_argument("--potential", default="doublewell:K=1")
-    p.add_argument("--initial", default="cosmix")
-    p.add_argument("--T", type=float, default=0.05)
-    p.add_argument("--tau", type=float, default=2e-5)
-    p.add_argument("--mobility", type=float, default=1.0)
-    p.add_argument("--record-every", type=int, default=25)
+    _add_flow(p, T=0.05, tau=2e-5, record_every=25)
     p.add_argument("--perturbation", type=float, default=0.05,
                    help="sqrt-scale initial offset amplitude (0 for identical data)")
     p.add_argument("--slope-min", type=_finite_float, default=0.35)
@@ -496,12 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gronwall", help="per-time differential inequality audit")
     _add_common(p)
     p.add_argument("--eq", default="nonlocal-ch", choices=("nonlocal-ch", "nonlocal-ac"))
-    p.add_argument("--potential", default="doublewell:K=1")
-    p.add_argument("--initial", default="cosmix")
-    p.add_argument("--T", type=float, default=0.02)
-    p.add_argument("--tau", type=float, default=2e-5)
-    p.add_argument("--mobility", type=float, default=1.0)
-    p.add_argument("--record-every", type=int, default=20)
+    _add_flow(p, T=0.02, tau=2e-5, record_every=20)
     p.add_argument("--perturbation", type=float, default=0.0)
     p.set_defaults(func_impl=_cmd_gronwall)
 

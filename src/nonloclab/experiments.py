@@ -140,7 +140,10 @@ def _check_ladder(eps_list) -> tuple[float, ...]:
     return eps
 
 
-def _check_resolution_ladder(grid: UniformGrid, mollifier: MollifierSpec, eps) -> None:
+def _grid_ladder(grid: UniformGrid, mollifier: MollifierSpec, eps_list) -> tuple[float, ...]:
+    """The checked scale ladder of a study on ``grid``: every scale's support
+    must span at least ``MIN_SUPPORT_CELLS`` cells."""
+    eps = _check_ladder(eps_list)
     h = max(grid.spacing)
     bad = [e for e in eps if e * mollifier.support_radius < MIN_SUPPORT_CELLS * h]
     if bad:
@@ -148,6 +151,7 @@ def _check_resolution_ladder(grid: UniformGrid, mollifier: MollifierSpec, eps) -
             f"grid spacing {h:.3g} cannot resolve scales {bad}; "
             f"need support >= {MIN_SUPPORT_CELLS} cells"
         )
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +208,24 @@ TEST_FUNCTIONS = {
 }
 
 
+def _named_field(grid: UniformGrid, spec, registry: dict, what: str) -> Field:
+    """``spec`` as a field on ``grid``: a ``Field``, which must live on that
+    grid, or a name in ``registry``, whose builder samples it there."""
+    if isinstance(spec, Field):
+        if spec.grid != grid:
+            raise ValueError(f"the {what} lives on a different grid")
+        return spec
+    try:
+        builder = registry[spec]
+    except KeyError:
+        raise ValueError(f"unknown {what} {spec!r}; available: {sorted(registry)}") from None
+    return Field(grid, builder(grid))
+
+
 def make_test_field(grid: UniformGrid, func) -> Field:
     """Resolve a test function given as Field, registry name, or callable."""
-    if isinstance(func, Field):
-        if func.grid != grid:
-            raise ValueError("test field lives on a different grid")
-        return func
-    if isinstance(func, str):
-        try:
-            builder = TEST_FUNCTIONS[func]
-        except KeyError:
-            raise ValueError(
-                f"unknown test function {func!r}; available: {sorted(TEST_FUNCTIONS)}"
-            ) from None
-        return Field(grid, builder(grid))
+    if isinstance(func, (Field, str)):
+        return _named_field(grid, func, TEST_FUNCTIONS, "test function")
     return sample(grid, func)
 
 
@@ -261,15 +269,8 @@ INITIAL_DATA = {
 
 
 def make_initial_field(grid: UniformGrid, name_or_field) -> Field:
-    if isinstance(name_or_field, Field):
-        return name_or_field
-    try:
-        builder = INITIAL_DATA[name_or_field]
-    except KeyError:
-        raise ValueError(
-            f"unknown initial data {name_or_field!r}; available: {sorted(INITIAL_DATA)}"
-        ) from None
-    return Field(grid, builder(grid))
+    """Resolve initial data given as Field or registry name."""
+    return _named_field(grid, name_or_field, INITIAL_DATA, "initial data")
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +284,7 @@ def operator_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_functi
     derivative on a box, smooth periodicity on a torus); the residual is
     measured in the quadratic norm over the whole box.
     """
-    eps = _check_ladder(eps_list)
-    _check_resolution_ladder(grid, mollifier, eps)
+    eps = _grid_ladder(grid, mollifier, eps_list)
     field = make_test_field(grid, test_function)
     lap = laplacian(field)
     errors = [l2_norm(apply_fft(Kernel(mollifier, e), field) + lap) for e in eps]
@@ -314,8 +314,7 @@ def energy_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_function
     a constant input makes every gap vanish and yields the "exact" verdict
     with no fitted table.
     """
-    eps = _check_ladder(eps_list)
-    _check_resolution_ladder(grid, mollifier, eps)
+    eps = _grid_ladder(grid, mollifier, eps_list)
     field = make_test_field(grid, test_function)
     limit = dirichlet_energy(field)
     energies = [nonlocal_energy(Kernel(mollifier, e), field) for e in eps]
@@ -387,8 +386,7 @@ def remainder_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_funct
     monotone when each value is below its predecessor or both are exact
     zeros, as on a field that is flat wherever the narrower kernels reach.
     """
-    eps = _check_ladder(eps_list)
-    _check_resolution_ladder(grid, mollifier, eps)
+    eps = _grid_ladder(grid, mollifier, eps_list)
     field = make_test_field(grid, test_function)
     margins = tuple(margin_factor * e * mollifier.support_radius for e in eps)
     values = [interior_remainder(Kernel(mollifier, e), field, m) for e, m in zip(eps, margins)]
@@ -426,6 +424,12 @@ def _trajectory_errors(times, fields_eps, fields_ref):
         "hs-0.5_sup": float(np.max(hs)),
         "lp4_spacetime": float(np.sqrt(np.trapezoid(np.asarray(l4) ** 2, times))),
     }
+
+
+def _check_same_times(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
+    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times,
+                                                         rtol=1e-12, atol=1e-14):
+        raise ValueError("time grids of the two trajectories do not match")
 
 
 @dataclass(frozen=True)
@@ -467,8 +471,7 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
     """
     if not equation.startswith("nonlocal"):
         raise ValueError("solution study compares a nonlocal flow to its local limit")
-    eps = _check_ladder(eps_list)
-    _check_resolution_ladder(grid, mollifier, eps)
+    eps = _grid_ladder(grid, mollifier, eps_list)
     initial = make_initial_field(grid, initial)
     local_equation = equation.replace("nonlocal", "local")
 
@@ -480,10 +483,7 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
               for e in eps]
     runs = run_batch(starts, config, potential, equation,
                      [Kernel(mollifier, e) for e in eps])
-    if runs[0].times.shape != ref.times.shape or not np.allclose(
-        runs[0].times, ref.times, rtol=1e-12, atol=1e-14
-    ):
-        raise ValueError("record times of the two runs do not line up")
+    _check_same_times(runs[0], ref)
 
     errors: dict[str, list[float]] = {name: [] for name in _SOLUTION_NORMS}
     records = dict(zip(eps, runs))
@@ -551,10 +551,7 @@ def gronwall_trace(record_eps: TrajectoryRecord, record_ref: TrajectoryRecord,
     """Audit the scale-uniform differential inequality on one pair of runs."""
     if record_eps.fields is None or record_ref.fields is None:
         raise ValueError("both trajectories must carry field checkpoints")
-    if record_eps.times.shape != record_ref.times.shape or not np.allclose(
-        record_eps.times, record_ref.times, rtol=1e-12, atol=1e-14
-    ):
-        raise ValueError("time grids of the two trajectories do not match")
+    _check_same_times(record_eps, record_ref)
 
     times = record_eps.times
     dual_sq = []

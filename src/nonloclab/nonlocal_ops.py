@@ -52,9 +52,9 @@ RESOLUTION_FACTOR = 4  # warn when h exceeds (support radius) / 4
 # relative rounding of support / h: h, eps, the support and the quotient each
 # round once by at most half an ulp
 _RATIO_ROUNDING = 4 * np.finfo(float).eps
-# node pairs per block of the direct sums; a block's few temporaries of this
-# size keep memory flat as the node count grows
-_PAIR_BLOCK_TERMS = 2**19
+# terms per block of the pair pass and the 1D ghost remainder: of 2**13 to
+# 2**19, 2**15 and 2**16 timed best, and 2**15 keeps temporaries at 256 KiB
+_BLOCK_TERMS = 2**15
 
 
 class ResolutionWarning(UserWarning):
@@ -252,7 +252,7 @@ def _pair_blocks(kernel: Kernel, field: Field):
     Each pair's distance is formed from the two nodes' coordinates axis by
     axis, and the profile runs only inside its support.  The walk goes over
     column blocks of the last axis, then the offsets along the first axis of
-    a 2D grid, then blocks of rows, with at most about ``_PAIR_BLOCK_TERMS``
+    a 2D grid, then blocks of rows, with at most about ``_BLOCK_TERMS``
     pairs per block.
     """
     grid = field.grid
@@ -273,11 +273,11 @@ def _pair_blocks(kernel: Kernel, field: Field):
     padded = np.pad(values, [(0, 0), (-offsets[0], offsets[-1])],
                     mode="wrap" if grid.boundary == PERIODIC else "constant")
     windows = sliding_window_view(padded, width, axis=1)
-    cols = min(N, max(1, _PAIR_BLOCK_TERMS // width))
+    cols = min(N, max(1, _BLOCK_TERMS // width))
     for c in range(0, N, cols):
         block = slice(c, min(c + cols, N))
         _, sq = _axis_pairs(grid, last, np.arange(N)[block], offsets)
-        step = max(1, _PAIR_BLOCK_TERMS // sq.size)
+        step = max(1, _BLOCK_TERMS // sq.size)
         for o in range(lead_sq.shape[1]):
             # the rows whose partner row at this offset lies in the box
             rows = np.flatnonzero(np.isfinite(lead_sq[:, o]))
@@ -302,7 +302,7 @@ def _pair_pass(kernel: Kernel, field: Field) -> tuple[Field, float]:
 
     Both are summed in difference form, so constants cancel exactly.  Each
     row of the operator is summed on its own, window by window in a fixed
-    order, so its bits do not depend on the block size.
+    order, so its bits do not depend on the block size; the double sum's do.
     """
     grid = field.grid
     values = field.values.reshape(-1, grid.cells[-1])
@@ -377,8 +377,8 @@ def pair_difference_double_sum(kernel: Kernel, field: Field) -> float:
     Only the pairs whose index offsets lie in the kernel's support window are
     visited, every other pair having an exact zero weight, so the cost is the
     node count times the window (the kernel profile itself runs only on the
-    pairs inside its support); memory is one block of at most
-    ``_PAIR_BLOCK_TERMS`` pairs at a time.  It serves as the independent
+    pairs inside its support); memory is one block of at most about
+    ``_BLOCK_TERMS`` pairs at a time.  It serves as the independent
     oracle for the energy identities.
     """
     return _pair_pass(kernel, field)[1]
@@ -395,7 +395,7 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
     value).
 
     Only the layers of ``box`` within ``reach`` of a wall have ghost offsets,
-    and only those are visited.  In 1D they are summed all at once.  In 2D
+    and only those are visited.  In 1D they are summed in blocks of layers.  In 2D
     the walk goes over the ghost distances ``m`` from each wall: the layers
     closer to the wall than ``m`` all reach the stencil row at distance
     ``m``, whose nonzero span is slid along the other axis.  Each term is
@@ -406,7 +406,7 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
     reach = data.reach
     padded = np.pad(values, [(k, k) for k in reach], mode="symmetric")
     out = np.zeros(tuple(s.stop - s.start for s in box))
-    # 1D sums all layers at once: the 2D walk on a one-node-wide box is 2-4x slower
+    # 1D sums blocks of layers: the 2D walk on a one-node-wide box is 2-4x slower
     if grid.dimension == 1:
         (N,), (k,), (nodes,) = grid.cells, reach, box
         layers = np.arange(nodes.start, nodes.stop)
@@ -414,8 +414,7 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
         pos = layers[:, None] + np.arange(-k, k + 1)
         ghost = (pos < 0) | (pos >= N)
         windows = sliding_window_view(padded, 2 * k + 1)
-        # blocks of about 2**18 terms keep memory flat for wide kernels
-        step = max(1, 2**18 // (2 * k + 1))
+        step = max(1, _BLOCK_TERMS // (2 * k + 1))
         for s in range(0, len(layers), step):
             i = layers[s:s + step]
             terms = np.where(ghost[s:s + step], values[i, None] - windows[i], 0.0)

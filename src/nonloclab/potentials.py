@@ -135,5 +135,8 @@ def parse_potential(spec: str):
             key, _, value = item.partition("=")
             if not value:
                 raise ValueError(f"malformed potential parameter {item!r}")
-            params[key.strip()] = float(value)
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"duplicate potential parameter {key!r}")
+            params[key] = float(value)
     return make_potential(kind.strip(), **params)

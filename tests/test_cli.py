@@ -313,6 +313,18 @@ class TestUsageAndConfig:
         cfg.write_text("frobs=3\n")
         assert run_cli(["operator-rate", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("text, key", [
+        ("eps=0.1,0.05,0.025\neps=0.3,0.2,0.1\n", "eps"),
+        ("slope-min=0.4\nslope_min=0.5\n", "slope_min"),
+    ])
+    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "dup"
+        assert run_cli(["operator-rate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: duplicate key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just a line without equals\n")

@@ -443,6 +443,23 @@ class TestHelpers:
         with pytest.raises(ValueError, match="different grid"):
             make_test_field(g, f)
 
+    def test_make_initial_field_grid_mismatch(self):
+        g = UniformGrid((1.0,), (128,), "neumann")
+        other = make_initial_field(UniformGrid((1.0,), (64,), "neumann"), "cosmix")
+        with pytest.raises(ValueError, match="different grid"):
+            make_initial_field(g, other)
+
+    def test_solution_study_rejects_initial_field_before_any_step(self, moll, monkeypatch):
+        g = UniformGrid((1.0,), (256,), "neumann")
+        other = make_initial_field(UniformGrid((1.0,), (128,), "neumann"), "cosmix")
+        steps = []
+        monkeypatch.setattr(experiments, "run", lambda *a, **k: steps.append("run"))
+        monkeypatch.setattr(experiments, "run_batch", lambda *a, **k: steps.append("batch"))
+        cfg = SolverConfig(tau=5e-5, t_final=0.01)
+        with pytest.raises(ValueError, match="different grid"):
+            solution_convergence_study(g, cfg, DoubleWell(), moll, (0.16, 0.08, 0.04), other)
+        assert steps == []
+
     def test_initial_data_registry(self):
         g = UniformGrid((1.0,), (128,), "neumann")
         f = make_initial_field(g, "threshold")

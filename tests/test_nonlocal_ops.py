@@ -347,9 +347,16 @@ class TestWindowedPairPass:
                                                       eps, block):
         g = UniformGrid((1.0,) * len(cells), cells, boundary)
         k, f = make_kernel(g.dimension, eps), random_field(g, 5)
-        rows, _ = _pair_pass(k, f)
-        monkeypatch.setattr(nonlocal_ops, "_PAIR_BLOCK_TERMS", block)
-        assert np.array_equal(_pair_pass(k, f)[0].values, rows.values)
+        rows, total = _pair_pass(k, f)
+        monkeypatch.setattr(nonlocal_ops, "_BLOCK_TERMS", block)
+        blocks = sum(1 for _ in nonlocal_ops._pair_blocks(k, f))
+        small_rows, small_total = _pair_pass(k, f)
+        assert np.array_equal(small_rows.values, rows.values)
+        # the double sum adds one nonnegative partial sum per block, each a
+        # pairwise sum of at most 2**19 terms (19 levels); either pass's
+        # rounding is within (blocks + 19) eps of the total, and the default
+        # bound walks no more blocks than this one
+        assert abs(small_total - total) <= 2 * (blocks + 19) * np.finfo(float).eps * total
 
     def test_visits_only_the_support_window(self, monkeypatch):
         # 128^2 with eps 0.05: 15 x 15 window offsets per node, not 128^2
@@ -623,6 +630,24 @@ _BOXES = dict(
 
 
 class TestInteriorRemainder:
+    @pytest.mark.parametrize("profile", ["poly-2-3", "poly-4-3"])
+    @pytest.mark.parametrize("bound", [2**b for b in range(10, 20)])
+    def test_1d_ghost_sum_does_not_depend_on_the_block_size(self, monkeypatch, profile,
+                                                            bound):
+        # reach 205: 410 wall layers of 411 terms, one block from 2**18 on;
+        # data flat near the left wall, so some wall layers are exact zeros
+        g = UniformGrid((1.0,), (1024,), "neumann")
+        data = _stencil_data(make_kernel(1, 0.2, profile), g)
+        v = random_field(g, 3).values.copy()
+        v[:123] = 0.7
+        box = (slice(0, 1024),)
+        ref = _ghost_remainder(data, g, v, box)
+        monkeypatch.setattr(nonlocal_ops, "_BLOCK_TERMS", bound)
+        out = _ghost_remainder(data, g, v, box)
+        assert np.array_equal(out == 0.0, ref == 0.0)
+        assert 0 < np.count_nonzero(ref[:205] == 0.0) < 205
+        assert np.max(np.abs(out - ref)) <= 1e-15 * data.weight_sum * np.max(np.abs(v))
+
     def test_zero_beyond_support(self, grid_1d):
         f = sample(grid_1d, lambda x: np.cos(np.pi * x))
         for eps in (0.05, 0.1):

@@ -109,6 +109,12 @@ class TestFactory:
         with pytest.raises(ValueError, match="missing parameters: theta, theta_c"):
             make_potential("logarithmic")
 
+    @pytest.mark.parametrize("spec", ["doublewell:K=1,K=2",
+                                      "logarithmic:theta=0.8,theta_c=1, theta=0.9"])
+    def test_repeated_parameter_rejected(self, spec):
+        with pytest.raises(ValueError, match="duplicate potential parameter"):
+            parse_potential(spec)
+
     @pytest.mark.parametrize("spec", [
         "doublewell:K=inf", "doublewell:K=nan",
         "logarithmic:theta=0.8,theta_c=inf", "logarithmic:theta=nan,theta_c=1",

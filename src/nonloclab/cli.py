@@ -32,14 +32,13 @@ from .experiments import (
 from .grid import Field, UniformGrid, l2_norm, save_field
 from .kernels import (
     Kernel,
-    adaptive_gauss_legendre,
     eval_J,
     make_mollifier,
     moment_first,
     moment_first_absolute,
     moment_second_trace,
+    radial_mass,
     radial_mass_target,
-    second_moment_per_axis,
     total_mass,
 )
 from .nonlocal_ops import _pair_pass, apply_fft, check_support_reaches_nodes, l2_inner
@@ -156,15 +155,12 @@ def _cmd_check_kernel(args, outdir: Path) -> int:
     mollifier = make_mollifier(args.n, args.profile)
     kernel = Kernel(mollifier, args.eps)
     target = radial_mass_target(args.n)
-    radial = adaptive_gauss_legendre(
-        lambda r: mollifier.rho_scaled(r, args.eps) * r ** (args.n - 1),
-        0.0, kernel.support_radius,
-    )
+    radial = radial_mass(kernel)
     firsts = [moment_first(kernel, a) for a in range(args.n)]
     # rounding residues of integrals of size int |x_a| J, which grows like 1/eps
     first_scale = moment_first_absolute(kernel)
     trace = moment_second_trace(kernel)
-    per_axis = second_moment_per_axis(kernel)
+    per_axis = trace * 2.0 / args.n  # as second_moment_per_axis, from the same trace
     checks = {
         "normalization": abs(radial - target) <= 1e-10 * target,
         "first_moments": all(abs(v) <= 1e-12 * first_scale for v in firsts),
@@ -276,11 +272,14 @@ def _cmd_solve(args, outdir: Path) -> int:
         stabilization=args.stabilization, scheme=args.scheme,
         record_every=args.record_every, keep_fields=args.checkpoints,
     )
+    nonlocal_eq = args.eq.startswith("nonlocal")
+    if nonlocal_eq != (args.eps_value is not None):
+        print("nonlocal equations need --eps" if nonlocal_eq
+              else f"{args.eq} takes no --eps: only the nonlocal equations have a kernel",
+              file=sys.stderr)
+        return USAGE_ERROR
     kernel = None
-    if args.eq.startswith("nonlocal"):
-        if args.eps_value is None:
-            print("nonlocal equations need --eps", file=sys.stderr)
-            return USAGE_ERROR
+    if nonlocal_eq:
         kernel = Kernel(make_mollifier(grid.dimension, args.profile), args.eps_value)
     initial = make_initial_field(grid, args.initial)
     record = run(initial, config, potential, args.eq, kernel)

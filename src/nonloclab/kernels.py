@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "SUPPORTED_DIMENSIONS",
     "PROFILES",
-    "RadialProfile",
+    "PolyBump",
     "MollifierSpec",
     "Kernel",
     "make_mollifier",
@@ -32,7 +31,7 @@ __all__ = [
     "total_mass",
     "fourier_symbol",
     "sphere_area",
-    "directional_second_moment",
+    "radial_mass",
     "radial_mass_target",
     "adaptive_gauss_legendre",
 ]
@@ -60,18 +59,11 @@ def sphere_area(n: int) -> float:
     return _SPHERE_AREA[n]
 
 
-def directional_second_moment(n: int) -> float:
-    """Mean-square projection of the unit sphere onto a fixed axis, times area.
-
-    Isotropy makes the value independent of the axis and equal to
-    ``sphere_area(n) / n``.
-    """
-    return sphere_area(n) / n
-
-
 def radial_mass_target(n: int) -> float:
     """Required value of the radial moment integral of the profile."""
-    return 2.0 / directional_second_moment(n)
+    # the divisor is the mean-square projection of the unit sphere onto a
+    # fixed axis, times its area; isotropy makes it sphere_area(n) / n
+    return 2.0 / (sphere_area(n) / n)
 
 
 def _check_dimension(n: int) -> None:
@@ -117,49 +109,34 @@ def adaptive_gauss_legendre(f, a: float, b: float, rtol: float = 1e-12,
 # profiles
 
 @dataclass(frozen=True)
-class RadialProfile:
-    """Unnormalized even bump vanishing for ``|r| >= support_radius``.
+class PolyBump:
+    """Unnormalized even bump ``r**p (1 - r**2)**q``, zero from ``|r| = 1`` on.
 
-    ``quotient`` evaluates ``raw(r) / r**2`` with the analytic limit filled in
-    at r = 0; profiles must vanish at least quadratically at the origin so
-    that the kernel ``rho(|x|)/|x|**2`` stays bounded.
+    ``quotient`` evaluates ``raw(r) / r**2``; ``p >= 2`` keeps it bounded at
+    the origin, so the kernel ``rho(|x|) / |x|**2`` stays finite.  Frozen, so
+    kernels compare and hash by the parameters, which the per-(kernel, grid)
+    stencil cache keys on.
     """
 
     name: str
-    support_radius: float
-    raw: Callable[[np.ndarray], np.ndarray]
-    quotient: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class _PolyBump:
-    """Evaluator for r^p (1 - r^2)^q on (-1, 1), optionally divided by r^2.
-
-    A plain dataclass rather than a closure so profiles compare and hash by
-    their parameters, which the per-(kernel, grid) stencil cache keys on.
-    """
-
     p: int
     q: int
-    over_r2: bool = False
 
-    def __call__(self, r):
+    support_radius = 1.0
+
+    def _power(self, r, p: int) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
-        p = self.p - 2 if self.over_r2 else self.p
         return np.where(r < 1.0, r**p * (1.0 - r**2) ** self.q, 0.0)
 
+    def raw(self, r) -> np.ndarray:
+        return self._power(r, self.p)
 
-def _make_poly_profile(name: str, p: int, q: int) -> RadialProfile:
-    # p >= 2 keeps raw/r^2 bounded at the origin
-    return RadialProfile(name=name, support_radius=1.0,
-                         raw=_PolyBump(p, q), quotient=_PolyBump(p, q, over_r2=True))
+    def quotient(self, r) -> np.ndarray:
+        return self._power(r, self.p - 2)
 
 
-PROFILES = {
-    "poly-2-3": _make_poly_profile("poly-2-3", 2, 3),
-    "poly-4-3": _make_poly_profile("poly-4-3", 4, 3),
-    "poly-2-2": _make_poly_profile("poly-2-2", 2, 2),
-}
+PROFILES = {b.name: b for b in (PolyBump("poly-2-3", 2, 3), PolyBump("poly-4-3", 4, 3),
+                                PolyBump("poly-2-2", 2, 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +148,11 @@ class MollifierSpec:
 
     ``norm_constant`` scales the raw profile so the radial mass integral hits
     its calibration target; it is computed by quadrature in
-    :func:`make_mollifier`, never hard-coded, so alternative profiles plug in
-    without touching the rest of the package.
+    :func:`make_mollifier`, never hard-coded.
     """
 
     dimension: int
-    profile: RadialProfile
+    profile: PolyBump
     norm_constant: float
 
     def __post_init__(self):
@@ -313,10 +289,19 @@ def _radial_integral(kernel: Kernel, f) -> float:
     )
 
 
+def radial_mass(kernel: Kernel) -> float:
+    """Normalization integral ``int rho_eps(r) r**(n-1) dr`` of the scaled
+    profile; equals :func:`radial_mass_target` when normalized."""
+    moll, eps, n = kernel.mollifier, kernel.epsilon, kernel.dimension
+    return adaptive_gauss_legendre(
+        lambda r: moll.rho_scaled(r, eps) * r ** (n - 1), 0.0, kernel.support_radius
+    )
+
+
 def moment_second_trace(kernel: Kernel) -> float:
     """Half the second-moment trace of the kernel; equals n when normalized."""
-    moll, eps = kernel.mollifier, kernel.epsilon
-    return 0.5 * _radial_integral(kernel, lambda r: moll.rho_scaled(r, eps))
+    # |x|**2 J(x) = rho_eps(|x|), so the trace is the radial mass over the sphere
+    return 0.5 * (sphere_area(kernel.dimension) * radial_mass(kernel))
 
 
 def second_moment_per_axis(kernel: Kernel) -> float:

@@ -166,7 +166,10 @@ def explicit_tau_bound(equation: str, grid: UniformGrid, mobility: float,
     For the conserved nonlocal flow this is ``0.5 / (m * max a * max lam)``
     with ``a`` the degree function; the other equations use the analogous
     spectral-radius bounds.  The semi-implicit scheme needs no step bound.
+    Only the nonlocal equations take a kernel.
     """
+    if equation in ("local-ch", "local-ac") and kernel is not None:
+        raise ValueError(f"{equation} takes no kernel")
     lam_max = float(laplacian_symbol(grid).max())
     if equation == "local-ch":
         return 0.5 / (mobility * lam_max * lam_max)
@@ -197,9 +200,11 @@ class _Stepper:
                 raise ValueError(f"{equation} needs a kernel")
             for kernel in kernels:
                 nonlocal_ops.check_support_reaches_nodes(kernel, grid)
+        elif any(k is not None for k in kernels):
+            raise ValueError(f"{equation} takes no kernel")
         self.grid = grid
         self.potential = potential
-        self.kernels = tuple(kernels) if nonlocal_eq else (None,) * len(kernels)
+        self.kernels = tuple(kernels)
         self.nonlocal_eq = nonlocal_eq
 
         lam = laplacian_symbol(grid)

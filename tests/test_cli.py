@@ -234,6 +234,22 @@ class TestSolveCommand:
                         "--tau", "1e-5", "--N", "64", "--out", str(out)])
         assert code == 2
 
+    @pytest.mark.parametrize("eq", ["local-ch", "local-ac"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_local_equation_rejects_eps(self, tmp_path, capsys, eq, from_config):
+        # the local flows have no kernel, so a scale would be silently unused
+        out = tmp_path / "le"
+        argv = ["solve", "--eq", eq, "--N", "32", "--T", "0.0001", "--out", str(out)]
+        if from_config:
+            cfg = tmp_path / "le.cfg"
+            cfg.write_text("eps=0.1\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--eps", "0.1"]
+        assert run_cli(argv) == 2
+        assert "--eps" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--T", "inf", "t_final must be finite"),
         ("--tau", "nan", "tau must be finite"),

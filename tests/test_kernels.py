@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from nonloclab import nonlocal_ops
+from nonloclab.grid import UniformGrid
 from nonloclab.kernels import (
+    PROFILES,
     Kernel,
     adaptive_gauss_legendre,
     eval_J,
@@ -16,6 +19,7 @@ from nonloclab.kernels import (
     moment_first,
     moment_first_absolute,
     moment_second_trace,
+    radial_mass,
     radial_mass_target,
     second_moment_per_axis,
     total_mass,
@@ -57,6 +61,7 @@ class TestNormalization:
             lambda r: moll.rho_scaled(r, eps) * r ** (n - 1), 0.0, eps
         )
         assert val == pytest.approx(radial_mass_target(n), rel=1e-10)
+        assert radial_mass(Kernel(moll, eps)) == pytest.approx(val, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["poly-2-3", "poly-4-3", "poly-2-2"])
     def test_alternative_profiles_normalize(self, name):
@@ -98,6 +103,40 @@ class TestNormalization:
     def test_tiny_scale_within_range_is_accepted(self, n, eps):
         k = Kernel(make_mollifier(n), epsilon=eps)
         assert math.isfinite(float(k.value_radial(0.5 * eps)))
+
+
+class TestProfiles:
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_raw_is_r_squared_times_quotient(self, name):
+        bump = PROFILES[name]
+        r = np.linspace(0.0, 1.0, 1001)
+        np.testing.assert_allclose(bump.raw(r), r * r * bump.quotient(r), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_exact_zeros_from_the_support_radius_on(self, name):
+        bump = PROFILES[name]
+        r = np.array([1.0, np.nextafter(1.0, 2.0), 1.5, 10.0, -1.0, -3.0])
+        assert np.all(bump.raw(r) == 0.0)
+        assert np.all(bump.quotient(r) == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_quotient_finite_at_origin(self, name):
+        assert np.isfinite(PROFILES[name].quotient(0.0))
+
+    def test_equal_kernels_share_one_stencil_cache_entry(self):
+        # the stencil cache keys on the kernel, so rebuilt profiles must compare equal
+        a = Kernel(make_mollifier(2, "poly-4-3"), 0.2)
+        b = Kernel(make_mollifier(2, "poly-4-3"), 0.2)
+        assert a == b and hash(a) == hash(b)
+        g = UniformGrid((1.0, 1.0), (16, 16), "neumann")
+        nonlocal_ops._stencil_data.cache_clear()
+        try:
+            nonlocal_ops._stencil_data(a, g)
+            nonlocal_ops._stencil_data(b, g)
+            info = nonlocal_ops._stencil_data.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+        finally:
+            nonlocal_ops._stencil_data.cache_clear()
 
 
 class TestPointEvaluation:

@@ -232,6 +232,21 @@ class TestSchemeProperties:
         with pytest.raises(ValueError, match="kernel"):
             run(init, SMALL, pot, "nonlocal-ch")
 
+    @pytest.mark.parametrize("equation", ["local-ch", "local-ac"])
+    def test_local_flow_takes_no_kernel(self, grid, pot, equation):
+        # a kernel given to a local flow was once dropped without a word
+        init = sample(grid, lambda x: 0.1 * np.cos(np.pi * x))
+        k = make_kernel(1, 0.1)
+        message = f"{equation} takes no kernel"
+        with pytest.raises(ValueError, match=message):
+            run(init, SMALL, pot, equation, k)
+        with pytest.raises(ValueError, match=message):
+            step(init, SMALL, pot, equation, k)
+        with pytest.raises(ValueError, match=message):
+            run_batch([init, init], SMALL, pot, equation, [None, k])
+        with pytest.raises(ValueError, match=message):
+            explicit_tau_bound(equation, grid, 1.0, k)
+
     def test_unknown_equation(self, grid, pot):
         init = sample(grid, lambda x: x)
         with pytest.raises(ValueError, match="equation"):
@@ -371,7 +386,7 @@ def _reference_stepper(grid, equation, config, potential, kernel):
 
 def _assert_matches_five_transform_reference(equation, lengths, cells, eps, boundary, scheme):
     g = UniformGrid(lengths, cells, boundary)
-    kernel = make_kernel(g.dimension, eps)
+    kernel = make_kernel(g.dimension, eps) if equation.startswith("nonlocal") else None
     pot = DoubleWell(K=1.0)
     if scheme == "explicit":
         tau = 0.5 * explicit_tau_bound(equation, g, 1.0, kernel)

@@ -2,9 +2,9 @@
 
 One study per invocation; composition happens in the shell.  Exit codes:
 0 on success, 1 when a fitted rate misses its acceptance band (or a checked
-identity fails), 2 on usage or configuration errors.  Every run writes its
-resolved configuration next to its outputs, and identical configurations
-produce byte-identical outputs.
+identity fails), 2 on usage or configuration errors and on a diverged run.
+Every run that exits 0 or 1 writes its resolved configuration next to its
+outputs, and identical configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .experiments import (
 )
 from .grid import Field, UniformGrid, l2_norm, save_field
 from .kernels import (
+    SUPPORTED_DIMENSIONS,
     Kernel,
     eval_J,
     make_mollifier,
@@ -44,9 +45,10 @@ from .kernels import (
 from .nonlocal_ops import _pair_pass, apply_fft, check_support_reaches_nodes, l2_inner
 from .potentials import parse_potential
 from .reports import write_loglog_svg, write_rate_csv, write_series_csv, write_summary_json
-from .solvers import SolverConfig, run
+from .solvers import EQUATIONS, SolverConfig, SolverDivergedError, record_steps, run
 
 PASS, BAND_FAIL, USAGE_ERROR = 0, 1, 2
+_NONLOCAL_EQUATIONS = tuple(eq for eq in EQUATIONS if eq.startswith("nonlocal"))
 
 
 def _parse_eps_list(text: str):
@@ -274,20 +276,27 @@ def _cmd_solve(args, outdir: Path) -> int:
     )
     nonlocal_eq = args.eq.startswith("nonlocal")
     if nonlocal_eq != (args.eps_value is not None):
-        print("nonlocal equations need --eps" if nonlocal_eq
-              else f"{args.eq} takes no --eps: only the nonlocal equations have a kernel",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("nonlocal equations need --eps" if nonlocal_eq else
+                         f"{args.eq} takes no --eps: only the nonlocal equations have a kernel")
     kernel = None
     if nonlocal_eq:
         kernel = Kernel(make_mollifier(grid.dimension, args.profile), args.eps_value)
     initial = make_initial_field(grid, args.initial)
+    names = []
+    if args.checkpoints:
+        # run records at these times; the names never decrease with the time,
+        # so a repeat is a neighbour's
+        names = [f"state_t{step * config.tau:.8f}.bin" for step in record_steps(config)]
+        clash = next((a for a, b in zip(names, names[1:]) if a == b), None)
+        if clash is not None:
+            raise ValueError(f"two records would write the same checkpoint {clash}: names "
+                             "keep 8 decimals of the time, so records must lie about 1e-8 "
+                             "apart; raise --record-every")
     record = run(initial, config, potential, args.eq, kernel)
     write_series_csv(outdir / "trajectory.csv", ["t", "mass", "energy"],
                      [record.times, record.mass, record.energy])
-    if args.checkpoints:
-        for t, field in zip(record.times, record.fields):
-            save_field(field, outdir / f"state_t{t:.8f}.bin")
+    for name, field in zip(names, record.fields or ()):
+        save_field(field, outdir / name)
     drift = float(np.max(np.abs(record.mass - record.mass[0])))
     print(f"solve {args.eq}: {len(record.times)} records to t = {record.times[-1]:.6g}; "
           f"mass drift {drift:.3e}; final energy {record.energy[-1]:.8g}")
@@ -437,13 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-kernel", help="kernel normalization and moment identities")
     _add_common(p, grid=False, eps_ladder=False)
-    p.add_argument("--n", type=int, default=1, choices=(1, 2))
+    p.add_argument("--n", type=int, default=1, choices=SUPPORTED_DIMENSIONS)
     p.add_argument("--eps", type=float, default=0.1)
     p.set_defaults(func_impl=_cmd_check_kernel)
 
     p = sub.add_parser("symbol-rate", help="frequency-symbol error rate on a lattice")
     _add_common(p, grid=False)
-    p.add_argument("--n", type=int, default=1, choices=(1, 2))
+    p.add_argument("--n", type=int, default=1, choices=SUPPORTED_DIMENSIONS)
     p.add_argument("--slope-min", type=_finite_float, default=0.9)
     p.add_argument("--slope-max", type=_finite_float, default=None)
     p.set_defaults(func_impl=_cmd_symbol_rate)
@@ -469,8 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one gradient flow and write its trajectory")
     _add_common(p, eps_ladder=False)
-    p.add_argument("--eq", required=True,
-                   choices=("local-ch", "nonlocal-ch", "local-ac", "nonlocal-ac"))
+    p.add_argument("--eq", required=True, choices=EQUATIONS)
     p.add_argument("--eps", dest="eps_value", type=float, default=None,
                    help="kernel scale for the nonlocal equations")
     _add_flow(p, T=0.05, tau=1e-5, record_every=100)
@@ -481,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solution-rate", help="nonlocal-to-local solution convergence rate")
     _add_common(p)
-    p.add_argument("--eq", default="nonlocal-ch", choices=("nonlocal-ch", "nonlocal-ac"))
+    p.add_argument("--eq", default="nonlocal-ch", choices=_NONLOCAL_EQUATIONS)
     _add_flow(p, T=0.05, tau=2e-5, record_every=25)
     p.add_argument("--perturbation", type=float, default=0.05,
                    help="sqrt-scale initial offset amplitude (0 for identical data)")
@@ -498,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gronwall", help="per-time differential inequality audit")
     _add_common(p)
-    p.add_argument("--eq", default="nonlocal-ch", choices=("nonlocal-ch", "nonlocal-ac"))
+    p.add_argument("--eq", default="nonlocal-ch", choices=_NONLOCAL_EQUATIONS)
     _add_flow(p, T=0.02, tau=2e-5, record_every=20)
     p.add_argument("--perturbation", type=float, default=0.0)
     p.set_defaults(func_impl=_cmd_gronwall)
@@ -582,7 +590,7 @@ def main(argv=None) -> int:
 
     try:
         code = args.func_impl(args, outdir)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SolverDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     _write_resolved_config(outdir, parser, args)

@@ -330,9 +330,9 @@ def energy_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_function
 # ---------------------------------------------------------------------------
 # symbol rate
 
-def default_symbol_lattice(n: int, extent: int = 8):
-    """Frequency lattice with every component in +-{1, ..., extent}."""
-    components = [float(k) for k in range(-extent, extent + 1) if k != 0]
+def default_symbol_lattice(n: int):
+    """Frequency lattice with every component in +-{1, ..., 8}."""
+    components = [float(k) for k in range(-8, 9) if k != 0]
     return list(itertools.product(components, repeat=n))
 
 

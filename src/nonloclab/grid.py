@@ -18,6 +18,8 @@ import numpy as np
 import scipy.fft
 import scipy.fftpack
 
+from .kernels import _check_dimension
+
 __all__ = [
     "UniformGrid",
     "Field",
@@ -65,8 +67,7 @@ class UniformGrid:
         object.__setattr__(self, "cells", tuple(int(N) for N in self.cells))
         if len(self.lengths) != len(self.cells):
             raise ValueError("lengths and cells must have the same number of axes")
-        if self.dimension not in (1, 2):
-            raise ValueError("only 1D and 2D grids are supported")
+        _check_dimension(self.dimension)
         if not all(0 < L < math.inf for L in self.lengths):
             raise ValueError(f"axis lengths must be positive and finite, got {self.lengths}")
         if any(N < 1 for N in self.cells):

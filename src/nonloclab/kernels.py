@@ -76,6 +76,8 @@ def _check_dimension(n: int) -> None:
 
 _GL_COARSE = np.polynomial.legendre.leggauss(20)
 _GL_FINE = np.polynomial.legendre.leggauss(40)
+_RTOL = 1e-12
+_MAX_DEPTH = 14
 
 
 def _gl_panel(f, a: float, b: float, rule) -> float:
@@ -85,17 +87,17 @@ def _gl_panel(f, a: float, b: float, rule) -> float:
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, rtol: float = 1e-12,
-                            atol: float = 0.0, max_depth: int = 14) -> float:
+def adaptive_gauss_legendre(f, a: float, b: float) -> float:
     """Panel-splitting Gauss-Legendre quadrature of a vectorized integrand.
 
-    Each panel is accepted when the 20- and 40-point estimates agree to the
-    requested tolerance, otherwise it is bisected.
+    Each panel is accepted when the 20- and 40-point estimates agree to a
+    relative ``_RTOL``, or at bisection depth ``_MAX_DEPTH``; otherwise it
+    is bisected.
     """
     def recurse(lo: float, hi: float, depth: int) -> float:
         coarse = _gl_panel(f, lo, hi, _GL_COARSE)
         fine = _gl_panel(f, lo, hi, _GL_FINE)
-        if abs(fine - coarse) <= max(atol, rtol * abs(fine)) or depth >= max_depth:
+        if abs(fine - coarse) <= _RTOL * abs(fine) or depth >= _MAX_DEPTH:
             return fine
         mid = 0.5 * (lo + hi)
         return recurse(lo, mid, depth + 1) + recurse(mid, hi, depth + 1)
@@ -103,6 +105,12 @@ def adaptive_gauss_legendre(f, a: float, b: float, rtol: float = 1e-12,
     if not b > a:
         raise ValueError("integration interval must have b > a")
     return recurse(float(a), float(b), 0)
+
+
+def _radial_moment(f, n: int, radius: float) -> float:
+    """``int_0^radius f(r) r**(n-1) dr``: the radial factor of the integral
+    over R^n of the radial function ``f``, zero beyond ``radius``."""
+    return adaptive_gauss_legendre(lambda r: f(r) * r ** (n - 1), 0.0, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +195,7 @@ def make_mollifier(n: int, profile_name: str = "poly-2-3") -> MollifierSpec:
         raise ValueError(
             f"unknown profile {profile_name!r}; available: {sorted(PROFILES)}"
         ) from None
-    moment = adaptive_gauss_legendre(
-        lambda r: profile.raw(r) * r ** (n - 1), 0.0, profile.support_radius
-    )
+    moment = _radial_moment(profile.raw, n, profile.support_radius)
     return MollifierSpec(dimension=n, profile=profile,
                          norm_constant=radial_mass_target(n) / moment)
 
@@ -284,18 +290,15 @@ def _radial_integral(kernel: Kernel, f) -> float:
     """Integral over all of space of the radial function ``f(r)``, which
     vanishes beyond the kernel support: ``sphere_area(n) * int f(r) r**(n-1) dr``."""
     n = kernel.dimension
-    return sphere_area(n) * adaptive_gauss_legendre(
-        lambda r: f(r) * r ** (n - 1), 0.0, kernel.support_radius
-    )
+    return sphere_area(n) * _radial_moment(f, n, kernel.support_radius)
 
 
 def radial_mass(kernel: Kernel) -> float:
     """Normalization integral ``int rho_eps(r) r**(n-1) dr`` of the scaled
     profile; equals :func:`radial_mass_target` when normalized."""
-    moll, eps, n = kernel.mollifier, kernel.epsilon, kernel.dimension
-    return adaptive_gauss_legendre(
-        lambda r: moll.rho_scaled(r, eps) * r ** (n - 1), 0.0, kernel.support_radius
-    )
+    moll, eps = kernel.mollifier, kernel.epsilon
+    return _radial_moment(lambda r: moll.rho_scaled(r, eps), kernel.dimension,
+                          kernel.support_radius)
 
 
 def moment_second_trace(kernel: Kernel) -> float:

@@ -339,11 +339,9 @@ def apply_fft_values(kernel: Kernel, grid: UniformGrid, values: np.ndarray) -> n
 
 def apply_fft(kernel: Kernel, field: Field) -> Field:
     """FFT fast path: degree term minus convolution with the zero extension."""
-    grid = field.grid
-    if kernel.dimension != grid.dimension:
-        raise ValueError("kernel and grid dimensions differ")
-    _check_resolution(kernel, grid)
-    return Field(grid, apply_fft_values(kernel, grid, field.values))
+    values = apply_fft_values(kernel, field.grid, field.values)
+    _check_resolution(kernel, field.grid)
+    return Field(field.grid, values)
 
 
 def stencil_symbol(kernel: Kernel, grid: UniformGrid) -> np.ndarray:
@@ -587,8 +585,7 @@ def interior_remainder(kernel: Kernel, field: Field, margin: float) -> float:
     grid = field.grid
     if grid.boundary != NEUMANN:
         raise ValueError("interior remainder is defined for bounded (neumann) grids")
-    if kernel.dimension != grid.dimension:
-        raise ValueError("kernel and grid dimensions differ")
+    data = _stencil_data(kernel, grid)
     if margin >= min(grid.lengths) / 2:
         raise ValueError("margin reaches half the domain; interior sub-box is empty")
 
@@ -600,6 +597,5 @@ def interior_remainder(kernel: Kernel, field: Field, margin: float) -> float:
             raise ValueError("margin leaves no grid nodes in the interior sub-box")
         box.append(slice(idx[0], idx[-1] + 1))
 
-    data = _stencil_data(kernel, grid)
     remainder = _ghost_remainder(data, grid, field.values, tuple(box))
     return float(np.sqrt(np.sum(remainder ** 2) * grid.cell_volume))

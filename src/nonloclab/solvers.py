@@ -45,9 +45,9 @@ conserved flows.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +74,7 @@ __all__ = [
     "step",
     "run",
     "run_batch",
+    "record_steps",
     "resolve_stabilization",
     "explicit_tau_bound",
 ]
@@ -95,8 +96,9 @@ class SolverConfig:
     """Run parameters shared by all equations.
 
     ``stabilization`` of ``None`` resolves to the potential's curvature bound;
-    an explicit value below that bound is rejected for the semi-implicit
-    scheme.  ``mobility`` enters the conserved flows only.
+    a value below that bound is rejected, and so is any value with the
+    explicit scheme, which has no stabilizer.  ``mobility`` enters the
+    conserved flows only.
     """
 
     tau: float
@@ -106,7 +108,6 @@ class SolverConfig:
     scheme: str = SEMI_IMPLICIT
     record_every: int = 1
     keep_fields: bool = False
-    allow_unstable_tau: bool = False
 
     def __post_init__(self):
         for name in ("tau", "t_final", "mobility", "stabilization"):
@@ -119,10 +120,15 @@ class SolverConfig:
             raise ValueError("tau must be positive")
         if not self.t_final >= self.tau:
             raise ValueError("t_final must be at least one step")
+        if not math.isfinite(self.t_final / self.tau):
+            raise ValueError(f"t_final / tau = {self.t_final:g} / {self.tau:g} overflows a float; "
+                             "the step count is not finite")
         if not self.mobility > 0:
             raise ValueError("mobility must be positive")
         if self.scheme not in (SEMI_IMPLICIT, EXPLICIT):
             raise ValueError(f"scheme must be {SEMI_IMPLICIT!r} or {EXPLICIT!r}")
+        if self.scheme == EXPLICIT and self.stabilization is not None:
+            raise ValueError(f"the {EXPLICIT} scheme takes no stabilization")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -152,7 +158,7 @@ def resolve_stabilization(config: SolverConfig, potential) -> float:
     if config.stabilization is None:
         return float(potential.alpha)
     s = float(config.stabilization)
-    if config.scheme == SEMI_IMPLICIT and s < potential.alpha:
+    if s < potential.alpha:
         raise ValueError(
             f"stabilization {s} is below the potential curvature bound {potential.alpha}"
         )
@@ -218,12 +224,8 @@ class _Stepper:
             for kernel in self.kernels:
                 bound = explicit_tau_bound(equation, grid, config.mobility, kernel)
                 if config.tau > bound:
-                    msg = (f"tau = {config.tau:.3e} exceeds the explicit stability bound "
-                           f"{bound:.3e} for {equation}")
-                    if config.allow_unstable_tau:
-                        warnings.warn(msg, UserWarning, stacklevel=4)
-                    else:
-                        raise ValueError(msg + "; shrink tau or set allow_unstable_tau")
+                    raise ValueError(f"tau = {config.tau:.3e} exceeds the explicit stability "
+                                     f"bound {bound:.3e} for {equation}; shrink tau")
         self.gain = config.tau * drive / denom
         self.nu = nu
 
@@ -233,18 +235,14 @@ class _Stepper:
         if nonlocal_eq and grid.boundary == NEUMANN:
             self.remainders = [nonlocal_ops.wall_remainder(k, grid) for k in self.kernels]
 
-    def _subtract_wall_remainder(self, values: np.ndarray, out: np.ndarray) -> None:
-        # true operator = reflected operator (nu) minus the boundary remainder;
-        # it subtracts from the (fresh) array fprime returns
-        for m, remainder in enumerate(self.remainders):
-            remainder.subtract(values[m], out[m])
-
     def step_values(self, values: np.ndarray, chat: np.ndarray):
         """One step from the members' values and transform coefficients;
         returns both for the new states."""
         g = self.potential.fprime(values)
-        if self.remainders:
-            self._subtract_wall_remainder(values, g)
+        # true operator = reflected operator (nu) minus the boundary remainder;
+        # it subtracts from the (fresh) array fprime returns
+        for m, remainder in enumerate(self.remainders):
+            remainder.subtract(values[m], g[m])
         ghat = transform_values(self.grid, g)
         ghat += self.nu * chat
         chat = chat - self.gain * ghat
@@ -296,12 +294,7 @@ def run_batch(initials, config: SolverConfig, potential, equation: str,
     if any(f.grid != grid for f in initials):
         raise ValueError("the members of a batch must share one grid")
     stepper = _Stepper(grid, equation, config, potential, kernels)
-    n_steps = int(round(config.t_final / config.tau))
-    if abs(n_steps * config.tau - config.t_final) > 1e-9 * config.t_final:
-        raise ValueError(
-            f"t_final = {config.t_final:g} is not a whole number of steps of "
-            f"tau = {config.tau:g}; the nearest step count ends at {n_steps * config.tau:g}"
-        )
+    steps = record_steps(config)
     members = range(len(initials))
     values = np.stack([f.values for f in initials])
     chat = transform_values(grid, values)
@@ -324,22 +317,22 @@ def run_batch(initials, config: SolverConfig, potential, equation: str,
                 fields[m].append(Field(grid, vals[m].copy()))
 
     record(0, values)
-    for step in range(1, n_steps + 1):
-        values, chat = stepper.step_values(values, chat)
-        # one reduction over the whole batch; per member only when it trips
-        if not np.abs(values).max() <= lowest_guard:
-            peaks = _member_peaks(values)
-            tripped = np.flatnonzero(~(peaks <= guard))
-            if tripped.size:
-                m = tripped[0]
-                kernel = stepper.kernels[m]
-                who = f" (epsilon = {kernel.epsilon:g})" if kernel is not None else ""
-                raise SolverDivergedError(
-                    f"{equation}{who} diverged at step {step} "
-                    f"(t = {step * config.tau:.6g}): max |c| = {peaks[m]:.3e}"
-                )
-        if step % config.record_every == 0 or step == n_steps:
-            record(step, values)
+    for last, stop in itertools.pairwise(steps):
+        for step in range(last + 1, stop + 1):
+            values, chat = stepper.step_values(values, chat)
+            # one reduction over the whole batch; per member only when it trips
+            if not np.abs(values).max() <= lowest_guard:
+                peaks = _member_peaks(values)
+                tripped = np.flatnonzero(~(peaks <= guard))
+                if tripped.size:
+                    m = tripped[0]
+                    kernel = stepper.kernels[m]
+                    who = f" (epsilon = {kernel.epsilon:g})" if kernel is not None else ""
+                    raise SolverDivergedError(
+                        f"{equation}{who} diverged at step {step} "
+                        f"(t = {step * config.tau:.6g}): max |c| = {peaks[m]:.3e}"
+                    )
+        record(stop, values)
 
     return [
         TrajectoryRecord(
@@ -351,6 +344,20 @@ def run_batch(initials, config: SolverConfig, potential, equation: str,
         )
         for m in members
     ]
+
+
+def record_steps(config: SolverConfig):
+    """The steps at which :func:`run` records, as a lazy increasing sequence:
+    zero, every ``record_every`` steps, and the final step.  Raises
+    ``ValueError`` unless ``t_final`` is a whole number of steps."""
+    n_steps = int(round(config.t_final / config.tau))
+    if abs(n_steps * config.tau - config.t_final) > 1e-9 * config.t_final:
+        raise ValueError(
+            f"t_final = {config.t_final:g} is not a whole number of steps of "
+            f"tau = {config.tau:g}; the nearest step count ends at {n_steps * config.tau:g}"
+        )
+    final = [n_steps] if n_steps % config.record_every else []
+    return itertools.chain(range(0, n_steps + 1, config.record_every), final)
 
 
 def _member_peaks(values: np.ndarray) -> np.ndarray:

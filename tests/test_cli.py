@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import multiprocessing.process
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nonloclab import cli, nonlocal_ops
 from nonloclab.cli import main
@@ -280,6 +287,92 @@ class TestSolveCommand:
         out = tmp_path / "ac"
         assert run_cli(["solve", "--eq", "local-ac", "--T", "0.01", "--tau", "1e-4",
                         "--N", "64", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--eq", "local-ac", "--scheme", "explicit", "--potential", "doublewell:K=1e8",
+          "--N", "64", "--T", "0.001", "--tau", "1e-5"], "local-ac diverged at step"),
+        (["--eq", "local-ch", "--N", "32", "--T", "1e300", "--tau", "1e-300"],
+         "step count is not finite"),
+    ])
+    def test_failed_run_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "failed"
+        assert run_cli(["solve", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--eq", "local-ch", "--eps", "0.1", "--N", "32", "--T", "0.0001"],
+        ["--eq", "nonlocal-ch", "--N", "32"],
+        ["--eq", "local-ch", "--T", "inf"],
+    ])
+    def test_rejected_call_writes_no_resolved_config(self, tmp_path, argv):
+        out = tmp_path / "rejected"
+        assert run_cli(["solve", *argv, "--out", str(out)]) == 2
+        assert not (out / "resolved_config.txt").exists()
+
+    def test_explicit_scheme_rejects_stabilization(self, tmp_path, capsys):
+        # the explicit step has no stabilizer, so the flag would change nothing
+        out = tmp_path / "explicit"
+        assert run_cli(["solve", "--eq", "local-ch", "--N", "8", "--T", "1e-4", "--tau", "1e-6",
+                        "--scheme", "explicit", "--stabilization", "1e6",
+                        "--out", str(out)]) == 2
+        assert "explicit scheme takes no stabilization" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_colliding_checkpoint_names_are_usage_error(self, tmp_path, capsys):
+        # 11 records 1e-9 apart; state_t{t:.8f}.bin gives them 2 names
+        out = tmp_path / "clash"
+        assert run_cli(["solve", "--eq", "local-ch", "--N", "16", "--T", "1e-8", "--tau", "1e-9",
+                        "--record-every", "1", "--checkpoints", "--out", str(out)]) == 2
+        assert "--record-every" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        # 1e-8 apart, every record has its own name
+        assert run_cli(["solve", "--eq", "local-ch", "--N", "16", "--T", "1e-7", "--tau", "1e-8",
+                        "--record-every", "1", "--checkpoints", "--out", str(out)]) == 0
+        assert len(list(out.glob("state_t*.bin"))) == 11
+
+
+def _extreme_floats(lo, hi):
+    """Floats in ``[lo, hi]`` and the extremes and invalid values around them."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from(
+        [1e-300, 1e300, 0.0, -1.0, math.inf, math.nan]))
+
+
+class TestSolveProperty:
+    _MAX_STEPS = 64
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        eq=st.sampled_from(["local-ch", "local-ac"]),
+        tau=_extreme_floats(1e-8, 1e-2),
+        # T is a whole number of steps, or drawn on its own
+        steps=st.one_of(st.integers(1, _MAX_STEPS), st.none()),
+        free_T=_extreme_floats(1e-8, 1.0),
+        mobility=_extreme_floats(1e-3, 1e3),
+        stabilization=st.one_of(st.none(), _extreme_floats(0.0, 1e6)),
+        scheme=st.sampled_from(["semi-implicit", "explicit"]),
+        K=_extreme_floats(1e-3, 1e8),
+    )
+    def test_solve_exits_0_or_2(self, eq, tau, steps, free_T, mobility, stabilization,
+                                scheme, K):
+        T = free_T if steps is None else steps * tau
+        # a run of more steps than the cap may be valid and only slow
+        assume(not (tau > 0 and math.isfinite(T / tau) and T / tau > self._MAX_STEPS))
+        argv = ["solve", "--eq", eq, "--N", "16", "--T", repr(T), "--tau", repr(tau),
+                "--mobility", repr(mobility), "--scheme", scheme,
+                "--potential", f"doublewell:K={K!r}"]
+        if stabilization is not None:
+            argv += ["--stabilization", repr(stabilization)]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            out = Path(tmp) / "out"
+            code = run_cli([*argv, "--out", str(out)])
+            resolved = (out / "resolved_config.txt").exists()
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert resolved == (code == 0)
 
 
 class TestUsageAndConfig:

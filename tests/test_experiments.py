@@ -115,8 +115,8 @@ class TestSymbolStudy:
         lat = default_symbol_lattice(1)
         assert len(lat) == 16
         assert (0.0,) not in lat
-        lat2 = default_symbol_lattice(2, extent=2)
-        assert len(lat2) == 16
+        lat2 = default_symbol_lattice(2)
+        assert len(lat2) == 256
         assert all(c != 0 for xi in lat2 for c in xi)
 
     def test_zero_frequency_rejected(self, moll):

@@ -83,7 +83,7 @@ def check_support_reaches_nodes(kernel: Kernel, grid: UniformGrid) -> None:
     """
     h = min(grid.spacing)
     # the profile vanishes from its support radius on (compare _pair_blocks)
-    if not h / kernel.epsilon < kernel.mollifier.support_radius:
+    if not h < kernel.support_radius:
         raise ValueError(
             f"kernel support {kernel.support_radius:.3g} (eps = {kernel.epsilon:g}) "
             f"does not reach the nearest grid node at spacing {h:.3g}; "
@@ -285,9 +285,10 @@ def _pair_blocks(kernel: Kernel, field: Field):
                 i = rows[r:r + step]
                 dist = lead_sq[i, o, None, None] + sq
                 np.sqrt(dist, out=dist)
-                # the scaled radius value_radial computes; the profile vanishes
-                # from its support radius on, so every skipped pair is a zero
-                inside = dist / kernel.epsilon < kernel.mollifier.support_radius
+                # the profile vanishes from its support radius on, so every
+                # skipped pair is a zero.  For positive floats dist < eps
+                # exactly when value_radial's scaled radius dist / eps < 1
+                inside = dist < kernel.support_radius
                 r_inside = dist[inside]
                 dist.fill(0.0)
                 dist[inside] = kernel.value_radial(r_inside)

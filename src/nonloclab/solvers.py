@@ -218,15 +218,21 @@ class _Stepper:
         stabilization = resolve_stabilization(config, potential)
         nu = np.stack([stencil_symbol(k, grid) if nonlocal_eq else lam for k in self.kernels])
         if config.scheme == SEMI_IMPLICIT:
-            denom = 1.0 + config.tau * drive * (nu + stabilization)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rate = config.tau * drive
+                denom = 1.0 + rate * (nu + stabilization)
+                gain = rate / denom
+            # where the denominator overflows, the gain has reached its limit
+            # 1 / (nu + s) to full precision (inf / inf would give nan)
+            np.divide(1.0, nu + stabilization, out=gain, where=np.isinf(denom))
         else:
-            denom = 1.0
             for kernel in self.kernels:
                 bound = explicit_tau_bound(equation, grid, config.mobility, kernel)
                 if config.tau > bound:
                     raise ValueError(f"tau = {config.tau:.3e} exceeds the explicit stability "
                                      f"bound {bound:.3e} for {equation}; shrink tau")
-        self.gain = config.tau * drive / denom
+            gain = config.tau * drive
+        self.gain = gain
         self.nu = nu
 
         # the explicit operator part, chosen from the grid alone: none but on

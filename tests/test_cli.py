@@ -3,6 +3,9 @@ import io
 import json
 import math
 import multiprocessing.process
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -378,6 +381,18 @@ class TestSolveProperty:
 class TestUsageAndConfig:
     def test_unknown_command(self):
         assert run_cli(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["frobnicate"], 2)])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, argv, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "nonloclab", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert done.stdout.startswith("nonloclab ")
+        assert "Traceback" not in done.stderr
 
     def test_bad_flag_value(self):
         assert run_cli(["check-kernel", "--n", "7"]) == 2

@@ -5,12 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonloclab import nonlocal_ops
 from nonloclab.grid import UniformGrid
 from nonloclab.kernels import (
     PROFILES,
     Kernel,
+    PolyBump,
     adaptive_gauss_legendre,
     eval_J,
     fourier_symbol,
@@ -122,6 +125,49 @@ class TestProfiles:
     @pytest.mark.parametrize("name", sorted(PROFILES))
     def test_quotient_finite_at_origin(self, name):
         assert np.isfinite(PROFILES[name].quotient(0.0))
+
+    @pytest.mark.parametrize("p, q, field", [
+        (2.0, 3, "p"), (2, 3.0, "q"), (True, 3, "p"), (2, True, "q"), (1, 3, "p"),
+        (0, 3, "p"), (2, -1, "q"), (2, 1.5, "q"), (2, "3", "q"), (2, None, "q"),
+    ])
+    def test_rejects_parameters_that_are_not_integers_in_range(self, p, q, field):
+        with pytest.raises(ValueError, match=f"profile {field} must be an integer"):
+            PolyBump("bad", p, q)
+
+    def test_accepts_numpy_integers(self):
+        bump = PolyBump("np", np.int64(4), np.int32(3))
+        assert bump.raw(0.5) == PROFILES["poly-4-3"].raw(0.5)
+
+    def test_zero_edge_power_is_one_inside_the_support(self):
+        bump = PolyBump("poly-2-0", 2, 0)
+        r = np.array([-0.999, -0.5, 0.0, 0.25, np.nextafter(1.0, 0.0), 1.0, 1.5, np.inf])
+        inside = np.abs(r) < 1.0
+        assert np.array_equal(bump.quotient(r), np.where(inside, 1.0, 0.0))
+        assert np.array_equal(bump.raw(r), np.where(inside, r * r, 0.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.one_of(st.floats(-2.0, 2.0),
+                    st.sampled_from([0.0, 1.0, -1.0, np.nextafter(1.0, 0.0),
+                                     np.nextafter(1.0, 2.0), -np.nextafter(1.0, 0.0),
+                                     math.inf, -math.inf])),
+        p=st.sampled_from([2, 3, 4]),
+        q=st.integers(0, 4),
+    )
+    def test_products_match_the_power_form(self, r, p, q):
+        # raw and quotient by products against np.power of the same factors
+        bump = PolyBump("probe", p, q)
+        x = np.array([r, -r])
+        for k, value in ((p, bump.raw(x)), (p - 2, bump.quotient(x))):
+            a = np.abs(x)
+            expected = np.where(a < 1.0, a**k * (1.0 - x**2) ** q, 0.0)
+            if q <= 2:
+                assert np.array_equal(value, expected)
+            else:
+                assert np.all(np.abs(value - expected) <= 4 * np.spacing(expected))
+            assert value[0] == value[1] and value[0] >= 0.0
+            if not abs(r) < 1.0:
+                assert value[0] == 0.0
 
     def test_equal_kernels_share_one_stencil_cache_entry(self):
         # the stencil cache keys on the kernel, so rebuilt profiles must compare equal

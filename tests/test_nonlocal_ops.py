@@ -283,7 +283,49 @@ def _assert_pair_pass_matches_dense(kernel, field):
     assert pair_difference_double_sum(kernel, field) == total
 
 
+def _division_rule_blocks(kernel, field):
+    """Each block of :func:`nonlocal_ops._pair_blocks` beside the weights that
+    the division-based support test gives its pairs: ``J`` where the scaled
+    radius ``dist / eps`` is below 1, and zero elsewhere and past a wall.
+    The field must hold ``1 + `` each node's flat index, so a partner value
+    names the partner node and a zero marks a pair past a wall."""
+    grid = field.grid
+    coords = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
+    nodes = field.values.reshape(-1, grid.cells[-1]).astype(int) - 1
+    for index, partners, J in nonlocal_ops._pair_blocks(kernel, field):
+        partner = partners.astype(int) - 1
+        node = np.broadcast_to(nodes[index][..., None], J.shape)
+        diff = coords[node] - coords[partner]
+        if grid.boundary == "periodic":
+            lengths = np.asarray(grid.lengths)
+            diff -= lengths * np.round(diff / lengths)
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        inside = (dist / kernel.epsilon < 1.0) & (partner >= 0)
+        yield J, np.where(inside, kernel.value_radial(dist), 0.0), dist
+
+
 class TestWindowedPairPass:
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    @pytest.mark.parametrize("lengths, cells, eps", [
+        ((1.0,), (10,), 0.3),             # nodes three cells apart
+        ((1.0,), (20,), 0.3),
+        ((1.0, 1.0), (10, 10), 0.5),      # nodes (3, 4) cells apart
+    ])
+    def test_support_test_keeps_the_division_rule_bits(self, boundary, lengths, cells, eps):
+        g = UniformGrid(lengths, cells, boundary)
+        field = Field(g, 1.0 + np.arange(g.node_count, dtype=float).reshape(g.shape))
+        offsets = set()
+        for e in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)):
+            for J, expected, dist in _division_rule_blocks(make_kernel(g.dimension, e), field):
+                assert np.array_equal(J, expected)
+                for step, neighbour in enumerate((np.nextafter(e, 0.0), e,
+                                                  np.nextafter(e, 1.0)), start=-1):
+                    if np.any(dist == neighbour):
+                        offsets.add(step)
+        # some pair distance equals the support radius, and some lies one ulp
+        # below or above it
+        assert offsets == {-1, 0, 1}
+
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     @pytest.mark.parametrize("boundary, lengths, cells, eps", [
         ("neumann", (1.0,), (256,), 0.1),
@@ -378,6 +420,7 @@ class TestSupportReachesNodes:
     @pytest.mark.parametrize("lengths, cells, eps", [
         ((1.0,), (64,), 0.01),
         ((1.0,), (64,), 1 / 64),          # the support ends exactly at the nearest node
+        ((1.0,), (64,), np.nextafter(1 / 64, 0.0)),
         ((1.0,), (1,), 0.1),
         ((1.0, 2.0), (16, 16), 0.06),     # short of the smaller spacing 1/16
     ])
@@ -391,6 +434,7 @@ class TestSupportReachesNodes:
 
     @pytest.mark.parametrize("lengths, cells, eps", [
         ((1.0,), (64,), 1.01 / 64),
+        ((1.0,), (64,), np.nextafter(1 / 64, 1.0)),  # one ulp past the nearest node
         ((1.0, 2.0), (16, 16), 0.07),     # reaches along the first axis only
     ])
     def test_accepted_when_a_neighbour_has_weight(self, lengths, cells, eps):

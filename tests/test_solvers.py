@@ -28,6 +28,7 @@ from nonloclab.solvers import (
     SolverConfig,
     SolverDivergedError,
     TrajectoryRecord,
+    _Stepper,
     explicit_tau_bound,
     reference_config,
     resolve_stabilization,
@@ -535,3 +536,57 @@ class TestConfigValues:
 
     def test_integer_types_accepted(self):
         assert SolverConfig(tau=1e-3, t_final=1.0, record_every=np.int64(4)).record_every == 4
+
+
+class TestGainOverflow:
+    """The semi-implicit gain ``tau d / (1 + tau d (nu + s))`` tends to
+    ``1 / (nu + s)`` where ``tau d (nu + s)`` overflows; there it takes that
+    limit, and every other gain keeps the formula's bits."""
+
+    @staticmethod
+    def _stepper(equation, config, eps=None):
+        g = UniformGrid((1.0,), (16,), "neumann")
+        kernel = None if eps is None else make_kernel(1, eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _Stepper(g, equation, config, DoubleWell(K=1.0), [kernel])
+
+    @pytest.mark.parametrize("equation, eps", [("local-ch", None), ("nonlocal-ch", 0.3),
+                                               ("local-ac", None), ("nonlocal-ac", 0.3)])
+    # the flows (by their drive, mobility * lam or 1) whose denominator overflows
+    @pytest.mark.parametrize("tau, mobility, overflowing", [
+        (1e-4, 1.0, ""), (1e300, 1.0, ""), (1e300, 1e3, "ch"), (1e300, 1e10, "ch"),
+        (1e308, 1e300, "ch ac"),
+    ])
+    def test_overflowed_gains_take_their_limit(self, equation, eps, tau, mobility,
+                                               overflowing):
+        config = SolverConfig(tau=tau, t_final=tau, mobility=mobility)
+        stepper = self._stepper(equation, config, eps)
+        gain = stepper.gain
+        assert np.all(np.isfinite(gain))
+        s = resolve_stabilization(config, stepper.potential)
+        lam = laplacian_symbol(stepper.grid)
+        drive = mobility * lam if equation.endswith("ch") else np.ones_like(lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate = tau * drive
+            denom = 1.0 + rate * (stepper.nu + s)
+            formula = rate / denom
+        overflowed = np.isinf(denom)
+        assert overflowed.any() == (equation[-2:] in overflowing.split())
+        assert np.array_equal(gain[~overflowed], formula[~overflowed])
+        np.testing.assert_array_equal(gain[overflowed], 1.0 / (stepper.nu + s)[overflowed])
+        if equation.endswith("ch"):
+            assert gain[..., 0] == 0.0  # the conserved mass mode
+
+    def test_cli_run_with_overflowing_rate_exits_0(self, tmp_path):
+        out = tmp_path / "huge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--eq", "local-ch", "--N", "16", "--T", "1e300",
+                         "--tau", "1e300", "--mobility", "1e10", "--out", str(out)])
+        assert code == 0
+        # past the float range the gain no longer depends on the mobility
+        assert main(["solve", "--eq", "local-ch", "--N", "16", "--T", "1e300", "--tau", "1e300",
+                     "--mobility", "1e3", "--out", str(tmp_path / "m3")]) == 0
+        assert ((out / "trajectory.csv").read_bytes()
+                == (tmp_path / "m3" / "trajectory.csv").read_bytes())

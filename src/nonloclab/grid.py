@@ -16,9 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft
-import scipy.fftpack
+# pocketfft's compiled entry points, called without scipy.fft's per-call
+# argument checks and dispatch; the package's only import of this private module
+from scipy.fft._pocketfft import pypocketfft
 
-from .kernels import _check_dimension
+from .kernels import SUPPORTED_DIMENSIONS, _check_dimension
 
 __all__ = [
     "UniformGrid",
@@ -33,6 +35,7 @@ __all__ = [
     "field_from_coefficients",
     "transform_values",
     "inverse_transform_values",
+    "cosine_transform",
     "laplacian_symbol",
     "coefficient_weights",
     "zero_mode_index",
@@ -171,14 +174,18 @@ def lp_norm(field: Field, p: float) -> float:
 # ---------------------------------------------------------------------------
 # transform stack
 
-def transform_values(grid: UniformGrid, values: np.ndarray) -> np.ndarray:
+# pocketfft's orthonormal scaling (divide by sqrt(N)), and the trailing grid
+# axes the transforms act on, per dimension
+_ORTHO = 1
+_AXES = {n: tuple(range(-n, 0)) for n in SUPPORTED_DIMENSIONS}
+
+
+def transform_values(grid: UniformGrid, values) -> np.ndarray:
     """Orthonormal transform over the trailing ``grid.dimension`` axes; any
     leading (member) axis passes through.
 
     Zero-flux boxes use the cosine transform (DCT-II), with one coefficient
-    per node.  1D cosine transforms go through ``scipy.fftpack``, the legacy
-    wrapper over the same pocketfft kernel, which skips ``scipy.fft``'s
-    per-call dispatch; its output equals ``scipy.fft.dctn`` bit for bit.
+    per node.
 
     Periodic grids use the real-to-complex Fourier transform (``rfft`` /
     ``rfftn``), which keeps only the half spectrum: the last axis has
@@ -187,27 +194,37 @@ def transform_values(grid: UniformGrid, values: np.ndarray) -> np.ndarray:
     over the half spectrum with each last-axis column weighted by its
     Hermitian multiplicity (:func:`coefficient_weights`): 1 for column 0 and,
     when N is even, for column N / 2; 2 for every other column.
+
+    Both transforms call pocketfft's compiled kernels, the ones behind
+    ``scipy.fft``, directly: the output equals ``scipy.fft.dctn`` /
+    ``rfftn`` bit for bit, without their per-call argument checks and
+    dispatch.
     """
-    # 1D skips the n-dimensional dispatch: faster at the same bits
-    if grid.dimension == 1:
-        if grid.boundary == NEUMANN:
-            return scipy.fftpack.dct(values, type=2, norm="ortho", axis=-1)
-        return scipy.fft.rfft(values, norm="ortho")
+    values = np.asarray(values, dtype=float)
+    axes = _AXES[grid.dimension]
     if grid.boundary == NEUMANN:
-        return scipy.fft.dctn(values, type=2, norm="ortho", axes=(-2, -1))
-    return scipy.fft.rfftn(values, norm="ortho", axes=(-2, -1))
+        return cosine_transform(values, axes)
+    # positional: input, axes, forward, scaling, out, threads
+    return pypocketfft.r2c(values, axes, True, _ORTHO, None, 1)
 
 
-def inverse_transform_values(grid: UniformGrid, coeffs: np.ndarray) -> np.ndarray:
+def inverse_transform_values(grid: UniformGrid, coeffs) -> np.ndarray:
     """Inverse of :func:`transform_values`, over the same trailing axes."""
-    # 1D skips the n-dimensional dispatch: faster at the same bits
-    if grid.dimension == 1:
-        if grid.boundary == NEUMANN:
-            return scipy.fftpack.idct(coeffs, type=2, norm="ortho", axis=-1)
-        return scipy.fft.irfft(coeffs, n=grid.cells[0], norm="ortho")
+    axes = _AXES[grid.dimension]
     if grid.boundary == NEUMANN:
-        return scipy.fft.idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
-    return scipy.fft.irfftn(coeffs, s=grid.shape, norm="ortho", axes=(-2, -1))
+        return cosine_transform(np.asarray(coeffs, dtype=float), axes, inverse=True)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    # positional: input, axes, length of the last output axis, forward,
+    # scaling, out, threads
+    return pypocketfft.c2r(coeffs, axes, grid.cells[-1], False, _ORTHO, None, 1)
+
+
+def cosine_transform(values: np.ndarray, axes: tuple[int, ...],
+                     inverse: bool = False) -> np.ndarray:
+    """Orthonormal DCT-II of a float array over ``axes``, or with ``inverse``
+    its inverse, the orthonormal DCT-III."""
+    # positional: input, type, axes, scaling, out, threads, orthogonalize
+    return pypocketfft.dct(values, 3 if inverse else 2, axes, _ORTHO, None, 1, True)
 
 
 def spectral_coefficients(field: Field) -> np.ndarray:

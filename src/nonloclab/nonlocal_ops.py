@@ -26,10 +26,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
-import scipy.fftpack
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import NEUMANN, PERIODIC, Field, UniformGrid
+from .grid import NEUMANN, PERIODIC, Field, UniformGrid, cosine_transform
 from .kernels import Kernel
 
 __all__ = [
@@ -517,8 +516,8 @@ class WallRemainder:
             # the wall axis last: rows run along the wall, columns into the box
             v, o = np.moveaxis(values, axis, -1), np.moveaxis(out, axis, -1)
             slabs = np.stack((v[:, :k], v[:, ::-1][:, :k]), axis=1)  # (n, 2, k), wall first
-            hat = scipy.fftpack.dct(slabs, type=2, norm="ortho", axis=0)
-            remainder = scipy.fftpack.idct(hat @ tables, type=2, norm="ortho", axis=0)
+            hat = cosine_transform(slabs, (0,))
+            remainder = cosine_transform(hat @ tables, (0,), inverse=True)
             o[:, :k] -= remainder[:, 0]
             o[:, ::-1][:, :k] -= remainder[:, 1]
         # corner node (i, j) gives back w(i + r + 1, j + s + 1) * (v[i, j] - v[r, s])

@@ -38,8 +38,13 @@ class DoubleWell:
 
     def fprime(self, c):
         c = np.asarray(c, dtype=float)
-        # c*c*c, not c**3: pow is many times slower on negative inputs
-        return 4.0 * self.K * (c * c * c) - 4.0 * self.K * c
+        # 4K (c^2 - 1) c in place on one fresh array (callers may write
+        # into it); c*c, not c**2, as pow is slow on negative inputs
+        g = c * c
+        g -= 1.0
+        g *= c
+        g *= 4.0 * self.K
+        return g
 
     def fsecond(self, c):
         c = np.asarray(c, dtype=float)

@@ -394,6 +394,22 @@ class TestUsageAndConfig:
             assert done.stdout.startswith("nonloclab ")
         assert "Traceback" not in done.stderr
 
+    def test_solve_leaves_legacy_fft_module_unimported(self, tmp_path):
+        # importing scipy.fftpack costs about 25 ms of every CLI call
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys\n"
+                  "import nonloclab.cli\n"
+                  "code = nonloclab.cli.main(['solve', '--eq', 'nonlocal-ch', '--eps', '0.2',"
+                  " '--N', '32', '--T', '1e-3', '--tau', '1e-4', '--out', 'run'])\n"
+                  "assert code == 0, code\n"
+                  "print('scipy.fftpack' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-1] == "False"
+
     def test_bad_flag_value(self):
         assert run_cli(["check-kernel", "--n", "7"]) == 2
 

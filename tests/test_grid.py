@@ -210,8 +210,8 @@ class TestTransformLayer:
 
     @pytest.mark.parametrize("shape", [(64,), (3, 64), (2, 1000)])
     def test_1d_neumann_matches_scipy_fft(self, shape):
-        # the 1D cosine transform skips scipy.fft's dispatch; any warning
-        # from the legacy wrapper (a deprecation, say) fails here
+        # the cosine transform calls pocketfft's binding directly; any
+        # warning on the way (a deprecation, say) fails here
         g = UniformGrid((1.0,), shape[-1:], "neumann")
         x = np.random.default_rng(5).standard_normal(shape)
         with warnings.catch_warnings():
@@ -220,6 +220,50 @@ class TestTransformLayer:
             inverse = inverse_transform_values(g, x)
         assert np.array_equal(forward, scipy.fft.dctn(x, type=2, norm="ortho", axes=-1))
         assert np.array_equal(inverse, scipy.fft.idctn(x, type=2, norm="ortho", axes=-1))
+
+    # every layout the package transforms: 1D and 2D, with and without a
+    # leading member axis, odd and even sizes
+    @pytest.mark.parametrize("shape, dimension", [
+        ((64,), 1), ((49,), 1), ((3, 64), 1), ((2, 49), 1),
+        ((12, 20), 2), ((13, 9), 2), ((3, 12, 20), 2), ((2, 13, 9), 2),
+    ])
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    def test_matches_public_scipy_fft(self, shape, dimension, boundary):
+        # the transforms call pocketfft's private binding; a scipy release
+        # that moves or changes it fails here, warnings included
+        cells = shape[-dimension:]
+        g = UniformGrid((1.0,) * dimension, cells, boundary)
+        axes = tuple(range(-dimension, 0))
+        x = np.random.default_rng(7).standard_normal(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forward = transform_values(g, x)
+            if boundary == "neumann":
+                inverse = inverse_transform_values(g, x)
+                expected = (scipy.fft.dctn(x, type=2, norm="ortho", axes=axes),
+                            scipy.fft.idctn(x, type=2, norm="ortho", axes=axes))
+            else:
+                inverse = inverse_transform_values(g, forward)
+                expected = (scipy.fft.rfftn(x, norm="ortho", axes=axes),
+                            scipy.fft.irfftn(forward, s=cells, norm="ortho", axes=axes))
+        assert np.array_equal(forward, expected[0])
+        assert np.array_equal(inverse, expected[1])
+
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    def test_list_and_strided_inputs(self, boundary):
+        g = UniformGrid((1.0,), (10,), boundary)
+        rows = np.random.default_rng(8).standard_normal((10, 3))
+        strided = np.moveaxis(rows, 0, -1)  # (3, 10), not C-contiguous
+        assert not strided.flags.c_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(transform_values(g, strided),
+                                  transform_values(g, np.ascontiguousarray(strided)))
+            assert np.array_equal(transform_values(g, rows[:, 0].tolist()),
+                                  transform_values(g, rows[:, 0]))
+            coeffs = transform_values(g, rows[:, 0])
+            assert np.array_equal(inverse_transform_values(g, coeffs.tolist()),
+                                  inverse_transform_values(g, coeffs))
 
     @pytest.mark.parametrize("cells", [48, 49])
     def test_1d_periodic_matches_rfft(self, cells):

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from nonloclab.grid import (
     integrate,
     inverse_transform_values,
     l2_norm,
+    pypocketfft,
     sample,
     spectral_coefficients,
     transform_values,
@@ -852,6 +854,30 @@ class TestWallRemainder:
         nonlocal_ops.wall_remainder(k, g).subtract(v, out)
         true = apply_fft_values(k, g, v)
         assert np.max(np.abs(out - true)) <= 1e-13 * np.max(np.abs(true))
+
+    def test_along_wall_transforms_match_public_scipy_fft(self):
+        # the (n, 2, reach) edge slabs go through pocketfft's private binding
+        # along axis 0; each call must equal the public scipy.fft one
+        g = UniformGrid((1.0, 1.0), (128, 128), "neumann")
+        remainder = nonlocal_ops.wall_remainder(make_kernel(2, 0.1), g)
+        calls = []
+
+        def dct(x, kind, axes, *rest):
+            calls.append((x.copy(), kind, axes, rest))
+            return pypocketfft.dct(x, kind, axes, *rest)
+
+        v = np.random.default_rng(9).standard_normal(g.shape)
+        with mock.patch("nonloclab.grid.pypocketfft", mock.Mock(dct=dct)), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            remainder.subtract(v, np.zeros(g.shape))
+        assert len(calls) == 4  # forward and inverse per wall axis
+        assert calls[0][0].shape == (128, 2, 13)
+        for x, kind, axes, rest in calls:
+            assert axes == (0,)
+            public = scipy.fft.dct if kind == 2 else scipy.fft.idct  # DCT-III inverts DCT-II
+            assert np.array_equal(pypocketfft.dct(x, kind, axes, *rest),
+                                  public(x, type=2, norm="ortho", axis=0))
 
     def test_needs_a_bounded_grid(self):
         with pytest.raises(ValueError, match="bounded"):

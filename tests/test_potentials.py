@@ -18,6 +18,21 @@ class TestDoubleWell:
         assert pot.fprime(1.0) == 0.0
         assert pot.fprime(-1.0) == 0.0
 
+    def test_derivative_matches_cubic_form(self):
+        pot = DoubleWell(K=2.5)
+        c = np.random.default_rng(0).uniform(-1.5, 1.5, (3, 64))
+        g = pot.fprime(c)
+        np.testing.assert_allclose(g, 4.0 * pot.K * (c**3 - c), rtol=1e-15, atol=1e-14)
+        # a fresh array: the stepper subtracts the wall remainder into it
+        assert not np.shares_memory(g, c)
+
+    @pytest.mark.parametrize("c", [0.5, np.float64(-0.3), np.array(0.7), [0.5, -1.2]])
+    def test_derivative_takes_scalars_and_lists(self, c):
+        pot = DoubleWell(K=1.5)
+        expected = 6.0 * (np.asarray(c) ** 3 - np.asarray(c))
+        np.testing.assert_allclose(pot.fprime(c), expected, rtol=1e-15, atol=1e-15)
+        assert np.shape(pot.fprime(c)) == np.shape(c)
+
     def test_curvature_at_origin(self):
         pot = DoubleWell(K=1.0)
         assert pot.fsecond(0.0) == -4.0

@@ -538,6 +538,53 @@ class TestConfigValues:
         assert SolverConfig(tau=1e-3, t_final=1.0, record_every=np.int64(4)).record_every == 4
 
 
+class TestDecayAndGain:
+    """A step is ``chat = decay * chat - gain * T(g)``, with ``decay = 1 - gain
+    * nu`` precomputed: the update ``chat - gain * (T(g) + nu * chat)`` in one
+    pass fewer."""
+
+    @pytest.mark.parametrize("cells", [(32,), (12, 16)])
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    @pytest.mark.parametrize("equation", ["local-ch", "nonlocal-ch"])
+    def test_mass_mode_is_kept_exactly(self, cells, boundary, equation):
+        g = UniformGrid((1.0,) * len(cells), cells, boundary)
+        nonlocal_eq = equation.startswith("nonlocal")
+        kernels = [make_kernel(len(cells), e) if nonlocal_eq else None for e in (0.3, 0.2)]
+        stepper = _Stepper(g, equation, SolverConfig(tau=1e-3, t_final=1e-3),
+                           DoubleWell(K=1.0), kernels)
+        mass_mode = (slice(None),) + (0,) * len(cells)
+        assert np.all(stepper.decay[mass_mode] == 1.0)
+        assert np.all(stepper.gain[mass_mode] == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dimension=st.sampled_from([1, 2]),
+        cells=st.integers(12, 40),
+        eps=st.floats(0.1, 0.4),
+        boundary=st.sampled_from(["neumann", "periodic"]),
+        equation=st.sampled_from(["local-ch", "nonlocal-ch", "local-ac", "nonlocal-ac"]),
+        log_tau=st.floats(-7.0, 0.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_step_equals_unfolded_update(self, dimension, cells, eps, boundary, equation,
+                                         log_tau, seed):
+        g = UniformGrid((1.0,) * dimension, (cells,) * dimension, boundary)
+        kernel = make_kernel(dimension, eps) if equation.startswith("nonlocal") else None
+        tau = 10.0**log_tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            stepper = _Stepper(g, equation, SolverConfig(tau=tau, t_final=tau),
+                               DoubleWell(K=1.0), [kernel])
+        chat = transform_values(g, np.random.default_rng(seed).uniform(-1.0, 1.0, (1, *g.shape)))
+        values = inverse_transform_values(g, chat)
+        drive = stepper.potential.fprime(values)
+        for m, remainder in enumerate(stepper.remainders):
+            remainder.subtract(values[m], drive[m])
+        unfolded = chat - stepper.gain * (transform_values(g, drive) + stepper.nu * chat)
+        _, stepped = stepper.step_values(values, chat)
+        assert np.max(np.abs(stepped - unfolded)) <= 1e-13 * np.max(np.abs(unfolded))
+
+
 class TestGainOverflow:
     """The semi-implicit gain ``tau d / (1 + tau d (nu + s))`` tends to
     ``1 / (nu + s)`` where ``tau d (nu + s)`` overflows; there it takes that
@@ -577,6 +624,12 @@ class TestGainOverflow:
         np.testing.assert_array_equal(gain[overflowed], 1.0 / (stepper.nu + s)[overflowed])
         if equation.endswith("ch"):
             assert gain[..., 0] == 0.0  # the conserved mass mode
+        # the share of chat a step keeps, 1 - gain * nu, takes its limit too
+        decay = stepper.decay
+        assert np.all(np.isfinite(decay))
+        assert np.all((decay >= 0.0) & (decay <= 1.0))
+        limit = (s / (stepper.nu + s))[overflowed]
+        np.testing.assert_allclose(decay[overflowed], limit, rtol=0, atol=4 * np.finfo(float).eps)
 
     def test_cli_run_with_overflowing_rate_exits_0(self, tmp_path):
         out = tmp_path / "huge"

@@ -108,9 +108,17 @@ def _write_resolved_config(outdir: Path, parser: _Parser, args: argparse.Namespa
     (outdir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
 
 
+def _axis_values(text, convert, flag: str) -> tuple:
+    try:
+        return tuple(convert(x) for x in str(text).split(","))
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated {convert.__name__} values, "
+                         f"got {text!r}") from None
+
+
 def _make_grid(args) -> UniformGrid:
-    cells = tuple(int(n) for n in str(args.N).split(","))
-    lengths = tuple(float(x) for x in str(args.L).split(","))
+    cells = _axis_values(args.N, int, "--N")
+    lengths = _axis_values(args.L, float, "--L")
     if len(lengths) == 1 and len(cells) > 1:
         lengths = lengths * len(cells)
     return UniformGrid(lengths, cells, args.domain)
@@ -271,7 +279,7 @@ def _cmd_solve(args, outdir: Path) -> int:
     potential = parse_potential(args.potential)
     config = SolverConfig(
         tau=args.tau, t_final=args.T, mobility=args.mobility,
-        stabilization=args.stabilization, scheme=args.scheme,
+        stabilization=args.stabilization,
         record_every=args.record_every, keep_fields=args.checkpoints,
     )
     nonlocal_eq = args.eq.startswith("nonlocal")
@@ -483,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel scale for the nonlocal equations")
     _add_flow(p, T=0.05, tau=1e-5, record_every=100)
     p.add_argument("--stabilization", type=float, default=None)
-    p.add_argument("--scheme", choices=("semi-implicit", "explicit"), default="semi-implicit")
     p.add_argument("--checkpoints", action="store_true", help="write binary state checkpoints")
     p.set_defaults(func_impl=_cmd_solve)
 
@@ -491,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--eq", default="nonlocal-ch", choices=_NONLOCAL_EQUATIONS)
     _add_flow(p, T=0.05, tau=2e-5, record_every=25)
-    p.add_argument("--perturbation", type=float, default=0.05,
+    p.add_argument("--perturbation", type=_finite_float, default=0.05,
                    help="sqrt-scale initial offset amplitude (0 for identical data)")
     p.add_argument("--slope-min", type=_finite_float, default=0.35)
     p.add_argument("--slope-max", type=_finite_float, default=0.8)
@@ -508,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--eq", default="nonlocal-ch", choices=_NONLOCAL_EQUATIONS)
     _add_flow(p, T=0.02, tau=2e-5, record_every=20)
-    p.add_argument("--perturbation", type=float, default=0.0)
+    p.add_argument("--perturbation", type=_finite_float, default=0.0)
     p.set_defaults(func_impl=_cmd_gronwall)
 
     return parser
@@ -580,6 +587,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    lo, hi = getattr(args, "slope_min", None), getattr(args, "slope_max", None)
+    if lo is not None and hi is not None and lo > hi:
+        print(f"error: --slope-min {lo:g} is above --slope-max {hi:g}: no slope can pass",
+              file=sys.stderr)
+        return USAGE_ERROR
 
     outdir = Path(args.out) if args.out else Path(f"out-{args.command}")
     try:

@@ -34,7 +34,6 @@ from .kernels import Kernel
 __all__ = [
     "ResolutionWarning",
     "check_support_reaches_nodes",
-    "degree_function",
     "apply_direct",
     "apply_fft",
     "apply_fft_values",
@@ -196,17 +195,6 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
 
 # ---------------------------------------------------------------------------
 # operator applications
-
-def degree_function(kernel: Kernel, grid: UniformGrid) -> Field:
-    """Weight each node by how much kernel mass it sees inside the box.
-
-    Constant on periodic grids; on a bounded box it is maximal in the
-    interior (where it equals the full kernel mass) and drops toward the
-    boundary.
-    """
-    data = _stencil_data(kernel, grid)
-    return Field(grid, data.degree.copy())
-
 
 def _window_offsets(kernel: Kernel, grid: UniformGrid, axis: int) -> np.ndarray:
     """The node-index offsets along ``axis`` that may reach a partner inside

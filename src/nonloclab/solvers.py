@@ -1,12 +1,13 @@
 """Time integrators for the four gradient flows, with mass and energy tracking.
 
-All four equations share one first-order IMEX step and one time loop,
-:func:`run_batch`.  It advances a batch of members that share the grid, the
-equation, the config and the potential and differ in their kernels (one per
-member, ``None`` for the local flows); :func:`run` and :func:`step` are
-one-member calls of it.  Every state array carries the member axis first,
-and the transforms act on the trailing grid axes, so each step transforms
-the whole batch at once.
+All four equations share one time discretization, the stabilized
+semi-implicit first-order IMEX step, and one time loop, :func:`run_batch`.
+It advances a batch of members that share the grid, the equation, the
+config and the potential and differ in their kernels (one per member,
+``None`` for the local flows); :func:`run` and :func:`step` are one-member
+calls of it.  Every state array carries the member axis first, and the
+transforms act on the trailing grid axes, so each step transforms the whole
+batch at once.
 
 The loop carries the state as its coefficients ``chat`` in the grid's
 transform basis (cosine for zero-flux boxes, the real-to-complex Fourier
@@ -63,7 +64,7 @@ from .grid import (
 )
 from .kernels import Kernel
 from .local_ops import dirichlet_energy
-from .nonlocal_ops import degree_function, stencil_symbol
+from .nonlocal_ops import stencil_symbol
 from . import nonlocal_ops
 
 __all__ = [
@@ -76,13 +77,9 @@ __all__ = [
     "run_batch",
     "record_steps",
     "resolve_stabilization",
-    "explicit_tau_bound",
 ]
 
 EQUATIONS = ("local-ch", "nonlocal-ch", "local-ac", "nonlocal-ac")
-
-SEMI_IMPLICIT = "semi-implicit"
-EXPLICIT = "explicit"
 
 _DIVERGENCE_FACTOR = 1e6
 
@@ -96,16 +93,14 @@ class SolverConfig:
     """Run parameters shared by all equations.
 
     ``stabilization`` of ``None`` resolves to the potential's curvature bound;
-    a value below that bound is rejected, and so is any value with the
-    explicit scheme, which has no stabilizer.  ``mobility`` enters the
-    conserved flows only.
+    a value below that bound is rejected.  ``mobility`` enters the conserved
+    flows only.
     """
 
     tau: float
     t_final: float
     mobility: float = 1.0
     stabilization: float | None = None
-    scheme: str = SEMI_IMPLICIT
     record_every: int = 1
     keep_fields: bool = False
 
@@ -125,10 +120,6 @@ class SolverConfig:
                              "the step count is not finite")
         if not self.mobility > 0:
             raise ValueError("mobility must be positive")
-        if self.scheme not in (SEMI_IMPLICIT, EXPLICIT):
-            raise ValueError(f"scheme must be {SEMI_IMPLICIT!r} or {EXPLICIT!r}")
-        if self.scheme == EXPLICIT and self.stabilization is not None:
-            raise ValueError(f"the {EXPLICIT} scheme takes no stabilization")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -165,32 +156,6 @@ def resolve_stabilization(config: SolverConfig, potential) -> float:
     return s
 
 
-def explicit_tau_bound(equation: str, grid: UniformGrid, mobility: float,
-                       kernel: Kernel | None = None) -> float:
-    """Largest safe step for the fully explicit scheme.
-
-    For the conserved nonlocal flow this is ``0.5 / (m * max a * max lam)``
-    with ``a`` the degree function; the other equations use the analogous
-    spectral-radius bounds.  The semi-implicit scheme needs no step bound.
-    Only the nonlocal equations take a kernel.
-    """
-    if equation in ("local-ch", "local-ac") and kernel is not None:
-        raise ValueError(f"{equation} takes no kernel")
-    lam_max = float(laplacian_symbol(grid).max())
-    if equation == "local-ch":
-        return 0.5 / (mobility * lam_max * lam_max)
-    if equation == "local-ac":
-        return 0.5 / lam_max
-    if kernel is None:
-        raise ValueError("nonlocal equations need a kernel")
-    a_max = float(degree_function(kernel, grid).values.max())
-    if equation == "nonlocal-ch":
-        return 0.5 / (mobility * a_max * lam_max)
-    if equation == "nonlocal-ac":
-        return 0.5 / a_max
-    raise ValueError(f"unknown equation {equation!r}")
-
-
 class _Stepper:
     """One IMEX step for a batch of members that share a grid, an equation,
     a config and a potential and differ in their kernels (one per member,
@@ -217,21 +182,13 @@ class _Stepper:
         drive = config.mobility * lam if equation.endswith("ch") else np.ones_like(lam)
         stabilization = resolve_stabilization(config, potential)
         nu = np.stack([stencil_symbol(k, grid) if nonlocal_eq else lam for k in self.kernels])
-        if config.scheme == SEMI_IMPLICIT:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rate = config.tau * drive
-                denom = 1.0 + rate * (nu + stabilization)
-                gain = rate / denom
-            # where the denominator overflows, the gain has reached its limit
-            # 1 / (nu + s) to full precision (inf / inf would give nan)
-            np.divide(1.0, nu + stabilization, out=gain, where=np.isinf(denom))
-        else:
-            for kernel in self.kernels:
-                bound = explicit_tau_bound(equation, grid, config.mobility, kernel)
-                if config.tau > bound:
-                    raise ValueError(f"tau = {config.tau:.3e} exceeds the explicit stability "
-                                     f"bound {bound:.3e} for {equation}; shrink tau")
-            gain = config.tau * drive
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate = config.tau * drive
+            denom = 1.0 + rate * (nu + stabilization)
+            gain = rate / denom
+        # where the denominator overflows, the gain has reached its limit
+        # 1 / (nu + s) to full precision (inf / inf would give nan)
+        np.divide(1.0, nu + stabilization, out=gain, where=np.isinf(denom))
         self.gain = gain
         self.nu = nu
         # the share of chat a step keeps: exactly 1 on the conserved mass

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from nonloclab import cli, nonlocal_ops
 from nonloclab.cli import main
 from nonloclab.grid import load_field
+from nonloclab.solvers import SolverDivergedError
 
 
 def run_cli(args):
@@ -191,6 +192,39 @@ class TestRateCommands:
         assert code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["symbol-rate", "--n", "1"],
+        ["operator-rate", "--N", "256"],
+        ["solution-rate", "--N", "256"],
+    ])
+    def test_empty_band_is_usage_error(self, tmp_path, monkeypatch, capsys, command):
+        # no slope lies in [0.9, 0.4], so the band could only ever fail
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran with an empty band")
+
+        for name in ("symbol_study", "operator_rate_study", "solution_convergence_study"):
+            monkeypatch.setattr(cli, name, no_study)
+        out = tmp_path / "band"
+        code = run_cli([*command, "--slope-min", "0.9", "--slope-max", "0.4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--slope-min 0.9" in err and "--slope-max 0.4" in err
+        assert not (out / "resolved_config.txt").exists()
+
+    @pytest.mark.parametrize("command", ["solution-rate", "gronwall"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_perturbation_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                    command, value):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran with a non-finite perturbation")
+
+        monkeypatch.setattr(cli, "solution_convergence_study", no_study)
+        code = run_cli([command, "--N", "256", f"--perturbation={value}",
+                        "--out", str(tmp_path / "pert")])
+        assert code == 2
+        assert "--perturbation" in capsys.readouterr().err
+
     def test_slope_bound_from_config_file_is_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("slope_min=nan\n")
@@ -265,6 +299,10 @@ class TestSolveCommand:
         ("--tau", "nan", "tau must be finite"),
         ("--mobility", "inf", "mobility must be finite"),
         ("--stabilization", "inf", "stabilization must be finite"),
+        ("--N", "32,abc", "--N takes comma-separated int values, got '32,abc'"),
+        ("--N", "32.5", "--N takes comma-separated int values, got '32.5'"),
+        ("--N", "32,", "--N takes comma-separated int values, got '32,'"),
+        ("--L", "abc", "--L takes comma-separated float values, got 'abc'"),
     ])
     def test_non_finite_config_is_usage_error(self, tmp_path, capsys, flag, value, message):
         # the last occurrence of a flag wins
@@ -292,14 +330,29 @@ class TestSolveCommand:
                         "--N", "64", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("argv, message", [
-        (["--eq", "local-ac", "--scheme", "explicit", "--potential", "doublewell:K=1e8",
-          "--N", "64", "--T", "0.001", "--tau", "1e-5"], "local-ac diverged at step"),
         (["--eq", "local-ch", "--N", "32", "--T", "1e300", "--tau", "1e-300"],
          "step count is not finite"),
     ])
     def test_failed_run_is_usage_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "failed"
         assert run_cli(["solve", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert list(out.iterdir()) == []
+
+    def test_diverged_run_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # no solve call on named initial data diverges under the semi-implicit
+        # step, so the run raises what a diverged run raises
+        message = "local-ac diverged at step 5 (t = 5): max |c| = 1.800e+16"
+
+        def diverge(*args, **kwargs):
+            raise SolverDivergedError(message)
+
+        monkeypatch.setattr(cli, "run", diverge)
+        out = tmp_path / "diverged"
+        assert run_cli(["solve", "--eq", "local-ac", "--N", "32", "--T", "5", "--tau", "1",
+                        "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
@@ -314,15 +367,6 @@ class TestSolveCommand:
         out = tmp_path / "rejected"
         assert run_cli(["solve", *argv, "--out", str(out)]) == 2
         assert not (out / "resolved_config.txt").exists()
-
-    def test_explicit_scheme_rejects_stabilization(self, tmp_path, capsys):
-        # the explicit step has no stabilizer, so the flag would change nothing
-        out = tmp_path / "explicit"
-        assert run_cli(["solve", "--eq", "local-ch", "--N", "8", "--T", "1e-4", "--tau", "1e-6",
-                        "--scheme", "explicit", "--stabilization", "1e6",
-                        "--out", str(out)]) == 2
-        assert "explicit scheme takes no stabilization" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
 
     def test_colliding_checkpoint_names_are_usage_error(self, tmp_path, capsys):
         # 11 records 1e-9 apart; state_t{t:.8f}.bin gives them 2 names
@@ -355,16 +399,14 @@ class TestSolveProperty:
         free_T=_extreme_floats(1e-8, 1.0),
         mobility=_extreme_floats(1e-3, 1e3),
         stabilization=st.one_of(st.none(), _extreme_floats(0.0, 1e6)),
-        scheme=st.sampled_from(["semi-implicit", "explicit"]),
         K=_extreme_floats(1e-3, 1e8),
     )
-    def test_solve_exits_0_or_2(self, eq, tau, steps, free_T, mobility, stabilization,
-                                scheme, K):
+    def test_solve_exits_0_or_2(self, eq, tau, steps, free_T, mobility, stabilization, K):
         T = free_T if steps is None else steps * tau
         # a run of more steps than the cap may be valid and only slow
         assume(not (tau > 0 and math.isfinite(T / tau) and T / tau > self._MAX_STEPS))
         argv = ["solve", "--eq", eq, "--N", "16", "--T", repr(T), "--tau", repr(tau),
-                "--mobility", repr(mobility), "--scheme", scheme,
+                "--mobility", repr(mobility),
                 "--potential", f"doublewell:K={K!r}"]
         if stabilization is not None:
             argv += ["--stabilization", repr(stabilization)]
@@ -452,6 +494,15 @@ class TestUsageAndConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frobs=3\n")
         assert run_cli(["operator-rate", "--config", str(cfg)]) == 2
+
+    def test_retired_scheme_key_is_usage_error(self, tmp_path, capsys):
+        # a solve resolved_config.txt written while the step had a scheme option
+        cfg = tmp_path / "resolved_config.txt"
+        cfg.write_text("# nonloclab solve\neq=local-ch\nscheme=semi-implicit\n")
+        out = tmp_path / "old"
+        assert run_cli(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown keys ['scheme']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, key", [
         ("eps=0.1,0.05,0.025\neps=0.3,0.2,0.1\n", "eps"),

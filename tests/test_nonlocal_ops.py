@@ -32,7 +32,6 @@ from nonloclab.nonlocal_ops import (
     apply_fft,
     apply_fft_values,
     check_support_reaches_nodes,
-    degree_function,
     interior_remainder,
     l2_inner,
     nonlocal_energy,
@@ -70,18 +69,18 @@ class TestDegreeFunction:
     def test_interior_equals_full_mass(self, grid_1d, kernel_1d):
         # independent oracle: radial quadrature of the kernel over all space
         ref, _ = scipy.integrate.quad(lambda x: eval_J(kernel_1d, x), -0.1, 0.1)
-        a = degree_function(kernel_1d, grid_1d)
-        mid = a.values[128]
+        a = _stencil_data(kernel_1d, grid_1d).degree
+        mid = a[128]
         assert mid == pytest.approx(ref, rel=1e-6)
         assert mid == pytest.approx(total_mass(kernel_1d), rel=1e-6)
 
     def test_constant_on_periodic(self, kernel_1d):
         g = UniformGrid((1.0,), (256,), "periodic")
-        a = degree_function(kernel_1d, g)
-        assert np.ptp(a.values) == 0.0
+        a = _stencil_data(kernel_1d, g).degree
+        assert np.ptp(a) == 0.0
 
     def test_decreases_toward_boundary(self, grid_1d, kernel_1d):
-        a = degree_function(kernel_1d, grid_1d).values
+        a = _stencil_data(kernel_1d, grid_1d).degree
         assert a[0] < 0.6 * a[128]  # roughly half the mass sticks out at the wall
         assert np.argmax(a) not in (0, len(a) - 1)
         inside = a[64:192]
@@ -525,7 +524,7 @@ class TestStencilSymbolOnDemand:
                     f = random_field(g, 33)
                     apply_fft(k, f)
                     apply_direct(k, f)
-                    degree_function(k, g)
+                    _stencil_data(k, g).degree
                     nonlocal_energy(k, f)
                     if g.boundary == "neumann":
                         interior_remainder(k, f, 0.5 * eps)

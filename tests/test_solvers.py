@@ -338,13 +338,14 @@ def _reference_stepper(grid, equation, config, potential, kernel):
     return step_values
 
 
-def _assert_matches_five_transform_reference(equation, lengths, cells, eps, boundary):
+def _assert_matches_five_transform_reference(equation, lengths, cells, eps, boundary, gains):
     g = UniformGrid(lengths, cells, boundary)
     kernel = make_kernel(g.dimension, eps) if equation.startswith("nonlocal") else None
     pot = DoubleWell(K=1.0)
     tau = 1e-4
     n_steps = 200
-    cfg = SolverConfig(tau=tau, t_final=n_steps * tau, record_every=n_steps, keep_fields=True)
+    cfg = SolverConfig(tau=tau, t_final=n_steps * tau, record_every=n_steps, keep_fields=True,
+                       **gains)
     rng = np.random.default_rng(7)
     smooth = sample(g, lambda *xs: 0.3 * math.prod(np.cos(np.pi * x) for x in xs))
     init = Field(g, smooth.values + 0.05 * rng.standard_normal(g.shape))
@@ -357,7 +358,17 @@ def _assert_matches_five_transform_reference(equation, lengths, cells, eps, boun
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+# the default gain, and one with a mobility (conserved flows only) and a
+# stabilization above the curvature bound, so every factor of the decay and
+# gain is checked away from 1 and from alpha
+GAINS = pytest.mark.parametrize("gains", [
+    pytest.param({}, id="default-gain"),
+    pytest.param({"mobility": 3.0, "stabilization": 5.0}, id="raised-gain"),
+])
+
+
 class TestSpectralStateStepper:
+    @GAINS
     @pytest.mark.parametrize("equation", ["local-ch", "nonlocal-ch", "local-ac", "nonlocal-ac"])
     @pytest.mark.parametrize("lengths, cells, eps", [
         ((1.0,), (64,), 0.2),
@@ -365,16 +376,18 @@ class TestSpectralStateStepper:
         ((1.0, 1.0), (128, 128), 0.1),   # 2D wall strips of reach 13
     ])
     @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
-    def test_matches_five_transform_reference(self, equation, lengths, cells, eps, boundary):
-        _assert_matches_five_transform_reference(equation, lengths, cells, eps, boundary)
+    def test_matches_five_transform_reference(self, equation, lengths, cells, eps, boundary,
+                                              gains):
+        _assert_matches_five_transform_reference(equation, lengths, cells, eps, boundary, gains)
 
     # 2D wall strips of reach 9; the local flows take no kernel, so a second
     # scale would repeat their eps 0.1 cases exactly
+    @GAINS
     @pytest.mark.parametrize("equation", ["nonlocal-ch", "nonlocal-ac"])
     @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
-    def test_matches_five_transform_reference_narrow_kernel(self, equation, boundary):
+    def test_matches_five_transform_reference_narrow_kernel(self, equation, boundary, gains):
         _assert_matches_five_transform_reference(equation, (1.0, 1.0), (128, 128), 0.07,
-                                                 boundary)
+                                                 boundary, gains)
 
     @settings(max_examples=25, deadline=None)
     @given(

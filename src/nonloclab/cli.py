@@ -563,6 +563,25 @@ def _config_arguments(parser: _Parser, argv: list[str], entries: dict[str, str])
     return argv[:at + 1] + tokens + argv[at + 1:]
 
 
+def _missing_directories(path: Path) -> list[Path]:
+    """``path`` and those of its ancestors that do not exist yet, deepest first."""
+    missing = []
+    while not path.exists() and path != path.parent:
+        missing.append(path)
+        path = path.parent
+    return missing
+
+
+def _remove_empty(directories: list[Path]) -> None:
+    """Remove ``directories`` in order while each is empty, so a rejected call
+    leaves behind no directory that it made and wrote nothing into."""
+    for directory in directories:
+        try:
+            directory.rmdir()
+        except OSError:
+            return
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _shared_parser()
@@ -594,16 +613,20 @@ def main(argv=None) -> int:
         return USAGE_ERROR
 
     outdir = Path(args.out) if args.out else Path(f"out-{args.command}")
+    created = []
     try:
+        created = _missing_directories(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
+        _remove_empty(created)
         return USAGE_ERROR
 
     try:
         code = args.func_impl(args, outdir)
     except (ValueError, OSError, SolverDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _remove_empty(created)
         return USAGE_ERROR
     _write_resolved_config(outdir, parser, args)
     return code

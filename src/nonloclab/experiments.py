@@ -18,12 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (
+    NEUMANN,
     Field,
     UniformGrid,
     hminus1_norm,
     l2_norm,
     lp_norm,
-    sample,
     sobolev_norm,
 )
 from .kernels import Kernel, MollifierSpec, fourier_symbol
@@ -222,11 +222,9 @@ def _named_field(grid: UniformGrid, spec, registry: dict, what: str) -> Field:
     return Field(grid, builder(grid))
 
 
-def make_test_field(grid: UniformGrid, func) -> Field:
-    """Resolve a test function given as Field, registry name, or callable."""
-    if isinstance(func, (Field, str)):
-        return _named_field(grid, func, TEST_FUNCTIONS, "test function")
-    return sample(grid, func)
+def make_test_field(grid: UniformGrid, name_or_field) -> Field:
+    """Resolve a test function given as Field or registry name."""
+    return _named_field(grid, name_or_field, TEST_FUNCTIONS, "test function")
 
 
 def _init_cosmix(grid: UniformGrid):
@@ -351,14 +349,11 @@ def _symbol_point(kernel: Kernel, lattice) -> float:
     return worst
 
 
-def symbol_study(mollifier: MollifierSpec, eps_list, lattice=None) -> RateTable:
-    """Rate of the cubic-normalized symbol error over a frequency lattice."""
+def symbol_study(mollifier: MollifierSpec, eps_list) -> RateTable:
+    """Rate of the cubic-normalized symbol error over the default frequency
+    lattice of the mollifier's dimension."""
     eps = _check_ladder(eps_list)
-    if lattice is None:
-        lattice = default_symbol_lattice(mollifier.dimension)
-    lattice = [tuple(float(c) for c in xi) for xi in lattice]
-    if any(all(c == 0 for c in xi) for xi in lattice):
-        raise ValueError("the zero frequency is excluded (cubic normalization)")
+    lattice = default_symbol_lattice(mollifier.dimension)
     errors = [_symbol_point(Kernel(mollifier, e), lattice) for e in eps]
     return _fit_with_floor(eps, errors, FLOOR_FACTOR)
 
@@ -448,7 +443,9 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
                                equation: str = "nonlocal-ch",
                                perturbation_scale: float = 0.05,
                                workers: int = 1) -> SolutionStudyResult:
-    """Distance between the nonlocal flow and its fine-step local limit.
+    """Distance between the nonlocal flow and its fine-step local limit, on a
+    zero-flux box (a torus raises ``ValueError``: the offset profile and the
+    named initial data are not periodic).
 
     The local reference runs from the base initial data with a tenfold finer
     step, so time discretization cannot contaminate the fitted rate.  Each
@@ -471,6 +468,9 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
     """
     if not equation.startswith("nonlocal"):
         raise ValueError("solution study compares a nonlocal flow to its local limit")
+    if grid.boundary != NEUMANN:
+        raise ValueError("the solution study runs on a zero-flux box: its offset profile "
+                         "cos(pi x) and its named initial data are not periodic")
     eps = _grid_ladder(grid, mollifier, eps_list)
     initial = make_initial_field(grid, initial)
     local_equation = equation.replace("nonlocal", "local")
@@ -512,6 +512,10 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
 # ---------------------------------------------------------------------------
 # per-time differential inequality audit
 
+# absolute room for rounding in lhs <= C * rhs
+_GRONWALL_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class GronwallTrace:
     """Per-time pieces of the differential inequality driving the limit.
@@ -542,8 +546,8 @@ class GronwallTrace:
         m = len(self.derivative)
         return self.dual_sq[:m] + self.consistency_sq[:m]
 
-    def holds_with(self, constant: float, slack: float = 1e-12) -> bool:
-        return bool(np.all(self.lhs() <= constant * self.rhs() + slack))
+    def holds_with(self, constant: float) -> bool:
+        return bool(np.all(self.lhs() <= constant * self.rhs() + _GRONWALL_SLACK))
 
 
 def gronwall_trace(record_eps: TrajectoryRecord, record_ref: TrajectoryRecord,

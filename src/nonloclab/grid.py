@@ -38,7 +38,6 @@ __all__ = [
     "cosine_transform",
     "laplacian_symbol",
     "coefficient_weights",
-    "zero_mode_index",
     "save_field",
     "load_field",
 ]
@@ -142,9 +141,6 @@ class Field:
         return Field(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
 
 
 def sample(grid: UniformGrid, f) -> Field:
@@ -276,10 +272,6 @@ def coefficient_weights(grid: UniformGrid) -> np.ndarray:
     return out
 
 
-def zero_mode_index(grid: UniformGrid) -> tuple[int, ...]:
-    return (0,) * grid.dimension
-
-
 def sobolev_norm(field: Field, s: float) -> float:
     """Spectral Sobolev norm with weight ``(1 + lambda_k)**s``.
 
@@ -305,10 +297,9 @@ def hminus1_norm(field: Field) -> float:
     coeffs = spectral_coefficients(field)
     lam = laplacian_symbol(grid)
     weights = coefficient_weights(grid)
-    idx = zero_mode_index(grid)
     mean = integrate(field) / grid.volume
     mask = np.ones(coeffs.shape, dtype=bool)
-    mask[idx] = False
+    mask[(0,) * grid.dimension] = False
     fluct_sq = np.sum(np.abs(coeffs[mask]) ** 2 / lam[mask] * weights[mask]) * grid.cell_volume
     return float(np.sqrt(fluct_sq) + abs(mean) * np.sqrt(grid.volume))
 

@@ -12,7 +12,6 @@ from .grid import (
     laplacian_symbol,
     lp_norm,
     spectral_coefficients,
-    zero_mode_index,
 )
 
 __all__ = ["laplacian", "inv_neumann_laplacian", "dirichlet_energy"]
@@ -43,7 +42,7 @@ def inv_neumann_laplacian(field: Field) -> Field:
     grid = field.grid
     coeffs = spectral_coefficients(field)
     lam = laplacian_symbol(grid).copy()
-    idx = zero_mode_index(grid)
+    idx = (0,) * grid.dimension  # the mean mode
     lam[idx] = 1.0  # dummy; the zero mode is pinned to zero below
     out = coeffs / lam
     out[idx] = 0.0

@@ -99,6 +99,13 @@ def l2_inner(u: Field, v: Field) -> float:
 # ---------------------------------------------------------------------------
 # cached per-(kernel, grid) discretization data
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Mark cached tables read-only: every later call on their (kernel, grid)
+    pair shares them, so one caller's write would change every other's."""
+    for array in arrays:
+        array.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class _StencilData:
     grid: UniformGrid
@@ -114,7 +121,9 @@ class _StencilData:
         """Transform-basis eigenvalues of the wrapped (periodic) or reflected
         (neumann) stencil operator.  Only the solvers read them, so they are
         built on first use, once per cached (kernel, grid)."""
-        return _stencil_eigenvalues(self.weights, self.reach, self.grid)
+        symbol = _stencil_eigenvalues(self.weights, self.reach, self.grid)
+        _read_only(symbol)
+        return symbol
 
     @cached_property
     def wall_remainder(self) -> "WallRemainder":
@@ -182,6 +191,7 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
     # the leading grid-shaped block of the padded circular convolution is the
     # linear one restricted to the box
     degree = scipy.fft.irfftn(ones_hat * kernel_hat, s=pad_shape)[tuple(map(slice, grid.shape))]
+    _read_only(weights, kernel_hat, degree)
     return _StencilData(
         grid=grid,
         reach=reach,
@@ -490,6 +500,10 @@ class WallRemainder:
     strips: tuple[np.ndarray, ...]
     corner_diag: np.ndarray | None = None
     corner_hankel: np.ndarray | None = None
+
+    def __post_init__(self):
+        corners = [a for a in (self.corner_diag, self.corner_hankel) if a is not None]
+        _read_only(*self.strips, *corners)
 
     def subtract(self, values: np.ndarray, out: np.ndarray) -> None:
         """``out -= remainder(values)``, in place; both have the grid's shape."""

@@ -51,27 +51,28 @@ class DoubleWell:
         return 12.0 * self.K * c**2 - 4.0 * self.K
 
 
+_CLAMP_DELTA = 1e-6  # the logarithmic potential's delta
+
+
 @dataclass
 class LogarithmicPotential:
     """Entropic potential with a destabilizing quadratic term.
 
-    Finite only on (-1, 1); inputs are clamped to ``[-1 + delta, 1 - delta]``
-    before evaluation, which keeps the solver total while preserving the
-    curvature bound.  ``clamp_events`` counts how many samples were clamped,
-    as a diagnostic that the run strayed toward the endpoints.
+    Finite only on (-1, 1); inputs are clamped to ``[-1 + delta, 1 - delta]``,
+    with the fixed ``delta = 1e-6``, before evaluation, which keeps the solver
+    total while preserving the curvature bound.  ``clamp_events`` counts how
+    many samples were clamped, as a diagnostic that the run strayed toward
+    the endpoints.
     """
 
     theta: float
     theta_c: float
-    clamp_delta: float = 1e-6
     clamp_events: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_finite(self, ("theta", "theta_c", "clamp_delta"))
+        _require_finite(self, ("theta", "theta_c"))
         if not 0 < self.theta < self.theta_c:
             raise ValueError("need 0 < theta < theta_c")
-        if not 0 < self.clamp_delta < 1:
-            raise ValueError("clamp_delta must lie in (0, 1)")
 
     @property
     def alpha(self) -> float:
@@ -80,7 +81,7 @@ class LogarithmicPotential:
 
     def _clamp(self, c):
         c = np.asarray(c, dtype=float)
-        lo, hi = -1.0 + self.clamp_delta, 1.0 - self.clamp_delta
+        lo, hi = -1.0 + _CLAMP_DELTA, 1.0 - _CLAMP_DELTA
         clipped = np.clip(c, lo, hi)
         self.clamp_events += int(np.count_nonzero(clipped != c))
         return clipped
@@ -106,10 +107,7 @@ def _require_finite(potential, names) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-_KINDS = {
-    "doublewell": DoubleWell, "double-well": DoubleWell, "dw": DoubleWell,
-    "logarithmic": LogarithmicPotential, "log": LogarithmicPotential,
-}
+_KINDS = {"doublewell": DoubleWell, "logarithmic": LogarithmicPotential}
 
 
 def make_potential(kind: str, **params):

@@ -4,10 +4,9 @@ All four equations share one time discretization, the stabilized
 semi-implicit first-order IMEX step, and one time loop, :func:`run_batch`.
 It advances a batch of members that share the grid, the equation, the
 config and the potential and differ in their kernels (one per member,
-``None`` for the local flows); :func:`run` and :func:`step` are one-member
-calls of it.  Every state array carries the member axis first, and the
-transforms act on the trailing grid axes, so each step transforms the whole
-batch at once.
+``None`` for the local flows); :func:`run` is a one-member call of it.
+Every state array carries the member axis first, and the transforms act on
+the trailing grid axes, so each step transforms the whole batch at once.
 
 The loop carries the state as its coefficients ``chat`` in the grid's
 transform basis (cosine for zero-flux boxes, the real-to-complex Fourier
@@ -72,7 +71,6 @@ __all__ = [
     "SolverConfig",
     "TrajectoryRecord",
     "SolverDivergedError",
-    "step",
     "run",
     "run_batch",
     "record_steps",
@@ -221,15 +219,6 @@ class _Stepper:
         if self.nonlocal_eq:
             return nonlocal_ops.nonlocal_energy(self.kernels[member], field) + bulk
         return dirichlet_energy(field) + bulk
-
-
-def step(state: Field, config: SolverConfig, potential, equation: str,
-         kernel: Kernel | None = None) -> Field:
-    """Advance ``state`` by one step of ``equation``; the conserved flows
-    preserve mass exactly."""
-    one_step = replace(config, t_final=config.tau, record_every=1, keep_fields=True)
-    (record,) = run_batch([state], one_step, potential, equation, [kernel])
-    return record.fields[-1]
 
 
 def run(initial: Field, config: SolverConfig, potential, equation: str,

@@ -225,6 +225,19 @@ class TestRateCommands:
         assert code == 2
         assert "--perturbation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solution-rate", "gronwall"])
+    def test_solution_study_on_a_torus_is_usage_error(self, tmp_path, capsys, command):
+        # the study's offset profile and named initial data are not periodic,
+        # so every run would start with a jump at the wrap
+        out = tmp_path / "torus"
+        code = run_cli([command, "--domain", "periodic", "--N", "256", "--T", "0.001",
+                        "--tau", "1e-4", "--record-every", "5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "zero-flux" in err
+        assert not out.exists()
+
     def test_slope_bound_from_config_file_is_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("slope_min=nan\n")
@@ -314,7 +327,7 @@ class TestSolveCommand:
         ("doublewell:foo=1", "accepted parameters: K"),
         ("logarithmic:theta=0.8", "missing parameters: theta_c"),
         ("doublewell:K=inf", "K must be finite"),
-        ("logarithmic:theta=0.8,theta_c=1,clamp_delta=nan", "clamp_delta must be finite"),
+        ("logarithmic:theta=0.8,theta_c=1,clamp_delta=1e-8", "unknown parameters ['clamp_delta']"),
     ])
     def test_bad_potential_is_usage_error(self, tmp_path, capsys, spec, message):
         code = run_cli(["solve", "--eq", "local-ch", "--N", "32", "--T", "0.05",
@@ -339,7 +352,7 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_diverged_run_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # no solve call on named initial data diverges under the semi-implicit
@@ -356,7 +369,7 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--eq", "local-ch", "--eps", "0.1", "--N", "32", "--T", "0.0001"],
@@ -374,11 +387,43 @@ class TestSolveCommand:
         assert run_cli(["solve", "--eq", "local-ch", "--N", "16", "--T", "1e-8", "--tau", "1e-9",
                         "--record-every", "1", "--checkpoints", "--out", str(out)]) == 2
         assert "--record-every" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         # 1e-8 apart, every record has its own name
         assert run_cli(["solve", "--eq", "local-ch", "--N", "16", "--T", "1e-7", "--tau", "1e-8",
                         "--record-every", "1", "--checkpoints", "--out", str(out)]) == 0
         assert len(list(out.glob("state_t*.bin"))) == 11
+
+    def test_rejected_call_leaves_no_default_output_directory(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # out-solve/ used to be made before the command checked its inputs
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["solve", "--eq", "local-ch", "--N", "32,abc"]) == 2
+        assert "--N takes comma-separated int values" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejected_call_removes_only_the_directories_it_made(self, tmp_path):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        argv = ["solve", "--eq", "local-ch", "--N", "32,abc", "--out"]
+        assert run_cli([*argv, str(kept)]) == 2
+        assert kept.is_dir() and list(kept.iterdir()) == []
+        # the call made kept/a and kept/a/b, and removes both, deepest first
+        assert run_cli([*argv, str(kept / "a" / "b")]) == 2
+        assert list(tmp_path.iterdir()) == [kept]
+        assert list(kept.iterdir()) == []
+
+    def test_rejected_call_keeps_a_directory_it_wrote_into(self, tmp_path, monkeypatch):
+        parser = cli.build_parser()
+
+        def write_then_fail(args, outdir):
+            (outdir / "partial.csv").write_text("t\n")
+            raise ValueError("failed after writing")
+
+        parser.commands["solve"].set_defaults(func_impl=write_then_fail)
+        monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
+        out = tmp_path / "a" / "b"
+        assert run_cli(["solve", "--eq", "local-ch", "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["partial.csv"]
 
 
 def _extreme_floats(lo, hi):

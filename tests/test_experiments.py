@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonloclab import experiments
-from nonloclab.grid import UniformGrid, sample
+from nonloclab.grid import UniformGrid, l2_norm, sample
 from nonloclab.kernels import Kernel, fourier_symbol, make_mollifier
+from nonloclab.local_ops import laplacian
+from nonloclab.nonlocal_ops import apply_fft
 from nonloclab.potentials import DoubleWell
 from nonloclab.solvers import SolverConfig
 from nonloclab.experiments import (
@@ -119,10 +121,6 @@ class TestSymbolStudy:
         assert len(lat2) == 256
         assert all(c != 0 for xi in lat2 for c in xi)
 
-    def test_zero_frequency_rejected(self, moll):
-        with pytest.raises(ValueError, match="zero frequency"):
-            symbol_study(moll, (0.2, 0.1, 0.05), lattice=[(0.0,), (1.0,)])
-
     def test_rate_beats_linear(self, moll):
         table = symbol_study(moll, (0.2, 0.1, 0.05, 0.025))
         assert table.fitted_slope >= 0.9
@@ -145,39 +143,21 @@ def _symbol_errors_per_point(mollifier, eps_list, lattice):
     return errors
 
 
-# points sharing one radius in every order and sign, and in 1D two radii one
-# ulp apart, which a memo keyed on anything coarser than q would merge
-SHARED_RADII_2D = [(3.0, 4.0), (4.0, 3.0), (5.0, 0.0), (0.0, -5.0), (-3.0, -4.0),
-                   (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0)]
-NEAR_RADII_1D = [(1.0,), (-1.0,), (math.nextafter(1.0, 2.0),), (3.0,),
-                 (math.nextafter(3.0, 0.0),)]
-
-
 class TestSymbolQuadraturePerRadius:
     LADDER = (0.2, 0.1, 0.05)
 
-    @pytest.mark.parametrize("n, lattice", [
-        (1, None),
-        (2, None),
-        (2, SHARED_RADII_2D),
-        (1, NEAR_RADII_1D),
-    ])
-    def test_equals_per_point_loop(self, n, lattice):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_per_point_loop(self, n):
         mollifier = make_mollifier(n)
-        points = default_symbol_lattice(n) if lattice is None else lattice
-        table = symbol_study(mollifier, self.LADDER, lattice=lattice)
+        points = default_symbol_lattice(n)
+        table = symbol_study(mollifier, self.LADDER)
         assert table.errors == tuple(_symbol_errors_per_point(mollifier, self.LADDER, points))
 
-    @pytest.mark.parametrize("n, lattice, per_scale", [
-        (1, None, 8),
-        (2, None, 34),
-        (2, SHARED_RADII_2D, 4),
-        (1, NEAR_RADII_1D, 4),
-    ])
-    def test_one_quadrature_per_distinct_radius(self, n, lattice, per_scale):
+    @pytest.mark.parametrize("n, per_scale", [(1, 8), (2, 34)])
+    def test_one_quadrature_per_distinct_radius(self, n, per_scale):
         with mock.patch.object(experiments, "fourier_symbol",
                                wraps=experiments.fourier_symbol) as spy:
-            symbol_study(make_mollifier(n), self.LADDER, lattice=lattice)
+            symbol_study(make_mollifier(n), self.LADDER)
         assert spy.call_count == per_scale * len(self.LADDER)
         radii = [float(np.sqrt(np.sum(np.asarray(c.args[1]) ** 2))) for c in spy.call_args_list]
         assert len(set(radii)) == per_scale
@@ -199,12 +179,16 @@ class TestOperatorStudy:
         with pytest.raises(ValueError, match="resolve"):
             operator_rate_study(g, moll, "sinmix", (0.2, 0.1, 0.01))
 
-    def test_accepts_field_and_callable(self, moll):
+    def test_accepts_field_rejects_callable(self, moll):
         g = UniformGrid((1.0,), (512,), "periodic")
+        ladder = (0.2, 0.1, 0.05)
         f = sample(g, lambda x: np.sin(2 * np.pi * x))
-        t1 = operator_rate_study(g, moll, f, (0.2, 0.1, 0.05))
-        t2 = operator_rate_study(g, moll, lambda x: np.sin(2 * np.pi * x), (0.2, 0.1, 0.05))
-        assert t1.errors == t2.errors
+        table = operator_rate_study(g, moll, f, ladder)
+        expected = [l2_norm(apply_fft(Kernel(moll, e), f) + laplacian(f)) for e in ladder]
+        assert table.errors == tuple(expected)
+        # studies take a registry name or a Field, not a function to sample
+        with pytest.raises(ValueError, match="unknown test function"):
+            operator_rate_study(g, moll, lambda x: np.sin(2 * np.pi * x), ladder)
 
     def test_unknown_test_function(self, moll):
         g = UniformGrid((1.0,), (512,), "periodic")
@@ -458,6 +442,17 @@ class TestHelpers:
         cfg = SolverConfig(tau=5e-5, t_final=0.01)
         with pytest.raises(ValueError, match="different grid"):
             solution_convergence_study(g, cfg, DoubleWell(), moll, (0.16, 0.08, 0.04), other)
+        assert steps == []
+
+    def test_solution_study_rejects_a_torus_before_any_step(self, moll, monkeypatch):
+        # cos(pi x) and the named initial data jump at the wrap of a torus
+        g = UniformGrid((1.0,), (256,), "periodic")
+        steps = []
+        monkeypatch.setattr(experiments, "run", lambda *a, **k: steps.append("run"))
+        monkeypatch.setattr(experiments, "run_batch", lambda *a, **k: steps.append("batch"))
+        cfg = SolverConfig(tau=5e-5, t_final=0.01)
+        with pytest.raises(ValueError, match="zero-flux"):
+            solution_convergence_study(g, cfg, DoubleWell(), moll, (0.16, 0.08, 0.04), "cosmix")
         assert steps == []
 
     def test_initial_data_registry(self):

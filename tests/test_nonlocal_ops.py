@@ -882,3 +882,38 @@ class TestWallRemainder:
         with pytest.raises(ValueError, match="bounded"):
             nonlocal_ops.wall_remainder(make_kernel(2, 0.2),
                                         UniformGrid((1.0, 1.0), (32, 32), "periodic"))
+
+
+class TestCachedTablesAreReadOnly:
+    # every later call on a (kernel, grid) pair shares these arrays, so a
+    # write into one would silently change every later step on that pair
+    @pytest.mark.parametrize("lengths, cells, boundary", [
+        ((1.0,), (64,), "neumann"),
+        ((1.0, 1.5), (24, 32), "neumann"),
+        ((1.0,), (64,), "periodic"),
+        ((1.0, 1.0), (24, 24), "periodic"),
+    ])
+    def test_a_write_into_any_cached_table_raises(self, lengths, cells, boundary):
+        g = UniformGrid(lengths, cells, boundary)
+        k = make_kernel(g.dimension, 0.2)
+        data = _stencil_data(k, g)
+        tables = {"weights": data.weights, "kernel_hat": data.kernel_hat,
+                  "degree": data.degree, "symbol": data.symbol}
+        if boundary == "neumann":
+            remainder = nonlocal_ops.wall_remainder(k, g)
+            tables.update({f"strips[{i}]": s for i, s in enumerate(remainder.strips)})
+            if g.dimension == 2:
+                tables["corner_diag"] = remainder.corner_diag
+                tables["corner_hankel"] = remainder.corner_hankel
+        accepted = []
+        for name, table in tables.items():
+            corner = (0,) * table.ndim
+            try:
+                table[corner] = table[corner]  # the same value: harmless if it goes through
+            except ValueError as exc:
+                assert "read-only" in str(exc)
+            else:
+                accepted.append(name)
+        assert accepted == []
+        # callers of stencil_symbol still get a writable copy
+        stencil_symbol(k, g)[(0,) * g.dimension] = -1.0

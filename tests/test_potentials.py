@@ -77,7 +77,8 @@ class TestLogarithmic:
         assert np.max(np.abs(fd - pot.fprime(c))) < 1e-6
 
     def test_derivative_blows_up_toward_endpoints(self):
-        pot = LogarithmicPotential(theta=0.8, theta_c=1.0, clamp_delta=1e-8)
+        # 0.999999 is exactly 1 - 1e-6, the clamp bound, so it stays unclamped
+        pot = LogarithmicPotential(theta=0.8, theta_c=1.0)
         values = pot.fprime(np.asarray([0.9, 0.99, 0.999999]))
         assert np.all(np.diff(values) > 0)  # increasing toward the edge
         assert values[-1] > 4.0
@@ -85,7 +86,7 @@ class TestLogarithmic:
         assert np.all(np.diff(low) < 0)
 
     def test_clamping_counts_events(self):
-        pot = LogarithmicPotential(theta=0.8, theta_c=1.0, clamp_delta=1e-6)
+        pot = LogarithmicPotential(theta=0.8, theta_c=1.0)
         assert pot.clamp_events == 0
         pot.f(np.asarray([0.0, 0.5, 2.0, -3.0]))
         assert pot.clamp_events == 2
@@ -94,8 +95,9 @@ class TestLogarithmic:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             LogarithmicPotential(theta=1.0, theta_c=0.8)
-        with pytest.raises(ValueError):
-            LogarithmicPotential(theta=0.5, theta_c=1.0, clamp_delta=2.0)
+        # the clamp bound is fixed; naming it is an unknown parameter
+        with pytest.raises(ValueError, match=r"unknown parameters \['clamp_delta'\]"):
+            parse_potential("logarithmic:theta=0.5,theta_c=1,clamp_delta=1e-8")
 
 
 class TestFactory:
@@ -113,13 +115,14 @@ class TestFactory:
         assert isinstance(parse_potential("doublewell"), DoubleWell)
 
     def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_potential("mystery:K=1")
+        for kind in ("mystery", "double-well", "dw", "log"):
+            with pytest.raises(ValueError, match="unknown potential kind"):
+                parse_potential(f"{kind}:K=1")
         with pytest.raises(ValueError):
             parse_potential("doublewell:K")
         with pytest.raises(ValueError, match=r"accepted parameters: K\b"):
             make_potential("doublewell", bogus=1.0)
-        with pytest.raises(ValueError, match="accepted parameters: theta, theta_c, clamp_delta"):
+        with pytest.raises(ValueError, match="accepted parameters: theta, theta_c$"):
             parse_potential("logarithmic:theta=0.8,theta_c=1,clamp_events=3")
         with pytest.raises(ValueError, match="missing parameters: theta, theta_c"):
             make_potential("logarithmic")
@@ -133,7 +136,6 @@ class TestFactory:
     @pytest.mark.parametrize("spec", [
         "doublewell:K=inf", "doublewell:K=nan",
         "logarithmic:theta=0.8,theta_c=inf", "logarithmic:theta=nan,theta_c=1",
-        "logarithmic:theta=0.8,theta_c=1,clamp_delta=nan",
     ])
     def test_non_finite_parameters_rejected(self, spec):
         with pytest.raises(ValueError, match="must be finite"):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -33,7 +34,6 @@ from nonloclab.solvers import (
     resolve_stabilization,
     run,
     run_batch,
-    step,
 )
 
 
@@ -50,21 +50,27 @@ def pot():
 SMALL = SolverConfig(tau=1e-4, t_final=1e-3)
 
 
+def one_step(state, potential, equation, kernel=None):
+    """The state after one step of SMALL's size: ``run`` to ``t_final = tau``."""
+    config = replace(SMALL, t_final=SMALL.tau, record_every=1, keep_fields=True)
+    return run(state, config, potential, equation, kernel).fields[-1]
+
+
 class TestFixedPoints:
     def test_constants_are_fixed_for_conserved_flows(self, grid, pot):
         c = Field(grid, np.full(grid.shape, 0.37))
-        out = step(c, SMALL, pot, "local-ch")
+        out = one_step(c, pot, "local-ch")
         assert np.max(np.abs(out.values - 0.37)) < 1e-13
         k = make_kernel(1, 0.1)
-        out = step(c, SMALL, pot, "nonlocal-ch", k)
+        out = one_step(c, pot, "nonlocal-ch", k)
         assert np.max(np.abs(out.values - 0.37)) < 1e-13
 
     def test_wells_are_fixed_for_nonconserved_flows(self, grid, pot):
         k = make_kernel(1, 0.1)
         for value in (1.0, -1.0):
             c = Field(grid, np.full(grid.shape, value))
-            assert np.max(np.abs(step(c, SMALL, pot, "local-ac").values - value)) < 1e-13
-            assert np.max(np.abs(step(c, SMALL, pot, "nonlocal-ac", k).values - value)) < 1e-13
+            assert np.max(np.abs(one_step(c, pot, "local-ac").values - value)) < 1e-13
+            assert np.max(np.abs(one_step(c, pot, "nonlocal-ac", k).values - value)) < 1e-13
 
     def test_zero_data_stays_zero(self, grid, pot):
         zero = Field(grid, np.zeros(grid.shape))
@@ -204,8 +210,6 @@ class TestSchemeProperties:
         with pytest.raises(ValueError, match=message):
             run(init, SMALL, pot, equation, k)
         with pytest.raises(ValueError, match=message):
-            step(init, SMALL, pot, equation, k)
-        with pytest.raises(ValueError, match=message):
             run_batch([init, init], SMALL, pot, equation, [None, k])
 
     def test_unknown_equation(self, grid, pot):
@@ -238,7 +242,7 @@ class TestSchemeProperties:
         init = sample(g, lambda x: 0.1 * np.cos(np.pi * x))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
-            out = step(init, SMALL, pot, "nonlocal-ac", make_kernel(1, 1.5 / 128))
+            out = one_step(init, pot, "nonlocal-ac", make_kernel(1, 1.5 / 128))
         assert np.all(np.isfinite(out.values))
 
 
@@ -275,7 +279,7 @@ class TestTwoDimensional:
     def test_local_ch_2d_fixed_point(self):
         g = UniformGrid((1.0, 2.0), (16, 32), "neumann")
         c = Field(g, np.full(g.shape, -0.2))
-        out = step(c, SMALL, DoubleWell(), "local-ch")
+        out = one_step(c, DoubleWell(), "local-ch")
         assert np.max(np.abs(out.values + 0.2)) < 1e-13
 
 

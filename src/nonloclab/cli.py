@@ -367,16 +367,14 @@ def _cmd_oracle_check(args, outdir: Path) -> int:
 
 def _cmd_gronwall(args, outdir: Path) -> int:
     result, mollifier = _solution_study(args)
-    eps0 = args.eps[min(1, len(args.eps) - 1)]
+    eps0 = args.eps[1]
     trace = gronwall_trace(result.records[eps0], result.reference, Kernel(mollifier, eps0))
-    m = len(trace.derivative)
     write_series_csv(
         outdir / "gronwall_trace.csv",
         ["t", "dual_sq_half", "derivative", "l2_sq_half", "pair_energy_half",
          "dual_sq", "consistency_sq"],
-        [trace.times[:m], trace.dual_sq_half[:m], trace.derivative,
-         trace.l2_sq_half[:m], trace.pair_energy_half[:m], trace.dual_sq[:m],
-         trace.consistency_sq[:m]],
+        [trace.times, trace.dual_sq_half, trace.derivative, trace.l2_sq_half,
+         trace.pair_energy_half, trace.dual_sq, trace.consistency_sq],
     )
     ok = trace.holds_with(trace.empirical_constant)
     write_summary_json(outdir / "gronwall_summary.json", {
@@ -610,6 +608,11 @@ def main(argv=None) -> int:
     if lo is not None and hi is not None and lo > hi:
         print(f"error: --slope-min {lo:g} is above --slope-max {hi:g}: no slope can pass",
               file=sys.stderr)
+        return USAGE_ERROR
+    # the stepper reads the mobility in the conserved flows only
+    if getattr(args, "mobility", 1.0) != 1.0 and args.eq.endswith("-ac"):
+        print(f"error: --mobility {args.mobility:g} has no effect on {args.eq}: only the "
+              "conserved (-ch) flows take a mobility", file=sys.stderr)
         return USAGE_ERROR
 
     outdir = Path(args.out) if args.out else Path(f"out-{args.command}")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .grid import (
     NEUMANN,
+    PERIODIC,
     Field,
     UniformGrid,
     hminus1_norm,
@@ -265,10 +266,21 @@ INITIAL_DATA = {
     "threshold": _init_threshold,
 }
 
+# the named data that a torus can carry: the cosine series of the others are
+# smooth on a zero-flux box but jump at the wrap
+_PERIODIC_INITIAL_DATA = ("random",)
+
 
 def make_initial_field(grid: UniformGrid, name_or_field) -> Field:
-    """Resolve initial data given as Field or registry name."""
-    return _named_field(grid, name_or_field, INITIAL_DATA, "initial data")
+    """Resolve initial data given as Field or registry name; a torus takes
+    only the names in ``_PERIODIC_INITIAL_DATA``."""
+    field = _named_field(grid, name_or_field, INITIAL_DATA, "initial data")
+    if (grid.boundary == PERIODIC and isinstance(name_or_field, str)
+            and name_or_field not in _PERIODIC_INITIAL_DATA):
+        raise ValueError(f"initial data {name_or_field!r} is not periodic: it jumps at the "
+                         f"wrap of a torus; use one of {list(_PERIODIC_INITIAL_DATA)} or a "
+                         "zero-flux box")
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +411,14 @@ def remainder_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_funct
 _SOLUTION_NORMS = ("hminus1_sup", "l2_sup", "l2_spacetime", "hs-0.5_sup", "lp4_spacetime")
 
 
-def _trajectory_errors(times, fields_eps, fields_ref):
-    h1 = []
-    l2 = []
-    hs = []
-    l4 = []
-    for fe, fr in zip(fields_eps, fields_ref):
-        u = fe - fr
-        h1.append(hminus1_norm(u))
-        l2.append(l2_norm(u))
-        hs.append(sobolev_norm(u, -0.5))
-        l4.append(lp_norm(u, 4))
-    h1 = np.asarray(h1)
-    l2 = np.asarray(l2)
-    return {
-        "hminus1_sup": float(h1.max()),
-        "l2_sup": float(l2.max()),
-        "l2_spacetime": float(np.sqrt(np.trapezoid(l2**2, times))),
-        "hs-0.5_sup": float(np.max(hs)),
-        "lp4_spacetime": float(np.sqrt(np.trapezoid(np.asarray(l4) ** 2, times))),
-    }
+def _trajectory_errors(times, fields_eps, fields_ref) -> tuple[float, ...]:
+    """The errors of one run, in ``_SOLUTION_NORMS`` order, from one row of
+    norms of the difference per record."""
+    rows = np.array([(hminus1_norm(u), l2_norm(u), sobolev_norm(u, -0.5), lp_norm(u, 4))
+                     for u in (fe - fr for fe, fr in zip(fields_eps, fields_ref))])
+    h1, l2, hs, l4 = rows.T
+    return (float(h1.max()), float(l2.max()), float(np.sqrt(np.trapezoid(l2**2, times))),
+            float(hs.max()), float(np.sqrt(np.trapezoid(l4**2, times))))
 
 
 def _check_same_times(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
@@ -485,13 +485,8 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
                      [Kernel(mollifier, e) for e in eps])
     _check_same_times(runs[0], ref)
 
-    errors: dict[str, list[float]] = {name: [] for name in _SOLUTION_NORMS}
-    records = dict(zip(eps, runs))
-    for record in runs:
-        errs = _trajectory_errors(record.times, record.fields, ref.fields)
-        for name in _SOLUTION_NORMS:
-            errors[name].append(errs[name])
-
+    per_run = [_trajectory_errors(r.times, r.fields, ref.fields) for r in runs]
+    errors = dict(zip(_SOLUTION_NORMS, zip(*per_run)))
     scale = max(max(l2_norm(f) for f in ref.fields), 1e-30)
     tables = {
         name: _fit_with_floor(eps, vals, FLOOR_FACTOR * scale)
@@ -502,10 +497,10 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
         equation=equation,
         epsilons=eps,
         tables=tables,
-        errors={k: tuple(v) for k, v in errors.items()},
+        errors=errors,
         reference_h3_max=h3_max,
         reference=ref,
-        records=records,
+        records=dict(zip(eps, runs)),
     )
 
 
@@ -518,14 +513,17 @@ _GRONWALL_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class GronwallTrace:
-    """Per-time pieces of the differential inequality driving the limit.
+    """Per-time pieces of the differential inequality driving the limit, at
+    the audited times: every record but the last, where the forward
+    difference ends.
 
     ``lhs`` collects the forward-difference derivative of half the squared
     dual norm plus half the squared quadratic norm plus half the pair energy
     of the difference; ``rhs`` is the squared dual norm plus the squared
     operator consistency error of the reference.  ``empirical_constant`` is
-    the smallest single constant making lhs <= C * rhs at every recorded
-    time.
+    the smallest single constant making lhs <= C * rhs at every audited time
+    where rhs is positive.  ``energy_time_integral`` integrates the pair
+    energy over every record.
     """
 
     times: np.ndarray
@@ -539,12 +537,10 @@ class GronwallTrace:
     energy_time_integral: float
 
     def lhs(self) -> np.ndarray:
-        m = len(self.derivative)
-        return self.derivative + self.l2_sq_half[:m] + self.pair_energy_half[:m]
+        return self.derivative + self.l2_sq_half + self.pair_energy_half
 
     def rhs(self) -> np.ndarray:
-        m = len(self.derivative)
-        return self.dual_sq[:m] + self.consistency_sq[:m]
+        return self.dual_sq + self.consistency_sq
 
     def holds_with(self, constant: float) -> bool:
         return bool(np.all(self.lhs() <= constant * self.rhs() + _GRONWALL_SLACK))
@@ -557,38 +553,29 @@ def gronwall_trace(record_eps: TrajectoryRecord, record_ref: TrajectoryRecord,
         raise ValueError("both trajectories must carry field checkpoints")
     _check_same_times(record_eps, record_ref)
 
+    # one row per record: the squared dual and quadratic norms and the pair
+    # energy of the difference, and the squared consistency error of the reference
+    diffs = (fe - fr for fe, fr in zip(record_eps.fields, record_ref.fields))
+    rows = np.array([(hminus1_norm(u) ** 2, l2_norm(u) ** 2, nonlocal_energy(kernel, u),
+                      l2_norm(apply_fft(kernel, fr) + laplacian(fr)) ** 2)
+                     for u, fr in zip(diffs, record_ref.fields)])
     times = record_eps.times
-    dual_sq = []
-    l2_sq = []
-    pair = []
-    consist = []
-    for fe, fr in zip(record_eps.fields, record_ref.fields):
-        u = fe - fr
-        dual_sq.append(hminus1_norm(u) ** 2)
-        l2_sq.append(l2_norm(u) ** 2)
-        pair.append(nonlocal_energy(kernel, u))
-        residual = apply_fft(kernel, fr) + laplacian(fr)
-        consist.append(l2_norm(residual) ** 2)
-    dual_sq = np.asarray(dual_sq)
-    l2_sq = np.asarray(l2_sq)
-    pair = np.asarray(pair)
-    consist = np.asarray(consist)
-
-    y = 0.5 * dual_sq
-    trace = GronwallTrace(
-        times=times,
-        dual_sq_half=y,
-        derivative=np.diff(y) / np.diff(times),
-        l2_sq_half=0.5 * l2_sq,
-        pair_energy_half=0.5 * pair,
+    y = 0.5 * rows[:, 0]
+    derivative = np.diff(y) / np.diff(times)
+    # the audited times: the forward difference ends at the last record
+    dual_sq, l2_sq, pair, consist = rows[:-1].T
+    l2_sq_half, pair_energy_half = 0.5 * l2_sq, 0.5 * pair
+    lhs = derivative + l2_sq_half + pair_energy_half
+    rhs = dual_sq + consist
+    positive = rhs > 1e-300
+    return GronwallTrace(
+        times=times[:-1],
+        dual_sq_half=y[:-1],
+        derivative=derivative,
+        l2_sq_half=l2_sq_half,
+        pair_energy_half=pair_energy_half,
         dual_sq=dual_sq,
         consistency_sq=consist,
-        empirical_constant=0.0,
-        energy_time_integral=float(np.trapezoid(pair, times)),
+        empirical_constant=float(np.max(lhs[positive] / rhs[positive], initial=0.0)),
+        energy_time_integral=float(np.trapezoid(rows[:, 2], times)),
     )
-    lhs, rhs = trace.lhs(), trace.rhs()
-    positive = rhs > 1e-300
-    if not positive.any():
-        return trace
-    constant = float(np.max(np.where(positive, lhs / np.where(positive, rhs, 1.0), 0.0)))
-    return replace(trace, empirical_constant=max(constant, 0.0))

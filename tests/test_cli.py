@@ -342,6 +342,61 @@ class TestSolveCommand:
         assert run_cli(["solve", "--eq", "local-ac", "--T", "0.01", "--tau", "1e-4",
                         "--N", "64", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("initial", ["cosmix", "threshold"])
+    def test_non_periodic_initial_data_on_a_torus_is_usage_error(self, tmp_path, capsys,
+                                                                 initial):
+        # both cosine series jump at the wrap of a torus; cosmix is the default
+        out = tmp_path / "torus"
+        argv = ["solve", "--eq", "local-ch", "--domain", "periodic", "--N", "256",
+                "--T", "0.001", "--tau", "1e-4", "--out", str(out)]
+        if initial != "cosmix":
+            argv += ["--initial", initial]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(initial) in err and "periodic" in err
+        assert not out.exists()
+
+    def test_random_initial_data_on_a_torus(self, tmp_path):
+        out = tmp_path / "torus"
+        assert run_cli(["solve", "--eq", "local-ch", "--domain", "periodic", "--N", "256",
+                        "--T", "0.001", "--tau", "1e-4", "--initial", "random",
+                        "--out", str(out)]) == 0
+        assert (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--eq", "local-ac", "--N", "64", "--T", "0.001", "--tau", "1e-4",
+         "--mobility", "5"],
+        ["solve", "--eq", "nonlocal-ac", "--eps", "0.2", "--N", "64", "--T", "0.001",
+         "--tau", "1e-4", "--mobility", "0.5"],
+        ["solution-rate", "--eq", "nonlocal-ac", "--mobility", "7"],
+        ["gronwall", "--eq", "nonlocal-ac", "--mobility", "7"],
+    ])
+    def test_mobility_on_an_allen_cahn_flow_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                          argv):
+        # the stepper reads the mobility only in the conserved (-ch) flows
+        def no_run(*args, **kwargs):
+            raise AssertionError("an -ac flow ran with a mobility it ignores")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(cli, "solution_convergence_study", no_run)
+        out = tmp_path / "mob"
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--mobility" in err
+        assert not out.exists()
+
+    def test_saved_unit_mobility_replays_on_an_allen_cahn_flow(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(["solve", "--eq", "local-ac", "--N", "64", "--T", "0.001",
+                        "--tau", "1e-4", "--out", str(first)]) == 0
+        resolved = first / "resolved_config.txt"
+        assert "mobility=1.0\n" in resolved.read_text()
+        assert run_cli(["solve", "--config", str(resolved), "--out", str(second)]) == 0
+        name = "trajectory.csv"
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
     @pytest.mark.parametrize("argv, message", [
         (["--eq", "local-ch", "--N", "32", "--T", "1e300", "--tau", "1e-300"],
          "step count is not finite"),
@@ -451,8 +506,10 @@ class TestSolveProperty:
         # a run of more steps than the cap may be valid and only slow
         assume(not (tau > 0 and math.isfinite(T / tau) and T / tau > self._MAX_STEPS))
         argv = ["solve", "--eq", eq, "--N", "16", "--T", repr(T), "--tau", repr(tau),
-                "--mobility", repr(mobility),
                 "--potential", f"doublewell:K={K!r}"]
+        if eq == "local-ch":
+            # only the conserved flow reads a mobility; local-ac rejects one
+            argv += ["--mobility", repr(mobility)]
         if stabilization is not None:
             argv += ["--stabilization", repr(stabilization)]
         err = io.StringIO()
@@ -811,5 +868,10 @@ class TestReproducibility:
         assert code == 0
         lines = (out / "gronwall_trace.csv").read_text().splitlines()
         assert lines[0].startswith("t,dual_sq_half,derivative")
+        # 100 steps recorded every 10 give 11 records; the forward difference
+        # audits every one but the last
+        assert len(lines) == 1 + 10
+        assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx(
+            [k * 5e-4 for k in range(10)])
         summary = json.loads((out / "gronwall_summary.json").read_text())
         assert summary["pass"] is True

@@ -10,10 +10,11 @@ from nonloclab import experiments
 from nonloclab.grid import UniformGrid, l2_norm, sample
 from nonloclab.kernels import Kernel, fourier_symbol, make_mollifier
 from nonloclab.local_ops import laplacian
-from nonloclab.nonlocal_ops import apply_fft
+from nonloclab.nonlocal_ops import apply_fft, nonlocal_energy
 from nonloclab.potentials import DoubleWell
 from nonloclab.solvers import SolverConfig
 from nonloclab.experiments import (
+    GronwallTrace,
     default_symbol_lattice,
     energy_rate_study,
     fit_rate,
@@ -361,6 +362,42 @@ class TestGronwallTrace:
         assert trace.empirical_constant == 0.0
         assert trace.holds_with(0.0)
 
+    def test_arrays_hold_the_audited_times(self, moll):
+        # the forward difference ends at the last record, so every array has
+        # one entry per record but the last; the pair energy still integrates
+        # over every record
+        from nonloclab.solvers import run
+
+        g = UniformGrid((1.0,), (128,), "neumann")
+        cfg = SolverConfig(tau=1e-4, t_final=5e-3, record_every=10, keep_fields=True)
+        init = make_initial_field(g, "cosmix")
+        kernel = Kernel(moll, 0.1)
+        ref = run(init, cfg, DoubleWell(), "local-ch")
+        rec = run(init, cfg, DoubleWell(), "nonlocal-ch", kernel)
+        trace = gronwall_trace(rec, ref, kernel)
+        audited = len(rec.times) - 1
+        assert np.array_equal(trace.times, rec.times[:-1])
+        for name in ("dual_sq_half", "derivative", "l2_sq_half", "pair_energy_half",
+                     "dual_sq", "consistency_sq"):
+            assert getattr(trace, name).shape == (audited,), name
+        assert trace.lhs().shape == trace.rhs().shape == (audited,)
+        pair = [nonlocal_energy(kernel, a - b) for a, b in zip(rec.fields, ref.fields)]
+        assert trace.energy_time_integral == np.trapezoid(pair, rec.times)
+
+    def test_vanishing_rhs_fails_every_constant(self):
+        # the constant is the largest lhs / rhs where rhs > 1e-300, so a time
+        # where rhs vanishes under a positive lhs is the one way the verdict fails
+        zero = np.zeros(2)
+        trace = GronwallTrace(
+            times=np.array([0.0, 1.0]), dual_sq_half=zero, derivative=np.array([0.0, 1e-9]),
+            l2_sq_half=zero, pair_energy_half=zero, dual_sq=zero,
+            consistency_sq=np.array([1.0, 0.0]), empirical_constant=0.0,
+            energy_time_integral=0.0,
+        )
+        assert trace.lhs()[1] > 1e-12 and trace.rhs()[1] == 0.0
+        for constant in (0.0, 1.0, 1e300):
+            assert not trace.holds_with(constant)
+
     def test_inequality_holds_and_is_stable_under_refinement(self):
         moll = make_mollifier(1)
         g = UniformGrid((1.0,), (256,), "neumann")
@@ -461,3 +498,10 @@ class TestHelpers:
         assert np.max(np.abs(f.values)) < 0.5
         with pytest.raises(ValueError, match="unknown initial data"):
             make_initial_field(g, "bogus")
+
+    @pytest.mark.parametrize("name", ["cosmix", "threshold"])
+    def test_non_periodic_initial_data_rejected_on_a_torus(self, name):
+        torus = UniformGrid((1.0,), (256,), "periodic")
+        with pytest.raises(ValueError, match=f"{name!r} is not periodic"):
+            make_initial_field(torus, name)
+        assert make_initial_field(torus, "random").grid == torus

@@ -504,4 +504,7 @@ class TestHelpers:
         torus = UniformGrid((1.0,), (256,), "periodic")
         with pytest.raises(ValueError, match=f"{name!r} is not periodic"):
             make_initial_field(torus, name)
-        assert make_initial_field(torus, "random").grid == torus
+        field = make_initial_field(torus, "random")
+        assert field.grid == torus
+        # a field given as such is the caller's to vouch for
+        assert make_initial_field(torus, field) is field

@@ -22,7 +22,7 @@ from .experiments import (
     INITIAL_DATA,
     TEST_FUNCTIONS,
     energy_rate_study,
-    gronwall_trace,
+    gronwall_audit,
     make_initial_field,
     operator_rate_study,
     remainder_rate_study,
@@ -311,9 +311,7 @@ def _cmd_solve(args, outdir: Path) -> int:
     return PASS
 
 
-def _solution_study(args):
-    """Shared setup of ``solution-rate`` and ``gronwall``: the study result
-    and the mollifier it ran with."""
+def _cmd_solution_rate(args, outdir: Path) -> int:
     grid = _make_grid(args)
     mollifier = make_mollifier(grid.dimension, args.profile)
     config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
@@ -322,11 +320,6 @@ def _solution_study(args):
         grid, config, parse_potential(args.potential), mollifier, args.eps, args.initial,
         equation=args.eq, perturbation_scale=args.perturbation,
     )
-    return result, mollifier
-
-
-def _cmd_solution_rate(args, outdir: Path) -> int:
-    result, _ = _solution_study(args)
     code = PASS
     extra = {"equation": args.eq, "reference_h3_max": result.reference_h3_max}
     primary = "l2_sup" if args.eq.endswith("ac") else "hminus1_sup"
@@ -366,9 +359,15 @@ def _cmd_oracle_check(args, outdir: Path) -> int:
 
 
 def _cmd_gronwall(args, outdir: Path) -> int:
-    result, mollifier = _solution_study(args)
+    grid = _make_grid(args)
+    mollifier = make_mollifier(grid.dimension, args.profile)
+    config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
+                          record_every=args.record_every)
+    trace = gronwall_audit(
+        grid, config, parse_potential(args.potential), mollifier, args.eps, args.initial,
+        equation=args.eq, perturbation_scale=args.perturbation,
+    )
     eps0 = args.eps[1]
-    trace = gronwall_trace(result.records[eps0], result.reference, Kernel(mollifier, eps0))
     write_series_csv(
         outdir / "gronwall_trace.csv",
         ["t", "dual_sq_half", "derivative", "l2_sq_half", "pair_energy_half",

@@ -29,7 +29,7 @@ from .grid import (
 )
 from .kernels import Kernel, MollifierSpec, fourier_symbol
 from .local_ops import dirichlet_energy, laplacian
-from .nonlocal_ops import apply_fft, interior_remainder, nonlocal_energy
+from .nonlocal_ops import apply_fft, interior_remainder, nonlocal_energy, stencil_symbol
 from .solvers import SolverConfig, TrajectoryRecord, reference_config, run, run_batch
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "solution_convergence_study",
     "SolutionStudyResult",
     "gronwall_trace",
+    "gronwall_audit",
     "GronwallTrace",
     "TEST_FUNCTIONS",
     "INITIAL_DATA",
@@ -411,12 +412,10 @@ def remainder_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_funct
 _SOLUTION_NORMS = ("hminus1_sup", "l2_sup", "l2_spacetime", "hs-0.5_sup", "lp4_spacetime")
 
 
-def _trajectory_errors(times, fields_eps, fields_ref) -> tuple[float, ...]:
+def _solution_errors(times, rows) -> tuple[float, ...]:
     """The errors of one run, in ``_SOLUTION_NORMS`` order, from one row of
-    norms of the difference per record."""
-    rows = np.array([(hminus1_norm(u), l2_norm(u), sobolev_norm(u, -0.5), lp_norm(u, 4))
-                     for u in (fe - fr for fe, fr in zip(fields_eps, fields_ref))])
-    h1, l2, hs, l4 = rows.T
+    norms of the difference per record (H^-1, L2, H^-1/2, L4)."""
+    h1, l2, hs, l4 = np.array(rows).T
     return (float(h1.max()), float(l2.max()), float(np.sqrt(np.trapezoid(l2**2, times))),
             float(hs.max()), float(np.sqrt(np.trapezoid(l4**2, times))))
 
@@ -429,6 +428,11 @@ def _check_same_times(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
 
 @dataclass(frozen=True)
 class SolutionStudyResult:
+    """The errors and fitted tables of a solution study.  ``reference`` keeps
+    its fields; the ladder's ``records`` keep times, mass and energy, and
+    their ``fields`` are ``None``: the study reads each rung's states only
+    through the per-record norms of their difference to the reference."""
+
     equation: str
     epsilons: tuple[float, ...]
     tables: dict[str, RateTable]
@@ -436,6 +440,31 @@ class SolutionStudyResult:
     reference_h3_max: float
     reference: TrajectoryRecord
     records: dict[float, TrajectoryRecord]
+
+
+def _solution_setup(grid: UniformGrid, config: SolverConfig, potential,
+                    mollifier: MollifierSpec, eps_list, initial, equation: str,
+                    perturbation_scale: float):
+    """What the solution study and the Grönwall audit share: the checks, the
+    scale ladder and its kernels, the fine-step local reference run with its
+    fields, and each rung's offset start.  Raises ``ValueError`` before any
+    step."""
+    if not equation.startswith("nonlocal"):
+        raise ValueError("solution study compares a nonlocal flow to its local limit")
+    if grid.boundary != NEUMANN:
+        raise ValueError("the solution study runs on a zero-flux box: its offset profile "
+                         "cos(pi x) and its named initial data are not periodic")
+    eps = _grid_ladder(grid, mollifier, eps_list)
+    initial = make_initial_field(grid, initial)
+    kernels = [Kernel(mollifier, e) for e in eps]
+    for kernel in kernels:  # the stencil build rejects a support wider than the box
+        stencil_symbol(kernel, grid)
+    ref = run(initial, reference_config(replace(config, keep_fields=True)), potential,
+              equation.replace("nonlocal", "local"))
+    profile = _f_cospix(grid)
+    starts = [Field(grid, initial.values + perturbation_scale * math.sqrt(e) * profile)
+              for e in eps]
+    return eps, kernels, ref, starts
 
 
 def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potential,
@@ -464,28 +493,25 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
 
     The ladder's runs step together as the members of one
     :func:`~nonloclab.solvers.run_batch` call, and each equals its own
-    :func:`run` bit for bit.  ``workers`` is accepted and ignored.
+    :func:`run` bit for bit.  Only the reference keeps its trajectory: at
+    each record the batch's states give one row of norms per rung and are
+    then dropped, so memory holds one trajectory, not one per rung.
+    ``workers`` is accepted and ignored.
     """
-    if not equation.startswith("nonlocal"):
-        raise ValueError("solution study compares a nonlocal flow to its local limit")
-    if grid.boundary != NEUMANN:
-        raise ValueError("the solution study runs on a zero-flux box: its offset profile "
-                         "cos(pi x) and its named initial data are not periodic")
-    eps = _grid_ladder(grid, mollifier, eps_list)
-    initial = make_initial_field(grid, initial)
-    local_equation = equation.replace("nonlocal", "local")
+    eps, kernels, ref, starts = _solution_setup(grid, config, potential, mollifier, eps_list,
+                                                initial, equation, perturbation_scale)
+    rows = [[] for _ in eps]
 
-    config = replace(config, keep_fields=True)
-    ref = run(initial, reference_config(config), potential, local_equation)
+    def record_norms(index: int, values: np.ndarray) -> None:
+        for m, rung_rows in enumerate(rows):
+            u = Field(grid, values[m]) - ref.fields[index]
+            rung_rows.append((hminus1_norm(u), l2_norm(u), sobolev_norm(u, -0.5), lp_norm(u, 4)))
 
-    profile = _f_cospix(grid)
-    starts = [Field(grid, initial.values + perturbation_scale * math.sqrt(e) * profile)
-              for e in eps]
-    runs = run_batch(starts, config, potential, equation,
-                     [Kernel(mollifier, e) for e in eps])
+    runs = run_batch(starts, replace(config, keep_fields=False), potential, equation, kernels,
+                     on_record=record_norms)
     _check_same_times(runs[0], ref)
 
-    per_run = [_trajectory_errors(r.times, r.fields, ref.fields) for r in runs]
+    per_run = [_solution_errors(r.times, rung_rows) for r, rung_rows in zip(runs, rows)]
     errors = dict(zip(_SOLUTION_NORMS, zip(*per_run)))
     scale = max(max(l2_norm(f) for f in ref.fields), 1e-30)
     tables = {
@@ -579,3 +605,18 @@ def gronwall_trace(record_eps: TrajectoryRecord, record_ref: TrajectoryRecord,
         empirical_constant=float(np.max(lhs[positive] / rhs[positive], initial=0.0)),
         energy_time_integral=float(np.trapezoid(rows[:, 2], times)),
     )
+
+
+def gronwall_audit(grid: UniformGrid, config: SolverConfig, potential,
+                   mollifier: MollifierSpec, eps_list, initial,
+                   equation: str = "nonlocal-ch",
+                   perturbation_scale: float = 0.0) -> GronwallTrace:
+    """:func:`gronwall_trace` on the second rung of the ladder of a
+    :func:`solution_convergence_study` with the same arguments (identical
+    data by default).  The whole ladder is checked as there, but only the
+    reference and the audited rung run, both with fields; the rung equals
+    its member of the study's batch bit for bit."""
+    _, kernels, ref, starts = _solution_setup(grid, config, potential, mollifier, eps_list,
+                                              initial, equation, perturbation_scale)
+    rung = run(starts[1], replace(config, keep_fields=True), potential, equation, kernels[1])
+    return gronwall_trace(rung, ref, kernels[1])

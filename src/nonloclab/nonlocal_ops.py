@@ -111,7 +111,6 @@ class _StencilData:
     grid: UniformGrid
     reach: tuple[int, ...]          # offsets per axis with possibly nonzero weight
     weights: np.ndarray             # dense weight block, shape prod(2*reach+1)
-    weight_sum: float               # sum of all stencil weights
     pad_shape: tuple[int, ...]      # FFT size for zero-padded convolution
     kernel_hat: np.ndarray          # rfftn of the wrapped stencil at pad_shape
     degree: np.ndarray              # a(x) on the grid
@@ -196,7 +195,6 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
         grid=grid,
         reach=reach,
         weights=weights,
-        weight_sum=float(weights.sum()),
         pad_shape=pad_shape,
         kernel_hat=kernel_hat,
         degree=degree,

@@ -235,13 +235,20 @@ def run(initial: Field, config: SolverConfig, potential, equation: str,
 
 
 def run_batch(initials, config: SolverConfig, potential, equation: str,
-              kernels) -> list[TrajectoryRecord]:
+              kernels, on_record=None) -> list[TrajectoryRecord]:
     """:func:`run` for several members at once, one kernel per initial field.
 
     The members share the grid, ``config``, ``potential`` and ``equation``;
     each step transforms all of them together.  Every member's record equals
     that of its own :func:`run` call bit for bit.  The divergence guard is
     checked per member and names the member that tripped it.
+
+    ``on_record(index, values)``, if given, is called at every record, with
+    the record's index (0, 1, ... in order) and the member-first array of the
+    batch's values, which equal bit for bit the fields that ``keep_fields``
+    stores.  The array is the loop's own: a callback reads it before the
+    next step and copies what it keeps.  So a caller that needs the states
+    only through what it computes from them can run without ``keep_fields``.
     """
     initials, kernels = list(initials), list(kernels)
     if not initials or len(initials) != len(kernels):
@@ -265,6 +272,8 @@ def run_batch(initials, config: SolverConfig, potential, equation: str,
     fields = [[] for _ in members] if config.keep_fields else None
 
     def record(step: int, vals: np.ndarray) -> None:
+        if on_record is not None:
+            on_record(len(times), vals)
         times.append(step * config.tau)
         for m in members:
             mass[m].append(integrate(Field(grid, vals[m])))

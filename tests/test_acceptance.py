@@ -33,7 +33,7 @@ from nonloclab.potentials import DoubleWell
 from nonloclab.solvers import SolverConfig, run
 from nonloclab.experiments import (
     energy_rate_study,
-    gronwall_trace,
+    gronwall_audit,
     operator_rate_study,
     solution_convergence_study,
     symbol_study,
@@ -261,11 +261,11 @@ def test_criterion_12_gronwall_trace():
 
         def constant_at(tau, every):
             cfg = SolverConfig(tau=tau, t_final=0.02, record_every=every)
-            res = solution_convergence_study(
+            # the audit steps the reference and the second rung, eps
+            trace = gronwall_audit(
                 grid, cfg, pot, moll, (0.16, eps, 0.04), "cosmix",
                 perturbation_scale=0.0,
             )
-            trace = gronwall_trace(res.records[eps], res.reference, Kernel(moll, eps))
             assert trace.holds_with(trace.empirical_constant)
             return trace.empirical_constant
 

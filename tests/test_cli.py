@@ -357,6 +357,17 @@ class TestSolveCommand:
         assert repr(initial) in err and "periodic" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solution-rate", "gronwall"])
+    def test_rung_wider_than_the_box_is_usage_error(self, tmp_path, capsys, command):
+        # gronwall steps only the second rung, but checks the whole ladder
+        out = tmp_path / "wide"
+        code = run_cli([command, "--N", "256", "--T", "0.001", "--tau", "1e-4",
+                        "--record-every", "5", "--eps", "1.5,0.08,0.04", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: kernel support exceeds the box; no room for one reflection\n"
+        assert not out.exists()
+
     def test_random_initial_data_on_a_torus(self, tmp_path):
         out = tmp_path / "torus"
         assert run_cli(["solve", "--eq", "local-ch", "--domain", "periodic", "--N", "256",

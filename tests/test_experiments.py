@@ -7,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonloclab import experiments
-from nonloclab.grid import UniformGrid, l2_norm, sample
+from nonloclab.grid import Field, UniformGrid, hminus1_norm, l2_norm, lp_norm, sample, sobolev_norm
 from nonloclab.kernels import Kernel, fourier_symbol, make_mollifier
 from nonloclab.local_ops import laplacian
 from nonloclab.nonlocal_ops import apply_fft, nonlocal_energy
 from nonloclab.potentials import DoubleWell
-from nonloclab.solvers import SolverConfig
+from nonloclab.solvers import SolverConfig, reference_config, run
 from nonloclab.experiments import (
     GronwallTrace,
     default_symbol_lattice,
     energy_rate_study,
     fit_rate,
+    gronwall_audit,
     gronwall_trace,
     make_initial_field,
     make_test_field,
@@ -287,10 +288,50 @@ class TestSolutionStudy:
         assert small_study.reference_h3_max > 0
 
     def test_records_kept(self, small_study):
+        # the ladder's records keep their series but no fields; only the
+        # reference keeps its trajectory
         assert set(small_study.records) == {0.16, 0.08, 0.04}
-        rec = small_study.records[0.08]
-        assert rec.fields is not None
-        assert len(rec.fields) == len(rec.times)
+        ref = small_study.reference
+        assert len(ref.fields) == len(ref.times) == 11
+        for rec in small_study.records.values():
+            assert rec.fields is None
+            assert np.array_equal(rec.times, np.arange(0, 201, 20) * 5e-5)
+            assert rec.mass.shape == rec.energy.shape == rec.times.shape
+            assert np.all(np.isfinite(rec.energy))
+
+    @pytest.mark.parametrize("equation", ["nonlocal-ch", "nonlocal-ac"])
+    def test_errors_equal_those_of_rungs_run_with_fields(self, moll, equation):
+        # the study drops each record's states once it has their norms; its
+        # errors keep the bits of the rungs run on their own with fields and
+        # compared afterwards
+        g = UniformGrid((1.0,), (256,), "neumann")
+        cfg = SolverConfig(tau=5e-5, t_final=5e-3, record_every=10)
+        pot, eps = DoubleWell(K=1.0), (0.16, 0.08, 0.04)
+        res = solution_convergence_study(g, cfg, pot, moll, eps, "cosmix", equation=equation)
+        assert all(rec.fields is None for rec in res.records.values())
+
+        kept = SolverConfig(tau=5e-5, t_final=5e-3, record_every=10, keep_fields=True)
+        init = make_initial_field(g, "cosmix")
+        ref = run(init, reference_config(kept), pot, equation.replace("nonlocal", "local"))
+        profile = np.cos(np.pi * g.axis_nodes(0))
+        for name in experiments._SOLUTION_NORMS:
+            assert len(res.errors[name]) == len(eps)
+        for i, e in enumerate(eps):
+            start = Field(g, init.values + 0.05 * math.sqrt(e) * profile)
+            rung = run(start, kept, pot, equation, Kernel(moll, e))
+            rows = np.array([(hminus1_norm(u), l2_norm(u), sobolev_norm(u, -0.5), lp_norm(u, 4))
+                             for u in (a - b for a, b in zip(rung.fields, ref.fields))])
+            h1, l2, hs, l4 = rows.T
+            expected = {
+                "hminus1_sup": float(h1.max()),
+                "l2_sup": float(l2.max()),
+                "l2_spacetime": float(np.sqrt(np.trapezoid(l2**2, rung.times))),
+                "hs-0.5_sup": float(hs.max()),
+                "lp4_spacetime": float(np.sqrt(np.trapezoid(l4**2, rung.times))),
+            }
+            for name, value in expected.items():
+                assert res.errors[name][i] == value, (name, e)
+            assert np.array_equal(res.records[e].energy, rung.energy)
 
     def test_deterministic_rerun(self, small_study):
         moll = make_mollifier(1)
@@ -405,9 +446,8 @@ class TestGronwallTrace:
 
         def constant(tau, every):
             cfg = SolverConfig(tau=tau, t_final=0.01, record_every=every)
-            res = solution_convergence_study(g, cfg, pot, moll, (0.16, 0.08, 0.04),
-                                             "cosmix", perturbation_scale=0.0)
-            tr = gronwall_trace(res.records[0.08], res.reference, Kernel(moll, 0.08))
+            tr = gronwall_audit(g, cfg, pot, moll, (0.16, 0.08, 0.04), "cosmix",
+                                perturbation_scale=0.0)
             assert tr.holds_with(tr.empirical_constant)
             return tr.empirical_constant
 
@@ -443,17 +483,71 @@ class TestGronwallTrace:
         # the time integral of the pair energy of the difference has to decay
         # at least as fast as the square root of the scale
         g = UniformGrid((1.0,), (256,), "neumann")
-        cfg = SolverConfig(tau=4e-5, t_final=0.01, record_every=25)
+        cfg = SolverConfig(tau=4e-5, t_final=0.01, record_every=25, keep_fields=True)
         eps = (0.16, 0.08, 0.04)
-        res = solution_convergence_study(g, cfg, DoubleWell(), moll, eps,
-                                         "cosmix", perturbation_scale=0.0)
+        init = make_initial_field(g, "cosmix")
+        ref = run(init, reference_config(cfg), DoubleWell(), "local-ch")
         integrals = [
-            gronwall_trace(res.records[e], res.reference, Kernel(moll, e)).energy_time_integral
+            gronwall_trace(run(init, cfg, DoubleWell(), "nonlocal-ch", Kernel(moll, e)), ref,
+                           Kernel(moll, e)).energy_time_integral
             for e in eps
         ]
         assert all(v > 0 for v in integrals)
         table = fit_rate(zip(eps, integrals))
         assert table.fitted_slope >= 0.45
+
+
+class TestGronwallAudit:
+    def test_equals_the_trace_of_the_reference_and_the_second_rung(self, moll, monkeypatch):
+        g = UniformGrid((1.0,), (256,), "neumann")
+        cfg = SolverConfig(tau=5e-5, t_final=5e-3, record_every=10)
+        pot = DoubleWell(K=1.0)
+        calls = []
+
+        def counted_run(initial, config, potential, equation, kernel=None):
+            calls.append((equation, None if kernel is None else kernel.epsilon))
+            return run(initial, config, potential, equation, kernel)
+
+        monkeypatch.setattr(experiments, "run", counted_run)
+        monkeypatch.setattr(experiments, "run_batch", None)
+        trace = gronwall_audit(g, cfg, pot, moll, (0.16, 0.08, 0.04), "cosmix",
+                               perturbation_scale=0.03)
+        # the reference and the audited rung, and no other rung
+        assert calls == [("local-ch", None), ("nonlocal-ch", 0.08)]
+
+        kept = SolverConfig(tau=5e-5, t_final=5e-3, record_every=10, keep_fields=True)
+        init = make_initial_field(g, "cosmix")
+        ref = run(init, reference_config(kept), pot, "local-ch")
+        start = Field(g, init.values + 0.03 * math.sqrt(0.08) * np.cos(np.pi * g.axis_nodes(0)))
+        kernel = Kernel(moll, 0.08)
+        expected = gronwall_trace(run(start, kept, pot, "nonlocal-ch", kernel), ref, kernel)
+        for name in ("times", "dual_sq_half", "derivative", "l2_sq_half", "pair_energy_half",
+                     "dual_sq", "consistency_sq"):
+            assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
+        assert trace.empirical_constant == expected.empirical_constant
+        assert trace.energy_time_integral == expected.energy_time_integral
+
+    @pytest.mark.parametrize("cells, boundary, ladder, initial, match", [
+        (256, "periodic", (0.16, 0.08, 0.04), "random", "zero-flux"),
+        (256, "neumann", (0.16, 0.08), "cosmix", "at least 3"),
+        (256, "neumann", (0.08, 0.16, 0.04), "cosmix", "strictly decreasing"),
+        (64, "neumann", (0.16, 0.08, 0.04), "cosmix", "cannot resolve"),
+        (256, "neumann", (1.5, 0.08, 0.04), "cosmix", "exceeds the box"),
+        (256, "neumann", (0.16, 0.08, 0.04), "bogus", "unknown initial data"),
+    ])
+    def test_rejects_what_the_study_rejects_before_any_step(self, moll, monkeypatch, cells,
+                                                           boundary, ladder, initial, match):
+        # the ladder's first rung is never stepped by the audit, yet a
+        # support wider than the box is still rejected there
+        g = UniformGrid((1.0,), (cells,), boundary)
+        cfg = SolverConfig(tau=5e-5, t_final=5e-3)
+        steps = []
+        monkeypatch.setattr(experiments, "run", lambda *a, **k: steps.append("run"))
+        monkeypatch.setattr(experiments, "run_batch", lambda *a, **k: steps.append("batch"))
+        for study in (solution_convergence_study, gronwall_audit):
+            with pytest.raises(ValueError, match=match):
+                study(g, cfg, DoubleWell(), moll, ladder, initial)
+        assert steps == []
 
 
 class TestHelpers:

@@ -473,6 +473,26 @@ class TestRunBatch:
         # each member is held to its own guard: same step, same peak
         assert str(batched.value) == str(alone.value)
 
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    def test_on_record_sees_every_record_as_kept_fields(self, boundary, pot):
+        # 30 steps recorded every 7: records at steps 0, 7, 14, 21, 28 and 30
+        g = UniformGrid((1.0,), (64,), boundary)
+        rng = np.random.default_rng(9)
+        inits = [Field(g, rng.uniform(-0.5, 0.5, g.shape)) for _ in range(3)]
+        kernels = [make_kernel(1, e) for e in (0.4, 0.3, 0.25)]
+        cfg = SolverConfig(tau=1e-4, t_final=3e-3, record_every=7)
+        seen = []
+        records = run_batch(inits, cfg, pot, "nonlocal-ch", kernels,
+                            on_record=lambda index, values: seen.append((index, values.copy())))
+        assert [index for index, _ in seen] == list(range(len(records[0].times))) == list(range(6))
+        assert all(r.fields is None for r in records)
+        kept = run_batch(inits, replace(cfg, keep_fields=True), pot, "nonlocal-ch", kernels)
+        for m, record in enumerate(kept):
+            assert np.array_equal(record.mass, records[m].mass)
+            assert np.array_equal(record.energy, records[m].energy)
+            for (_, values), field in zip(seen, record.fields, strict=True):
+                assert np.array_equal(values[m], field.values)
+
     def test_argument_validation(self, grid, pot):
         init = Field(grid, np.zeros(grid.shape))
         other = Field(UniformGrid((1.0,), (64,)), np.zeros(64))

@@ -337,7 +337,7 @@ def _cmd_oracle_check(args, outdir: Path) -> int:
     check_support_reaches_nodes(kernel, grid)
     rng = np.random.default_rng(args.seed)
     field = Field(grid, rng.standard_normal(grid.shape))
-    fast = apply_fft(kernel, field)  # validates the stencil before the direct pass
+    fast = apply_fft(kernel, field)
     direct, double_sum = _pair_pass(kernel, field)
     rel = l2_norm(fast - direct) / l2_norm(direct)
     quad_form = l2_inner(direct, field)
@@ -399,7 +399,7 @@ def _add_common(p, *, grid=True, eps_ladder=True):
                    help="accepted for compatibility; has no effect (studies run in one process)")
     if grid:
         p.add_argument("--domain", choices=("neumann", "periodic"), default="neumann")
-        p.add_argument("--N", default="256", help="cells per axis, comma separated for 2D")
+        p.add_argument("--N", default="512", help="cells per axis, comma separated for 2D")
         p.add_argument("--L", default="1.0", help="box lengths, comma separated for 2D")
     if eps_ladder:
         p.add_argument("--eps", type=_parse_eps_list, default=(0.2, 0.1, 0.05, 0.025),

@@ -195,15 +195,6 @@ class MollifierSpec:
     def support_radius(self) -> float:
         return self.profile.support_radius
 
-    def rho(self, r) -> np.ndarray:
-        """Normalized profile at unit scale."""
-        return self.norm_constant * self.profile.raw(r)
-
-    def rho_scaled(self, r, epsilon: float) -> np.ndarray:
-        """Profile concentrated at scale epsilon, mass-preserving in dimension n."""
-        n = self.dimension
-        return epsilon ** (-n) * self.rho(np.asarray(r, dtype=float) / epsilon)
-
 
 def make_mollifier(n: int, profile_name: str = "poly-2-3") -> MollifierSpec:
     """Build a normalized mollifier for dimension ``n``.
@@ -318,9 +309,9 @@ def _radial_integral(kernel: Kernel, f) -> float:
 
 def radial_mass(kernel: Kernel) -> float:
     """Normalization integral ``int rho_eps(r) r**(n-1) dr`` of the scaled
-    profile; equals :func:`radial_mass_target` when normalized."""
-    moll, eps = kernel.mollifier, kernel.epsilon
-    return _radial_moment(lambda r: moll.rho_scaled(r, eps), kernel.dimension,
+    profile ``rho_eps(r) = r**2 J(r)``, through the kernel values that every
+    operator uses; equals :func:`radial_mass_target` when normalized."""
+    return _radial_moment(lambda r: r * r * kernel.value_radial(r), kernel.dimension,
                           kernel.support_radius)
 
 

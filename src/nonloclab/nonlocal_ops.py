@@ -5,8 +5,9 @@ provided: a direct summation over the node pairs, each pair's weight formed
 from the two nodes' coordinates, that serves as the reference oracle, and an
 FFT convolution fast path built from identical weights so the two agree to
 rounding rather than merely to discretization order.  The direct sum visits
-only the pairs whose index offsets lie in the kernel's support window, so
-its cost grows with the node count times the window, not with its square.
+only the pairs whose index offsets lie in the stencil's reach, the window
+of the fast path, so its cost grows with the node count times the window,
+not with its square.
 Restriction to the box is realized by zero extension plus an explicit degree
 function.
 
@@ -19,7 +20,6 @@ boundary remainder, which :class:`WallRemainder` applies at the walls and
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -204,20 +204,6 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
 # ---------------------------------------------------------------------------
 # operator applications
 
-def _window_offsets(kernel: Kernel, grid: UniformGrid, axis: int) -> np.ndarray:
-    """The node-index offsets along ``axis`` that may reach a partner inside
-    the kernel support, from the kernel and the grid alone: ``ceil(support /
-    h)`` each way, clipped at the walls of a box.  On a torus whose period
-    the window spans it holds each residue once."""
-    N = grid.cells[axis]
-    ratio = kernel.support_radius / grid.spacing[axis]
-    reach = N if not ratio < N else math.ceil(ratio)  # the ratio may be inf
-    if grid.boundary == PERIODIC and 2 * reach + 1 >= N:
-        return np.arange(N) - N // 2
-    reach = min(reach, N - 1)
-    return np.arange(-reach, reach + 1)
-
-
 def _axis_pairs(grid: UniformGrid, axis: int, nodes: np.ndarray, offsets: np.ndarray):
     """``(partner, sq)`` of shape ``(len(nodes), len(offsets))``: the index of
     each node's partner at each offset along ``axis``, and their squared
@@ -238,11 +224,13 @@ def _axis_pairs(grid: UniformGrid, axis: int, nodes: np.ndarray, offsets: np.nda
 
 
 def _pair_blocks(kernel: Kernel, field: Field):
-    """Yield the node pairs in the support window (:func:`_window_offsets`)
-    in blocks ``(index, partners, J)``: ``index`` picks nodes from the field's
-    values viewed as ``(rows, N_last)``, one row in 1D; ``partners`` holds
-    their partners' values, the window on one more axis, as a fresh array;
-    and ``J`` the pair weights, an exact zero past a wall.
+    """Yield the node pairs in the support window, the offsets ``-k..k`` of
+    the fast path's stencil reach along each axis (so the pass rejects what
+    :func:`apply_fft` rejects), in blocks ``(index, partners, J)``: ``index``
+    picks nodes from the field's values viewed as ``(rows, N_last)``, one
+    row in 1D; ``partners`` holds their partners' values, the window on one
+    more axis, as a fresh array; and ``J`` the pair weights, an exact zero
+    past a wall.
 
     Each pair's distance is formed from the two nodes' coordinates axis by
     axis, and the profile runs only inside its support.  The walk goes over
@@ -251,17 +239,15 @@ def _pair_blocks(kernel: Kernel, field: Field):
     pairs per block.
     """
     grid = field.grid
-    if kernel.dimension != grid.dimension:
-        raise ValueError("kernel and grid dimensions differ")
+    axis_offsets = [np.arange(-k, k + 1) for k in _stencil_data(kernel, grid).reach]
     last = grid.dimension - 1
     N = grid.cells[last]
     values = field.values.reshape(-1, N)
     if grid.dimension == 1:
         lead_partner, lead_sq = np.zeros((1, 1), dtype=int), np.zeros((1, 1))
     else:
-        lead_partner, lead_sq = _axis_pairs(grid, 0, np.arange(grid.cells[0]),
-                                            _window_offsets(kernel, grid, 0))
-    offsets = _window_offsets(kernel, grid, last)
+        lead_partner, lead_sq = _axis_pairs(grid, 0, np.arange(grid.cells[0]), axis_offsets[0])
+    offsets = axis_offsets[last]
     width = offsets.size
     # windows[row, i, o] is the value at offset offsets[o] from node i of the
     # row; past a wall it is a zero, whose weight is zero
@@ -317,10 +303,12 @@ def apply_direct(kernel: Kernel, field: Field) -> Field:
     """Reference direct summation of the defining double integral.
 
     Midpoint weights throughout, over the node pairs in the kernel's support
-    window; this is the oracle that the FFT fast path is held to.
+    window; this is the oracle that the FFT fast path is held to, and it
+    accepts exactly the kernels and grids that the fast path accepts.
     """
+    rows = _pair_pass(kernel, field)[0]
     _check_resolution(kernel, field.grid)
-    return _pair_pass(kernel, field)[0]
+    return rows
 
 
 def apply_fft_values(kernel: Kernel, grid: UniformGrid, values: np.ndarray) -> np.ndarray:

@@ -21,10 +21,9 @@ __all__ = [
 
 
 def write_rate_csv(path, table: RateTable) -> None:
-    with open(path, "w") as fh:
-        fh.write("epsilon,error,included_in_fit\n")
-        for eps, err, inc in zip(table.epsilons, table.errors, table.included):
-            fh.write(f"{eps:.17g},{err:.17g},{int(inc)}\n")
+    # a bool formats as 1 or 0 under .17g
+    write_series_csv(path, ["epsilon", "error", "included_in_fit"],
+                     [table.epsilons, table.errors, table.included])
 
 
 def write_series_csv(path, header: list[str], columns) -> None:

@@ -92,7 +92,7 @@ class SolverConfig:
 
     ``stabilization`` of ``None`` resolves to the potential's curvature bound;
     a value below that bound is rejected.  ``mobility`` enters the conserved
-    flows only.
+    flows only; the Allen-Cahn flows reject any value but 1.
     """
 
     tau: float
@@ -163,6 +163,10 @@ class _Stepper:
                  potential, kernels):
         if equation not in EQUATIONS:
             raise ValueError(f"equation must be one of {EQUATIONS}")
+        conserved = equation.endswith("ch")
+        if not conserved and config.mobility != 1.0:
+            raise ValueError(f"mobility {config.mobility:g} has no effect on {equation}: "
+                             "only the conserved (-ch) flows take a mobility")
         nonlocal_eq = equation.startswith("nonlocal")
         if nonlocal_eq:
             if any(k is None for k in kernels):
@@ -177,7 +181,7 @@ class _Stepper:
         self.nonlocal_eq = nonlocal_eq
 
         lam = laplacian_symbol(grid)
-        drive = config.mobility * lam if equation.endswith("ch") else np.ones_like(lam)
+        drive = config.mobility * lam if conserved else np.ones_like(lam)
         stabilization = resolve_stabilization(config, potential)
         nu = np.stack([stencil_symbol(k, grid) if nonlocal_eq else lam for k in self.kernels])
         with np.errstate(over="ignore", invalid="ignore"):

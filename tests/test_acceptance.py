@@ -81,7 +81,8 @@ def test_criterion_01_kernel_identities():
             moll = make_mollifier(n)
             kernel = Kernel(moll, 0.1)
             radial, _ = scipy.integrate.quad(
-                lambda r: moll.rho_scaled(r, 0.1) * r ** (n - 1), 0.0, 0.1
+                lambda r: moll.norm_constant * 0.1**-n * moll.profile.raw(r / 0.1) * r ** (n - 1),
+                0.0, 0.1,
             )
             target = radial_mass_target(n)
             assert abs(radial - target) <= 1e-10 * target

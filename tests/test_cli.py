@@ -14,9 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonloclab import cli, nonlocal_ops
+from nonloclab import cli, experiments, nonlocal_ops
 from nonloclab.cli import main
 from nonloclab.grid import load_field
+from nonloclab.kernels import make_mollifier
 from nonloclab.solvers import SolverDivergedError
 
 
@@ -568,15 +569,28 @@ class TestUsageAndConfig:
     def test_bad_flag_value(self):
         assert run_cli(["check-kernel", "--n", "7"]) == 2
 
+    def test_bare_grid_study_defaults_resolve_their_ladder(self):
+        parser = cli.build_parser()
+        # the subcommands with a grid and a scale ladder
+        studies = sorted(name for name, sub in parser.commands.items()
+                         if "N" in sub.options and sub.options["eps"].dest == "eps")
+        assert studies == ["energy-rate", "gronwall", "operator-rate", "remainder-rate",
+                           "solution-rate"]
+        for name in studies:
+            args = parser.parse_args([name])
+            grid = cli._make_grid(args)
+            mollifier = make_mollifier(grid.dimension, args.profile)
+            assert experiments._grid_ladder(grid, mollifier, args.eps) == args.eps
+
     def test_config_file_provides_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# study setup\nN=512\neps=0.2,0.1,0.05\n")
+        cfg.write_text("# study setup\nN=1024\neps=0.2,0.1,0.05\n")
         out = tmp_path / "cf"
         code = run_cli(["operator-rate", "--domain", "periodic", "--func", "sinmix",
                         "--config", str(cfg), "--out", str(out)])
         assert code == 0
         resolved = (out / "resolved_config.txt").read_text()
-        assert "N=512" in resolved
+        assert "N=1024" in resolved
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -58,10 +58,12 @@ class TestNormalization:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("eps", [1.0, 0.3, 0.05])
     def test_scale_invariance(self, n, eps):
-        # independent quadrature oracle for the radial mass at every scale
+        # independent quadrature oracle for the radial mass at every scale,
+        # from the raw profile rather than the kernel's own evaluator
         moll = make_mollifier(n)
         val, err = scipy.integrate.quad(
-            lambda r: moll.rho_scaled(r, eps) * r ** (n - 1), 0.0, eps
+            lambda r: moll.norm_constant * eps**-n * moll.profile.raw(r / eps) * r ** (n - 1),
+            0.0, eps,
         )
         assert val == pytest.approx(radial_mass_target(n), rel=1e-10)
         assert radial_mass(Kernel(moll, eps)) == pytest.approx(val, rel=1e-12)
@@ -69,7 +71,7 @@ class TestNormalization:
     @pytest.mark.parametrize("name", ["poly-2-3", "poly-4-3", "poly-2-2"])
     def test_alternative_profiles_normalize(self, name):
         moll = make_mollifier(1, name)
-        val, _ = scipy.integrate.quad(lambda r: moll.rho(r), 0.0, 1.0)
+        val, _ = scipy.integrate.quad(lambda r: moll.norm_constant * moll.profile.raw(r), 0.0, 1.0)
         assert val == pytest.approx(radial_mass_target(1), rel=1e-10)
 
     def test_profile_shape_invariants(self):
@@ -366,7 +368,7 @@ class TestQuadrature:
         moll = make_mollifier(1)
         delta = 0.1
         tail = lambda eps: adaptive_gauss_legendre(
-            lambda r: moll.rho_scaled(r, eps), delta, 1.0
+            lambda r: moll.norm_constant * eps**-1 * moll.profile.raw(r / eps), delta, 1.0
         )
         assert tail(0.5) > 0.1
         assert tail(0.09) == 0.0

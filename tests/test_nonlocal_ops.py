@@ -65,6 +65,12 @@ def random_field(grid, seed=0):
     return Field(grid, rng.standard_normal(grid.shape))
 
 
+def _rooms(grid):
+    """The widest reach per axis that the fast path accepts: no wrap onto
+    itself on a torus, one reflection's room in a box."""
+    return [(N - 1) // 2 if grid.boundary == "periodic" else N for N in grid.cells]
+
+
 class TestDegreeFunction:
     def test_interior_equals_full_mass(self, grid_1d, kernel_1d):
         # independent oracle: radial quadrature of the kernel over all space
@@ -140,10 +146,8 @@ class TestOperatorApplications:
     def test_oracle_equivalence_property(self, dimension, cells, lengths, boundary,
                                          profile, fraction, seed):
         g = UniformGrid(lengths[:dimension], cells[:dimension], boundary)
-        # the widest support the fast path accepts: no wrap onto itself on a
-        # torus, one reflection's room in a box
-        room = [(N - 1) // 2 if boundary == "periodic" else N for N in g.cells]
-        eps = fraction * min(k * h for k, h in zip(room, g.spacing))
+        # up to the widest support the fast path accepts
+        eps = fraction * min(k * h for k, h in zip(_rooms(g), g.spacing))
         assume(eps > 0)
         k = make_kernel(dimension, eps, profile)
         f = random_field(g, seed)
@@ -306,11 +310,10 @@ def _division_rule_blocks(kernel, field):
 
 
 class TestWindowedPairPass:
-    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
-    @pytest.mark.parametrize("lengths, cells, eps", [
-        ((1.0,), (10,), 0.3),             # nodes three cells apart
-        ((1.0,), (20,), 0.3),
-        ((1.0, 1.0), (10, 10), 0.5),      # nodes (3, 4) cells apart
+    @pytest.mark.parametrize("boundary, lengths, cells, eps", [
+        *[(b, (1.0,), (N,), 0.3) for b in ("neumann", "periodic") for N in (10, 20)],
+        ("neumann", (1.0, 1.0), (10, 10), 0.5),     # nodes (3, 4) cells apart
+        ("periodic", (1.4, 1.4), (14, 14), 0.5),    # the same on a torus with room for 6
     ])
     def test_support_test_keeps_the_division_rule_bits(self, boundary, lengths, cells, eps):
         g = UniformGrid(lengths, cells, boundary)
@@ -332,10 +335,11 @@ class TestWindowedPairPass:
         ("neumann", (1.0,), (256,), 0.1),
         ("neumann", (0.9,), (300,), 0.1),               # cell volume 0.003
         ("neumann", (1.0,), (64,), 10 / 64),            # support exactly 10 h
-        ("neumann", (1.0,), (64,), 3.0),                # window clipped at both walls
+        ("neumann", (1.0,), (64,), 1.0),                # support the box: every window
+                                                        # clipped at both walls
         ("periodic", (1.0,), (64,), 10 / 64),
         ("periodic", (1.0,), (64,), 0.3),               # support above L / 4
-        ("periodic", (1.0,), (64,), 0.6),               # wider than the torus
+        ("periodic", (1.0,), (64,), 31 / 64),           # support the room, (N - 1) // 2 h
         ("periodic", (1.3,), (70,), 0.25),
         ("neumann", (1.0, 1.0), (24, 24), 5 / 24),      # support exactly 5 h
         ("periodic", (1.0, 1.0), (24, 24), 5 / 24),
@@ -343,7 +347,7 @@ class TestWindowedPairPass:
         ("neumann", (1.0, 0.7), (36, 36), 0.15),        # volume not 2**-k
         ("periodic", (1.0, 2.0), (20, 36), 0.3),        # above L / 4 on one axis
         ("periodic", (1.0, 1.0), (24, 24), 0.35),
-        ("periodic", (1.0, 1.0), (7, 1), 0.9),          # one node across the last axis
+        ("neumann", (1.0, 1.0), (7, 1), 0.9),           # one node across the last axis
     ])
     def test_matches_dense_reference(self, profile, boundary, lengths, cells, eps):
         g = UniformGrid(lengths, cells, boundary)
@@ -363,13 +367,58 @@ class TestWindowedPairPass:
     @example(dimension=1, cells=(16, 2), lengths=(1.0, 1.0), boundary="periodic",
              profile="poly-2-3", cells_reached=1.0, seed=0)   # support of one cell
     @example(dimension=2, cells=(9, 10), lengths=(1.0, 1.0), boundary="periodic",
-             profile="poly-2-2", cells_reached=6.0, seed=1)   # beyond half the torus
+             profile="poly-2-2", cells_reached=6.0, seed=1)   # clipped to the torus's room
     def test_matches_dense_reference_property(self, dimension, cells, lengths, boundary,
                                               profile, cells_reached, seed):
         g = UniformGrid(lengths[:dimension], cells[:dimension], boundary)
-        eps = cells_reached * max(g.spacing)
+        # supports past the room are rejected (test_rejects_what_the_fast_path_rejects)
+        room = min(k * h for k, h in zip(_rooms(g), g.spacing))
+        assume(room > 0)
+        eps = min(cells_reached * max(g.spacing), room)
         _assert_pair_pass_matches_dense(make_kernel(dimension, eps, profile),
                                         random_field(g, seed))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dimension=st.sampled_from([1, 2]),
+        cells=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+        lengths=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        boundary=st.sampled_from(["neumann", "periodic"]),
+        cells_reached=st.floats(0.1, 40.0),
+    )
+    # supports the pair pass summed before it took the stencil's window
+    @example(dimension=1, cells=(64, 1), lengths=(1.0, 1.0), boundary="neumann",
+             cells_reached=192.0)                     # eps 3.0, past both walls
+    @example(dimension=1, cells=(64, 1), lengths=(1.0, 1.0), boundary="periodic",
+             cells_reached=38.4)                      # eps 0.6, wider than the torus
+    @example(dimension=2, cells=(7, 1), lengths=(1.0, 1.0), boundary="periodic",
+             cells_reached=0.9)                       # one node across the last axis
+    @example(dimension=1, cells=(300, 1), lengths=(1.0, 1.0), boundary="periodic",
+             cells_reached=210.0)                     # eps 0.7
+    @example(dimension=2, cells=(20, 28), lengths=(1.0, 1.0), boundary="periodic",
+             cells_reached=12.0)                      # eps 0.6
+    @example(dimension=2, cells=(10, 10), lengths=(1.0, 1.0), boundary="periodic",
+             cells_reached=5.0)                       # eps 0.5
+    @example(dimension=2, cells=(9, 10), lengths=(1.0, 1.0), boundary="periodic",
+             cells_reached=6.0)                       # beyond half the torus
+    def test_rejects_what_the_fast_path_rejects(self, dimension, cells, lengths, boundary,
+                                                cells_reached):
+        g = UniformGrid(lengths[:dimension], cells[:dimension], boundary)
+        kernel = make_kernel(dimension, cells_reached * max(g.spacing))
+        f = random_field(g, 0)
+
+        def outcome(operator):
+            try:
+                operator(kernel, f)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            expected = outcome(apply_fft)
+            assert outcome(apply_direct) == expected
+            assert outcome(pair_difference_double_sum) == expected
 
     @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
     @pytest.mark.parametrize("cells, eps", [((200,), 0.3), ((20, 24), 0.4)])
@@ -381,9 +430,9 @@ class TestWindowedPairPass:
 
     @pytest.mark.parametrize("boundary, cells, eps", [
         ("neumann", (300,), 0.2),
-        ("periodic", (300,), 0.7),
+        ("periodic", (300,), 0.45),
         ("neumann", (24, 30), 0.3),
-        ("periodic", (20, 28), 0.6),
+        ("periodic", (20, 28), 0.4),
     ])
     @pytest.mark.parametrize("block", [1, 50, 700])
     def test_row_bits_do_not_depend_on_the_block_size(self, monkeypatch, boundary, cells,

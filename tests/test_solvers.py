@@ -309,6 +309,20 @@ class TestRecords:
             TrajectoryRecord("local-ch", np.asarray([0.0, 0.0]),
                              np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("mobility", [3.0, 0.5])
+    def test_allen_cahn_flows_reject_a_mobility(self, grid, pot, mobility):
+        init = make_initial_field(grid, "cosmix")
+        cfg = replace(SMALL, mobility=mobility)
+        kernel = make_kernel(1, 0.2)
+        for equation, k in (("local-ac", None), ("nonlocal-ac", kernel)):
+            with pytest.raises(ValueError, match=f"mobility {mobility:g} has no effect"):
+                run(init, cfg, pot, equation, k)
+            with pytest.raises(ValueError, match="mobility"):
+                run_batch([init, init], cfg, pot, equation, [k, k])
+        # the conserved flows take it
+        for equation, k in (("local-ch", None), ("nonlocal-ch", kernel)):
+            assert run(init, cfg, pot, equation, k).times[-1] == pytest.approx(SMALL.t_final)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tau=0.0, t_final=1.0)
@@ -345,6 +359,9 @@ def _reference_stepper(grid, equation, config, potential, kernel):
 def _assert_matches_five_transform_reference(equation, lengths, cells, eps, boundary, gains):
     g = UniformGrid(lengths, cells, boundary)
     kernel = make_kernel(g.dimension, eps) if equation.startswith("nonlocal") else None
+    if equation.endswith("ac"):
+        # the Allen-Cahn flows reject a mobility; they keep the raised stabilization
+        gains = {k: v for k, v in gains.items() if k != "mobility"}
     pot = DoubleWell(K=1.0)
     tau = 1e-4
     n_steps = 200
@@ -588,11 +605,16 @@ class TestGainOverflow:
     # the flows (by their drive, mobility * lam or 1) whose denominator overflows
     @pytest.mark.parametrize("tau, mobility, overflowing", [
         (1e-4, 1.0, ""), (1e300, 1.0, ""), (1e300, 1e3, "ch"), (1e300, 1e10, "ch"),
-        (1e308, 1e300, "ch ac"),
+        (1e308, 1e300, "ch ac"), (1e308, 1.0, "ch ac"),
     ])
     def test_overflowed_gains_take_their_limit(self, equation, eps, tau, mobility,
                                                overflowing):
         config = SolverConfig(tau=tau, t_final=tau, mobility=mobility)
+        if equation.endswith("ac") and mobility != 1.0:
+            # the Allen-Cahn flows take no mobility
+            with pytest.raises(ValueError, match="mobility"):
+                self._stepper(equation, config, eps)
+            return
         stepper = self._stepper(equation, config, eps)
         gain = stepper.gain
         assert np.all(np.isfinite(gain))

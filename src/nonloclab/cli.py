@@ -124,20 +124,13 @@ def _make_grid(args) -> UniformGrid:
     return UniformGrid(lengths, cells, args.domain)
 
 
-def _band_verdict(slope: float, lo, hi) -> bool:
-    if lo is not None and slope < lo:
-        return False
-    if hi is not None and slope > hi:
-        return False
-    return True
-
-
 def _emit_rate_outputs(outdir: Path, name: str, table, band, extra=None) -> int:
     lo, hi = band
-    ok = _band_verdict(table.fitted_slope, lo, hi)
+    slope = table.fitted_slope
+    ok = not (lo is not None and slope < lo) and not (hi is not None and slope > hi)
     summary = {
         "study": name,
-        "slope": table.fitted_slope,
+        "slope": slope,
         "intercept": table.fitted_intercept,
         "r_squared": table.r_squared,
         "band_min": lo,
@@ -153,7 +146,7 @@ def _emit_rate_outputs(outdir: Path, name: str, table, band, extra=None) -> int:
     write_summary_json(outdir / f"{name}_summary.json", summary)
     write_loglog_svg(outdir / f"{name}.svg", table, title=name)
     band_text = f"band [{lo}, {hi}]"
-    print(f"{name}: slope {table.fitted_slope:.4f} (r2 {table.r_squared:.4f}) "
+    print(f"{name}: slope {slope:.4f} (r2 {table.r_squared:.4f}) "
           f"{band_text} -> {'pass' if ok else 'FAIL'}")
     return PASS if ok else BAND_FAIL
 
@@ -584,53 +577,39 @@ def main(argv=None) -> int:
     parser = _shared_parser()
     # the config path comes from a first pass that knows only --config, so
     # every spelling argparse accepts (--config=PATH, the abbreviation --conf
-    # PATH) is read, and -h does not stop it
+    # PATH) is read, before or after the subcommand, and -h does not stop it
     first = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     first.add_argument("--config")
     try:
-        cfg_path = first.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:
-        print("config error: --config needs a path", file=sys.stderr)
+        cfg, argv = first.parse_known_args(argv)
+        if cfg.config is not None:
+            argv = _config_arguments(parser, argv, _load_config_file(cfg.config))
+    except (argparse.ArgumentError, OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if cfg_path is not None:
-        try:
-            argv = _config_arguments(parser, argv, _load_config_file(cfg_path))
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
 
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    lo, hi = getattr(args, "slope_min", None), getattr(args, "slope_max", None)
-    if lo is not None and hi is not None and lo > hi:
-        print(f"error: --slope-min {lo:g} is above --slope-max {hi:g}: no slope can pass",
-              file=sys.stderr)
-        return USAGE_ERROR
-    # the stepper reads the mobility in the conserved flows only
-    if getattr(args, "mobility", 1.0) != 1.0 and args.eq.endswith("-ac"):
-        print(f"error: --mobility {args.mobility:g} has no effect on {args.eq}: only the "
-              "conserved (-ch) flows take a mobility", file=sys.stderr)
-        return USAGE_ERROR
-
     outdir = Path(args.out) if args.out else Path(f"out-{args.command}")
     created = []
     try:
+        lo, hi = getattr(args, "slope_min", None), getattr(args, "slope_max", None)
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(f"--slope-min {lo:g} is above --slope-max {hi:g}: no slope can pass")
+        # the stepper reads the mobility in the conserved flows only
+        if getattr(args, "mobility", 1.0) != 1.0 and args.eq.endswith("-ac"):
+            raise ValueError(f"--mobility {args.mobility:g} has no effect on {args.eq}: only "
+                             "the conserved (-ch) flows take a mobility")
         created = _missing_directories(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        _remove_empty(created)
-        return USAGE_ERROR
-
-    try:
         code = args.func_impl(args, outdir)
+        _write_resolved_config(outdir, parser, args)
     except (ValueError, OSError, SolverDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _remove_empty(created)
         return USAGE_ERROR
-    _write_resolved_config(outdir, parser, args)
     return code
 
 

@@ -210,9 +210,15 @@ TEST_FUNCTIONS = {
 }
 
 
+# the named fields that a torus can carry: the others are smooth on a
+# zero-flux box but jump at the wrap
+_PERIODIC = ("sinmix", "flatbump", "one", "random")
+
+
 def _named_field(grid: UniformGrid, spec, registry: dict, what: str) -> Field:
     """``spec`` as a field on ``grid``: a ``Field``, which must live on that
-    grid, or a name in ``registry``, whose builder samples it there."""
+    grid, or a name in ``registry``, whose builder samples it there; a torus
+    takes only the names in ``_PERIODIC``."""
     if isinstance(spec, Field):
         if spec.grid != grid:
             raise ValueError(f"the {what} lives on a different grid")
@@ -221,6 +227,10 @@ def _named_field(grid: UniformGrid, spec, registry: dict, what: str) -> Field:
         builder = registry[spec]
     except KeyError:
         raise ValueError(f"unknown {what} {spec!r}; available: {sorted(registry)}") from None
+    if grid.boundary == PERIODIC and spec not in _PERIODIC:
+        raise ValueError(f"{what} {spec!r} is not periodic: it jumps at the wrap of a torus; "
+                         f"use one of {[n for n in registry if n in _PERIODIC]} or a "
+                         "zero-flux box")
     return Field(grid, builder(grid))
 
 
@@ -267,21 +277,10 @@ INITIAL_DATA = {
     "threshold": _init_threshold,
 }
 
-# the named data that a torus can carry: the cosine series of the others are
-# smooth on a zero-flux box but jump at the wrap
-_PERIODIC_INITIAL_DATA = ("random",)
-
 
 def make_initial_field(grid: UniformGrid, name_or_field) -> Field:
-    """Resolve initial data given as Field or registry name; a torus takes
-    only the names in ``_PERIODIC_INITIAL_DATA``."""
-    field = _named_field(grid, name_or_field, INITIAL_DATA, "initial data")
-    if (grid.boundary == PERIODIC and isinstance(name_or_field, str)
-            and name_or_field not in _PERIODIC_INITIAL_DATA):
-        raise ValueError(f"initial data {name_or_field!r} is not periodic: it jumps at the "
-                         f"wrap of a torus; use one of {list(_PERIODIC_INITIAL_DATA)} or a "
-                         "zero-flux box")
-    return field
+    """Resolve initial data given as Field or registry name."""
+    return _named_field(grid, name_or_field, INITIAL_DATA, "initial data")
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +298,9 @@ def operator_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_functi
     field = make_test_field(grid, test_function)
     lap = laplacian(field)
     errors = [l2_norm(apply_fft(Kernel(mollifier, e), field) + lap) for e in eps]
+    if not any(errors):
+        raise ValueError("every operator error is exactly zero, so there is no rate to fit: "
+                         "both operators vanish on the test function")
     floor = FLOOR_FACTOR * l2_norm(lap)
     return _fit_with_floor(eps, errors, floor)
 

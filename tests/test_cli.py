@@ -239,6 +239,18 @@ class TestRateCommands:
         assert "zero-flux" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["operator-rate", "energy-rate"])
+    def test_non_periodic_test_function_on_a_torus_is_usage_error(self, tmp_path, capsys,
+                                                                   command):
+        # cospix, the default, jumps by 2 at the wrap of a torus
+        out = tmp_path / "torus"
+        assert run_cli([command, "--domain", "periodic", "--func", "cospix",
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: test function 'cospix' is not periodic")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_slope_bound_from_config_file_is_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("slope_min=nan\n")
@@ -651,6 +663,42 @@ class TestUsageAndConfig:
     def test_missing_config_path(self):
         assert run_cli(["operator-rate", "--config"]) == 2
 
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"]])
+    def test_config_before_the_subcommand_replays(self, tmp_path, spelling):
+        # the file supplies solve's required eq
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(["solve", "--eq", "local-ch", "--N", "32", "--T", "1e-3", "--tau",
+                        "1e-4", "--checkpoints", "--out", str(first)]) == 0
+        flag = [part.format(first / "resolved_config.txt") for part in spelling]
+        assert run_cli([*flag, "solve", "--out", str(second)]) == 0
+        assert sorted(p.name for p in second.iterdir()) == sorted(p.name for p in first.iterdir())
+        for path in first.iterdir():
+            if path.name != "resolved_config.txt":
+                assert (second / path.name).read_bytes() == path.read_bytes()
+
+        def without_out(directory):
+            text = (directory / "resolved_config.txt").read_text()
+            return [line for line in text.splitlines() if not line.startswith("out=")]
+
+        assert without_out(second) == without_out(first)
+
+    def test_uncreatable_output_directory_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli(["check-kernel", "--out", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Not a directory" in err
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
+    def test_unwritable_resolved_config_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "ck"
+        (out / "resolved_config.txt").mkdir(parents=True)
+        assert run_cli(["check-kernel", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+
     def test_unresolvable_scale_is_usage_error(self, tmp_path):
         out = tmp_path / "bad"
         code = run_cli(["operator-rate", "--domain", "periodic", "--func", "sinmix",
@@ -900,3 +948,34 @@ class TestReproducibility:
             [k * 5e-4 for k in range(10)])
         summary = json.loads((out / "gronwall_summary.json").read_text())
         assert summary["pass"] is True
+
+
+def _readme_examples() -> list[list[str]]:
+    """The ``nonloclab`` calls of the README's command-line block, with
+    backslash continuations joined, as argument lists without the program."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("nonloclab ")]
+
+
+class TestReadmeExamples:
+    def test_the_block_has_every_example(self):
+        assert len(_readme_examples()) == 10
+
+    @pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: " ".join(argv))
+    def test_example_parses_and_resolves(self, argv):
+        # parse only: the grid, its scale ladder and the named fields resolve
+        # without running the study
+        args = cli.build_parser().parse_args(argv)
+        if not hasattr(args, "domain"):
+            return
+        grid = cli._make_grid(args)
+        mollifier = make_mollifier(grid.dimension, args.profile)
+        if hasattr(args, "eps"):
+            experiments._grid_ladder(grid, mollifier, args.eps)
+        if hasattr(args, "func"):
+            experiments.make_test_field(grid, args.func)
+        if hasattr(args, "initial"):
+            experiments.make_initial_field(grid, args.initial)

@@ -192,6 +192,13 @@ class TestOperatorStudy:
         with pytest.raises(ValueError, match="unknown test function"):
             operator_rate_study(g, moll, lambda x: np.sin(2 * np.pi * x), ladder)
 
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    def test_constant_has_no_rate_to_fit(self, moll, boundary):
+        # both operators vanish exactly on a constant, so every error is 0.0
+        g = UniformGrid((1.0,), (256,), boundary)
+        with pytest.raises(ValueError, match="every operator error is exactly zero"):
+            operator_rate_study(g, moll, "one", (0.2, 0.1, 0.05))
+
     def test_unknown_test_function(self, moll):
         g = UniformGrid((1.0,), (512,), "periodic")
         with pytest.raises(ValueError, match="unknown test function"):
@@ -602,3 +609,34 @@ class TestHelpers:
         assert field.grid == torus
         # a field given as such is the caller's to vouch for
         assert make_initial_field(torus, field) is field
+
+    def test_non_periodic_test_function_rejected_on_a_torus(self):
+        torus = UniformGrid((1.0,), (256,), "periodic")
+        with pytest.raises(ValueError) as info:
+            make_test_field(torus, "cospix")
+        assert str(info.value) == (
+            "test function 'cospix' is not periodic: it jumps at the wrap of a torus; "
+            "use one of ['sinmix', 'flatbump', 'one'] or a zero-flux box")
+
+    @pytest.mark.parametrize("shape", [(64,), (256,), (32, 48)])
+    @pytest.mark.parametrize("registry, resolve", [
+        (experiments.TEST_FUNCTIONS, make_test_field),
+        (experiments.INITIAL_DATA, make_initial_field),
+    ])
+    def test_a_torus_takes_exactly_the_names_without_a_wrap_jump(self, shape, registry,
+                                                                  resolve):
+        # a name is periodic when, on every axis, its jump across the wrap is
+        # no larger than twice its largest step between neighbours
+        torus = UniformGrid((1.0,) * len(shape), shape, "periodic")
+        verdicts = {}
+        for name, builder in registry.items():
+            v = builder(torus)
+            verdicts[name] = all(
+                np.max(np.abs(np.take(v, 0, a) - np.take(v, -1, a)))
+                <= 2 * np.max(np.abs(np.diff(v, axis=a))) for a in range(v.ndim))
+            if verdicts[name]:
+                assert resolve(torus, name).grid == torus
+            else:
+                with pytest.raises(ValueError, match=f"{name!r} is not periodic"):
+                    resolve(torus, name)
+        assert any(verdicts.values()) and not all(verdicts.values())

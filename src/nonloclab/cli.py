@@ -270,11 +270,8 @@ def _cmd_remainder_rate(args, outdir: Path) -> int:
 def _cmd_solve(args, outdir: Path) -> int:
     grid = _make_grid(args)
     potential = parse_potential(args.potential)
-    config = SolverConfig(
-        tau=args.tau, t_final=args.T, mobility=args.mobility,
-        stabilization=args.stabilization,
-        record_every=args.record_every, keep_fields=args.checkpoints,
-    )
+    config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
+                          stabilization=args.stabilization, record_every=args.record_every)
     nonlocal_eq = args.eq.startswith("nonlocal")
     if nonlocal_eq != (args.eps_value is not None):
         raise ValueError("nonlocal equations need --eps" if nonlocal_eq else
@@ -293,11 +290,14 @@ def _cmd_solve(args, outdir: Path) -> int:
             raise ValueError(f"two records would write the same checkpoint {clash}: names "
                              "keep 8 decimals of the time, so records must lie about 1e-8 "
                              "apart; raise --record-every")
-    record = run(initial, config, potential, args.eq, kernel)
+    # written only once the run returns, so a diverged run leaves no checkpoints
+    states = []
+    on_record = (lambda i, v: states.append(v[0].copy())) if args.checkpoints else None
+    record = run(initial, config, potential, args.eq, kernel, on_record=on_record)
     write_series_csv(outdir / "trajectory.csv", ["t", "mass", "energy"],
                      [record.times, record.mass, record.energy])
-    for name, field in zip(names, record.fields or ()):
-        save_field(field, outdir / name)
+    for name, values in zip(names, states):
+        save_field(Field(grid, values), outdir / name)
     drift = float(np.max(np.abs(record.mass - record.mass[0])))
     print(f"solve {args.eq}: {len(record.times)} records to t = {record.times[-1]:.6g}; "
           f"mass drift {drift:.3e}; final energy {record.energy[-1]:.8g}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,12 +142,12 @@ def _check_ladder(eps_list) -> tuple[float, ...]:
     return eps
 
 
-def _grid_ladder(grid: UniformGrid, mollifier: MollifierSpec, eps_list) -> tuple[float, ...]:
-    """The checked scale ladder of a study on ``grid``: every scale's support
-    must span at least ``MIN_SUPPORT_CELLS`` cells."""
+def _grid_ladder(grid: UniformGrid, eps_list) -> tuple[float, ...]:
+    """The checked scale ladder of a study on ``grid``: every scale's support,
+    of radius the scale, must span at least ``MIN_SUPPORT_CELLS`` cells."""
     eps = _check_ladder(eps_list)
     h = max(grid.spacing)
-    bad = [e for e in eps if e * mollifier.support_radius < MIN_SUPPORT_CELLS * h]
+    bad = [e for e in eps if e < MIN_SUPPORT_CELLS * h]
     if bad:
         raise ValueError(
             f"grid spacing {h:.3g} cannot resolve scales {bad}; "
@@ -294,7 +294,7 @@ def operator_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_functi
     derivative on a box, smooth periodicity on a torus); the residual is
     measured in the quadratic norm over the whole box.
     """
-    eps = _grid_ladder(grid, mollifier, eps_list)
+    eps = _grid_ladder(grid, eps_list)
     field = make_test_field(grid, test_function)
     lap = laplacian(field)
     errors = [l2_norm(apply_fft(Kernel(mollifier, e), field) + lap) for e in eps]
@@ -327,7 +327,7 @@ def energy_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_function
     a constant input makes every gap vanish and yields the "exact" verdict
     with no fitted table.
     """
-    eps = _grid_ladder(grid, mollifier, eps_list)
+    eps = _grid_ladder(grid, eps_list)
     field = make_test_field(grid, test_function)
     limit = dirichlet_energy(field)
     energies = [nonlocal_energy(Kernel(mollifier, e), field) for e in eps]
@@ -396,9 +396,9 @@ def remainder_rate_study(grid: UniformGrid, mollifier: MollifierSpec, test_funct
     monotone when each value is below its predecessor or both are exact
     zeros, as on a field that is flat wherever the narrower kernels reach.
     """
-    eps = _grid_ladder(grid, mollifier, eps_list)
+    eps = _grid_ladder(grid, eps_list)
     field = make_test_field(grid, test_function)
-    margins = tuple(margin_factor * e * mollifier.support_radius for e in eps)
+    margins = tuple(margin_factor * e for e in eps)
     values = [interior_remainder(Kernel(mollifier, e), field, m) for e, m in zip(eps, margins)]
     if all(v == 0.0 for v in values):
         return RemainderRateResult(eps, tuple(values), margins, "exact", True, None)
@@ -430,10 +430,10 @@ def _check_same_times(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
 
 @dataclass(frozen=True)
 class SolutionStudyResult:
-    """The errors and fitted tables of a solution study.  ``reference`` keeps
-    its fields; the ladder's ``records`` keep times, mass and energy, and
-    their ``fields`` are ``None``: the study reads each rung's states only
-    through the per-record norms of their difference to the reference."""
+    """The errors and fitted tables of a solution study, with the records
+    (times, mass and energy) of the reference and of each rung.  The study
+    reads each rung's states only through the per-record norms of their
+    difference to the reference's."""
 
     equation: str
     epsilons: tuple[float, ...]
@@ -449,24 +449,25 @@ def _solution_setup(grid: UniformGrid, config: SolverConfig, potential,
                     perturbation_scale: float):
     """What the solution study and the Grönwall audit share: the checks, the
     scale ladder and its kernels, the fine-step local reference run with its
-    fields, and each rung's offset start.  Raises ``ValueError`` before any
-    step."""
+    states at each record, and each rung's offset start.  Raises
+    ``ValueError`` before any step."""
     if not equation.startswith("nonlocal"):
         raise ValueError("solution study compares a nonlocal flow to its local limit")
     if grid.boundary != NEUMANN:
         raise ValueError("the solution study runs on a zero-flux box: its offset profile "
                          "cos(pi x) and its named initial data are not periodic")
-    eps = _grid_ladder(grid, mollifier, eps_list)
+    eps = _grid_ladder(grid, eps_list)
     initial = make_initial_field(grid, initial)
     kernels = [Kernel(mollifier, e) for e in eps]
     for kernel in kernels:  # the stencil build rejects a support wider than the box
         stencil_symbol(kernel, grid)
-    ref = run(initial, reference_config(replace(config, keep_fields=True)), potential,
-              equation.replace("nonlocal", "local"))
+    ref_states = []
+    ref = run(initial, reference_config(config), potential, equation.replace("nonlocal", "local"),
+              on_record=lambda index, values: ref_states.append(Field(grid, values[0].copy())))
     profile = _f_cospix(grid)
     starts = [Field(grid, initial.values + perturbation_scale * math.sqrt(e) * profile)
               for e in eps]
-    return eps, kernels, ref, starts
+    return eps, kernels, ref, ref_states, starts
 
 
 def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potential,
@@ -495,32 +496,31 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
 
     The ladder's runs step together as the members of one
     :func:`~nonloclab.solvers.run_batch` call, and each equals its own
-    :func:`run` bit for bit.  Only the reference keeps its trajectory: at
-    each record the batch's states give one row of norms per rung and are
-    then dropped, so memory holds one trajectory, not one per rung.
+    :func:`run` bit for bit.  Only the reference's states are kept: at each
+    record the batch's states give one row of norms per rung and are then
+    dropped, so memory holds one trajectory, not one per rung.
     ``workers`` is accepted and ignored.
     """
-    eps, kernels, ref, starts = _solution_setup(grid, config, potential, mollifier, eps_list,
-                                                initial, equation, perturbation_scale)
+    eps, kernels, ref, ref_states, starts = _solution_setup(
+        grid, config, potential, mollifier, eps_list, initial, equation, perturbation_scale)
     rows = [[] for _ in eps]
 
     def record_norms(index: int, values: np.ndarray) -> None:
         for m, rung_rows in enumerate(rows):
-            u = Field(grid, values[m]) - ref.fields[index]
+            u = Field(grid, values[m]) - ref_states[index]
             rung_rows.append((hminus1_norm(u), l2_norm(u), sobolev_norm(u, -0.5), lp_norm(u, 4)))
 
-    runs = run_batch(starts, replace(config, keep_fields=False), potential, equation, kernels,
-                     on_record=record_norms)
+    runs = run_batch(starts, config, potential, equation, kernels, on_record=record_norms)
     _check_same_times(runs[0], ref)
 
     per_run = [_solution_errors(r.times, rung_rows) for r, rung_rows in zip(runs, rows)]
     errors = dict(zip(_SOLUTION_NORMS, zip(*per_run)))
-    scale = max(max(l2_norm(f) for f in ref.fields), 1e-30)
+    scale = max(max(l2_norm(f) for f in ref_states), 1e-30)
     tables = {
         name: _fit_with_floor(eps, vals, FLOOR_FACTOR * scale)
         for name, vals in errors.items()
     }
-    h3_max = max(sobolev_norm(f, 3.0) for f in ref.fields)
+    h3_max = max(sobolev_norm(f, 3.0) for f in ref_states)
     return SolutionStudyResult(
         equation=equation,
         epsilons=eps,
@@ -574,20 +574,19 @@ class GronwallTrace:
         return bool(np.all(self.lhs() <= constant * self.rhs() + _GRONWALL_SLACK))
 
 
-def gronwall_trace(record_eps: TrajectoryRecord, record_ref: TrajectoryRecord,
-                   kernel: Kernel) -> GronwallTrace:
-    """Audit the scale-uniform differential inequality on one pair of runs."""
-    if record_eps.fields is None or record_ref.fields is None:
-        raise ValueError("both trajectories must carry field checkpoints")
-    _check_same_times(record_eps, record_ref)
+def gronwall_trace(times, fields_eps, fields_ref, kernel: Kernel) -> GronwallTrace:
+    """Audit the scale-uniform differential inequality on one pair of runs,
+    given as their shared record ``times`` and their states at those times."""
+    if not len(times) == len(fields_eps) == len(fields_ref):
+        raise ValueError("time grids of the two trajectories do not match")
 
     # one row per record: the squared dual and quadratic norms and the pair
     # energy of the difference, and the squared consistency error of the reference
-    diffs = (fe - fr for fe, fr in zip(record_eps.fields, record_ref.fields))
+    diffs = (fe - fr for fe, fr in zip(fields_eps, fields_ref))
     rows = np.array([(hminus1_norm(u) ** 2, l2_norm(u) ** 2, nonlocal_energy(kernel, u),
                       l2_norm(apply_fft(kernel, fr) + laplacian(fr)) ** 2)
-                     for u, fr in zip(diffs, record_ref.fields)])
-    times = record_eps.times
+                     for u, fr in zip(diffs, fields_ref)])
+    times = np.asarray(times, dtype=float)
     y = 0.5 * rows[:, 0]
     derivative = np.diff(y) / np.diff(times)
     # the audited times: the forward difference ends at the last record
@@ -616,9 +615,12 @@ def gronwall_audit(grid: UniformGrid, config: SolverConfig, potential,
     """:func:`gronwall_trace` on the second rung of the ladder of a
     :func:`solution_convergence_study` with the same arguments (identical
     data by default).  The whole ladder is checked as there, but only the
-    reference and the audited rung run, both with fields; the rung equals
-    its member of the study's batch bit for bit."""
-    _, kernels, ref, starts = _solution_setup(grid, config, potential, mollifier, eps_list,
-                                              initial, equation, perturbation_scale)
-    rung = run(starts[1], replace(config, keep_fields=True), potential, equation, kernels[1])
-    return gronwall_trace(rung, ref, kernels[1])
+    reference and the audited rung run, and the audit collects the states of
+    both; the rung equals its member of the study's batch bit for bit."""
+    _, kernels, ref, ref_states, starts = _solution_setup(
+        grid, config, potential, mollifier, eps_list, initial, equation, perturbation_scale)
+    states = []
+    rung = run(starts[1], config, potential, equation, kernels[1],
+               on_record=lambda index, values: states.append(Field(grid, values[0].copy())))
+    _check_same_times(rung, ref)
+    return gronwall_trace(rung.times, states, ref_states, kernels[1])

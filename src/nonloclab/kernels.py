@@ -131,8 +131,6 @@ class PolyBump:
     p: int
     q: int
 
-    support_radius = 1.0
-
     def __post_init__(self):
         for field, low in (("p", 2), ("q", 0)):
             value = getattr(self, field)
@@ -191,10 +189,6 @@ class MollifierSpec:
         if not self.norm_constant > 0:
             raise ValueError("norm_constant must be positive")
 
-    @property
-    def support_radius(self) -> float:
-        return self.profile.support_radius
-
 
 def make_mollifier(n: int, profile_name: str = "poly-2-3") -> MollifierSpec:
     """Build a normalized mollifier for dimension ``n``.
@@ -209,7 +203,7 @@ def make_mollifier(n: int, profile_name: str = "poly-2-3") -> MollifierSpec:
         raise ValueError(
             f"unknown profile {profile_name!r}; available: {sorted(PROFILES)}"
         ) from None
-    moment = _radial_moment(profile.raw, n, profile.support_radius)
+    moment = _radial_moment(profile.raw, n, 1.0)
     return MollifierSpec(dimension=n, profile=profile,
                          norm_constant=radial_mass_target(n) / moment)
 
@@ -242,8 +236,9 @@ class Kernel:
 
     @property
     def support_radius(self) -> float:
-        """Radius beyond which the kernel vanishes identically."""
-        return self.epsilon * self.mollifier.support_radius
+        """Radius beyond which the kernel vanishes identically: its profile
+        vanishes from ``|r| = 1`` on."""
+        return self.epsilon
 
     def value_radial(self, r) -> np.ndarray:
         """Kernel value as a function of radius, finite down to r = 0."""

@@ -100,7 +100,6 @@ class SolverConfig:
     mobility: float = 1.0
     stabilization: float | None = None
     record_every: int = 1
-    keep_fields: bool = False
 
     def __post_init__(self):
         for name in ("tau", "t_final", "mobility", "stabilization"):
@@ -124,13 +123,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Recorded mass/energy series, with optional field checkpoints."""
+    """Recorded times with their mass and free energy series; the states
+    themselves reach a caller only through ``on_record``."""
 
-    equation: str
     times: np.ndarray
     mass: np.ndarray
     energy: np.ndarray
-    fields: tuple[Field, ...] | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -226,15 +224,15 @@ class _Stepper:
 
 
 def run(initial: Field, config: SolverConfig, potential, equation: str,
-        kernel: Kernel | None = None) -> TrajectoryRecord:
+        kernel: Kernel | None = None, on_record=None) -> TrajectoryRecord:
     """Advance to the final time, recording mass and free energy.
 
     ``t_final`` must be a whole number of steps.  Records are taken at step
-    zero, every ``record_every`` steps, and at the final step.  With
-    ``keep_fields`` the state at each record time is stored in the returned
-    trajectory.
+    zero, every ``record_every`` steps, and at the final step.  ``on_record``
+    is :func:`run_batch`'s, called with a batch of one: the state is
+    ``values[0]``.
     """
-    (record,) = run_batch([initial], config, potential, equation, [kernel])
+    (record,) = run_batch([initial], config, potential, equation, [kernel], on_record)
     return record
 
 
@@ -249,10 +247,10 @@ def run_batch(initials, config: SolverConfig, potential, equation: str,
 
     ``on_record(index, values)``, if given, is called at every record, with
     the record's index (0, 1, ... in order) and the member-first array of the
-    batch's values, which equal bit for bit the fields that ``keep_fields``
-    stores.  The array is the loop's own: a callback reads it before the
-    next step and copies what it keeps.  So a caller that needs the states
-    only through what it computes from them can run without ``keep_fields``.
+    batch's values; it is the only way the states leave the loop.  The array
+    is the loop's own: a callback reads it before the next step and copies
+    what it keeps, so a caller that needs the states only through what it
+    computes from them keeps none.
     """
     initials, kernels = list(initials), list(kernels)
     if not initials or len(initials) != len(kernels):
@@ -273,7 +271,6 @@ def run_batch(initials, config: SolverConfig, potential, equation: str,
     times = []
     mass: list[list[float]] = [[] for _ in members]
     energy: list[list[float]] = [[] for _ in members]
-    fields = [[] for _ in members] if config.keep_fields else None
 
     def record(step: int, vals: np.ndarray) -> None:
         if on_record is not None:
@@ -282,8 +279,6 @@ def run_batch(initials, config: SolverConfig, potential, equation: str,
         for m in members:
             mass[m].append(integrate(Field(grid, vals[m])))
             energy[m].append(stepper.energy(m, vals[m]))
-            if fields is not None:
-                fields[m].append(Field(grid, vals[m].copy()))
 
     record(0, values)
     for last, stop in itertools.pairwise(steps):
@@ -303,16 +298,8 @@ def run_batch(initials, config: SolverConfig, potential, equation: str,
                     )
         record(stop, values)
 
-    return [
-        TrajectoryRecord(
-            equation=equation,
-            times=np.asarray(times),
-            mass=np.asarray(mass[m]),
-            energy=np.asarray(energy[m]),
-            fields=tuple(fields[m]) if fields is not None else None,
-        )
-        for m in members
-    ]
+    return [TrajectoryRecord(times=np.asarray(times), mass=np.asarray(mass[m]),
+                             energy=np.asarray(energy[m])) for m in members]
 
 
 def record_steps(config: SolverConfig):

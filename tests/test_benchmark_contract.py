@@ -101,6 +101,9 @@ def test_solution_workload_call_form(tmp_path):
     assert set(out) == set(workloads.SOLUTION_EQUATIONS)
     for result in out.values():
         assert set(result.records) == set(workloads.SOLUTION_LADDER)
+    # the check and the readout read the reference's and the rungs' records
+    assert all(ok for _, ok, _ in workloads._solution_check(out))
+    assert workloads._solution_observe(out)
 
 
 def test_flow_workload_reads_clamp_events(tmp_path):

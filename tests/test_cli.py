@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from nonloclab import cli, experiments, nonlocal_ops
 from nonloclab.cli import main
 from nonloclab.grid import load_field
-from nonloclab.kernels import make_mollifier
 from nonloclab.solvers import SolverDivergedError
 
 
@@ -590,9 +589,7 @@ class TestUsageAndConfig:
                            "solution-rate"]
         for name in studies:
             args = parser.parse_args([name])
-            grid = cli._make_grid(args)
-            mollifier = make_mollifier(grid.dimension, args.profile)
-            assert experiments._grid_ladder(grid, mollifier, args.eps) == args.eps
+            assert experiments._grid_ladder(cli._make_grid(args), args.eps) == args.eps
 
     def test_config_file_provides_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -972,9 +969,8 @@ class TestReadmeExamples:
         if not hasattr(args, "domain"):
             return
         grid = cli._make_grid(args)
-        mollifier = make_mollifier(grid.dimension, args.profile)
         if hasattr(args, "eps"):
-            experiments._grid_ladder(grid, mollifier, args.eps)
+            experiments._grid_ladder(grid, args.eps)
         if hasattr(args, "func"):
             experiments.make_test_field(grid, args.func)
         if hasattr(args, "initial"):

@@ -34,6 +34,16 @@ def moll():
     return make_mollifier(1)
 
 
+def run_states(initial, config, potential, equation, kernel=None):
+    """``run``'s record, and the state at each record, collected through
+    ``on_record``."""
+    states = []
+    record = run(initial, config, potential, equation, kernel,
+                 on_record=lambda index, values: states.append(Field(initial.grid,
+                                                                     values[0].copy())))
+    return record, states
+
+
 class TestFitRate:
     def test_exact_linear_law(self):
         table = fit_rate([(e, e) for e in (0.2, 0.1, 0.05, 0.025)])
@@ -295,13 +305,11 @@ class TestSolutionStudy:
         assert small_study.reference_h3_max > 0
 
     def test_records_kept(self, small_study):
-        # the ladder's records keep their series but no fields; only the
-        # reference keeps its trajectory
+        # the reference and every rung keep their series
         assert set(small_study.records) == {0.16, 0.08, 0.04}
         ref = small_study.reference
-        assert len(ref.fields) == len(ref.times) == 11
+        assert len(ref.times) == 11
         for rec in small_study.records.values():
-            assert rec.fields is None
             assert np.array_equal(rec.times, np.arange(0, 201, 20) * 5e-5)
             assert rec.mass.shape == rec.energy.shape == rec.times.shape
             assert np.all(np.isfinite(rec.energy))
@@ -309,25 +317,24 @@ class TestSolutionStudy:
     @pytest.mark.parametrize("equation", ["nonlocal-ch", "nonlocal-ac"])
     def test_errors_equal_those_of_rungs_run_with_fields(self, moll, equation):
         # the study drops each record's states once it has their norms; its
-        # errors keep the bits of the rungs run on their own with fields and
-        # compared afterwards
+        # errors keep the bits of the rungs run on their own, their states
+        # collected and compared afterwards
         g = UniformGrid((1.0,), (256,), "neumann")
         cfg = SolverConfig(tau=5e-5, t_final=5e-3, record_every=10)
         pot, eps = DoubleWell(K=1.0), (0.16, 0.08, 0.04)
         res = solution_convergence_study(g, cfg, pot, moll, eps, "cosmix", equation=equation)
-        assert all(rec.fields is None for rec in res.records.values())
 
-        kept = SolverConfig(tau=5e-5, t_final=5e-3, record_every=10, keep_fields=True)
         init = make_initial_field(g, "cosmix")
-        ref = run(init, reference_config(kept), pot, equation.replace("nonlocal", "local"))
+        _, ref_states = run_states(init, reference_config(cfg), pot,
+                                   equation.replace("nonlocal", "local"))
         profile = np.cos(np.pi * g.axis_nodes(0))
         for name in experiments._SOLUTION_NORMS:
             assert len(res.errors[name]) == len(eps)
         for i, e in enumerate(eps):
             start = Field(g, init.values + 0.05 * math.sqrt(e) * profile)
-            rung = run(start, kept, pot, equation, Kernel(moll, e))
+            rung, states = run_states(start, cfg, pot, equation, Kernel(moll, e))
             rows = np.array([(hminus1_norm(u), l2_norm(u), sobolev_norm(u, -0.5), lp_norm(u, 4))
-                             for u in (a - b for a, b in zip(rung.fields, ref.fields))])
+                             for u in (a - b for a, b in zip(states, ref_states))])
             h1, l2, hs, l4 = rows.T
             expected = {
                 "hminus1_sup": float(h1.max()),
@@ -382,28 +389,26 @@ class TestSolutionStudy:
 
         g = UniformGrid((1.0,), (256,), "neumann")
         pot = DoubleWell(K=1.0)
-        cfg = SolverConfig(tau=5e-5, t_final=0.01, record_every=20, keep_fields=True)
+        cfg = SolverConfig(tau=5e-5, t_final=0.01, record_every=20)
         init = make_initial_field(g, "cosmix")
-        ref = run(init, reference_config(cfg), pot, "local-ch")
-        rec = run(init, cfg, pot, "nonlocal-ch", Kernel(moll, 0.8))
-        sup_err = max(l2_norm(a - b) for a, b in zip(rec.fields, ref.fields))
+        _, ref = run_states(init, reference_config(cfg), pot, "local-ch")
+        _, rec = run_states(init, cfg, pot, "nonlocal-ch", Kernel(moll, 0.8))
+        sup_err = max(l2_norm(a - b) for a, b in zip(rec, ref))
         mean_state = Field(g, np.full(g.shape, float(np.mean(init.values))))
-        traj_scale = max(l2_norm(f - mean_state) for f in ref.fields)
+        traj_scale = max(l2_norm(f - mean_state) for f in ref)
         assert sup_err > 0.05 * traj_scale
 
-        small = run(init, cfg, pot, "nonlocal-ch", Kernel(moll, 0.08))
-        sup_small = max(l2_norm(a - b) for a, b in zip(small.fields, ref.fields))
+        _, small = run_states(init, cfg, pot, "nonlocal-ch", Kernel(moll, 0.08))
+        sup_small = max(l2_norm(a - b) for a, b in zip(small, ref))
         assert sup_err > 20 * sup_small
 
 
 class TestGronwallTrace:
     def test_zero_difference_gives_zero_traces(self, moll):
         g = UniformGrid((1.0,), (128,), "neumann")
-        cfg = SolverConfig(tau=1e-4, t_final=5e-3, record_every=10, keep_fields=True)
-        from nonloclab.solvers import run
-
-        rec = run(make_initial_field(g, "cosmix"), cfg, DoubleWell(), "local-ch")
-        trace = gronwall_trace(rec, rec, Kernel(moll, 0.1))
+        cfg = SolverConfig(tau=1e-4, t_final=5e-3, record_every=10)
+        rec, states = run_states(make_initial_field(g, "cosmix"), cfg, DoubleWell(), "local-ch")
+        trace = gronwall_trace(rec.times, states, states, Kernel(moll, 0.1))
         assert np.all(trace.dual_sq_half == 0.0)
         assert np.all(trace.l2_sq_half == 0.0)
         assert np.all(trace.pair_energy_half == 0.0)
@@ -414,22 +419,20 @@ class TestGronwallTrace:
         # the forward difference ends at the last record, so every array has
         # one entry per record but the last; the pair energy still integrates
         # over every record
-        from nonloclab.solvers import run
-
         g = UniformGrid((1.0,), (128,), "neumann")
-        cfg = SolverConfig(tau=1e-4, t_final=5e-3, record_every=10, keep_fields=True)
+        cfg = SolverConfig(tau=1e-4, t_final=5e-3, record_every=10)
         init = make_initial_field(g, "cosmix")
         kernel = Kernel(moll, 0.1)
-        ref = run(init, cfg, DoubleWell(), "local-ch")
-        rec = run(init, cfg, DoubleWell(), "nonlocal-ch", kernel)
-        trace = gronwall_trace(rec, ref, kernel)
+        _, ref = run_states(init, cfg, DoubleWell(), "local-ch")
+        rec, states = run_states(init, cfg, DoubleWell(), "nonlocal-ch", kernel)
+        trace = gronwall_trace(rec.times, states, ref, kernel)
         audited = len(rec.times) - 1
         assert np.array_equal(trace.times, rec.times[:-1])
         for name in ("dual_sq_half", "derivative", "l2_sq_half", "pair_energy_half",
                      "dual_sq", "consistency_sq"):
             assert getattr(trace, name).shape == (audited,), name
         assert trace.lhs().shape == trace.rhs().shape == (audited,)
-        pair = [nonlocal_energy(kernel, a - b) for a, b in zip(rec.fields, ref.fields)]
+        pair = [nonlocal_energy(kernel, a - b) for a, b in zip(states, ref)]
         assert trace.energy_time_integral == np.trapezoid(pair, rec.times)
 
     def test_vanishing_rhs_fails_every_constant(self):
@@ -464,41 +467,29 @@ class TestGronwallTrace:
         assert max(c1, c2) / min(c1, c2) < 2.0
 
     def test_time_mismatch_rejected(self, moll):
-        from nonloclab.solvers import run
-
         g = UniformGrid((1.0,), (128,), "neumann")
         pot = DoubleWell()
         init = make_initial_field(g, "cosmix")
-        rec_a = run(init, SolverConfig(tau=1e-4, t_final=5e-3, record_every=10,
-                                       keep_fields=True), pot, "local-ch")
-        rec_b = run(init, SolverConfig(tau=1e-4, t_final=5e-3, record_every=25,
-                                       keep_fields=True), pot, "local-ch")
+        rec_a, states_a = run_states(init, SolverConfig(tau=1e-4, t_final=5e-3, record_every=10),
+                                     pot, "local-ch")
+        _, states_b = run_states(init, SolverConfig(tau=1e-4, t_final=5e-3, record_every=25),
+                                 pot, "local-ch")
         with pytest.raises(ValueError, match="time grids"):
-            gronwall_trace(rec_a, rec_b, Kernel(moll, 0.1))
-
-    def test_requires_checkpoints(self, moll):
-        from nonloclab.solvers import run
-
-        g = UniformGrid((1.0,), (128,), "neumann")
-        rec = run(make_initial_field(g, "cosmix"),
-                  SolverConfig(tau=1e-4, t_final=5e-3, record_every=10),
-                  DoubleWell(), "local-ch")
-        with pytest.raises(ValueError, match="checkpoints"):
-            gronwall_trace(rec, rec, Kernel(moll, 0.1))
+            gronwall_trace(rec_a.times, states_a, states_b, Kernel(moll, 0.1))
 
     def test_integrated_pair_energy_trend(self, moll):
         # the time integral of the pair energy of the difference has to decay
         # at least as fast as the square root of the scale
         g = UniformGrid((1.0,), (256,), "neumann")
-        cfg = SolverConfig(tau=4e-5, t_final=0.01, record_every=25, keep_fields=True)
+        cfg = SolverConfig(tau=4e-5, t_final=0.01, record_every=25)
         eps = (0.16, 0.08, 0.04)
         init = make_initial_field(g, "cosmix")
-        ref = run(init, reference_config(cfg), DoubleWell(), "local-ch")
-        integrals = [
-            gronwall_trace(run(init, cfg, DoubleWell(), "nonlocal-ch", Kernel(moll, e)), ref,
-                           Kernel(moll, e)).energy_time_integral
-            for e in eps
-        ]
+        _, ref = run_states(init, reference_config(cfg), DoubleWell(), "local-ch")
+        integrals = []
+        for e in eps:
+            rec, states = run_states(init, cfg, DoubleWell(), "nonlocal-ch", Kernel(moll, e))
+            integrals.append(gronwall_trace(rec.times, states, ref,
+                                            Kernel(moll, e)).energy_time_integral)
         assert all(v > 0 for v in integrals)
         table = fit_rate(zip(eps, integrals))
         assert table.fitted_slope >= 0.45
@@ -511,9 +502,9 @@ class TestGronwallAudit:
         pot = DoubleWell(K=1.0)
         calls = []
 
-        def counted_run(initial, config, potential, equation, kernel=None):
+        def counted_run(initial, config, potential, equation, kernel=None, on_record=None):
             calls.append((equation, None if kernel is None else kernel.epsilon))
-            return run(initial, config, potential, equation, kernel)
+            return run(initial, config, potential, equation, kernel, on_record)
 
         monkeypatch.setattr(experiments, "run", counted_run)
         monkeypatch.setattr(experiments, "run_batch", None)
@@ -522,12 +513,12 @@ class TestGronwallAudit:
         # the reference and the audited rung, and no other rung
         assert calls == [("local-ch", None), ("nonlocal-ch", 0.08)]
 
-        kept = SolverConfig(tau=5e-5, t_final=5e-3, record_every=10, keep_fields=True)
         init = make_initial_field(g, "cosmix")
-        ref = run(init, reference_config(kept), pot, "local-ch")
+        _, ref = run_states(init, reference_config(cfg), pot, "local-ch")
         start = Field(g, init.values + 0.03 * math.sqrt(0.08) * np.cos(np.pi * g.axis_nodes(0)))
         kernel = Kernel(moll, 0.08)
-        expected = gronwall_trace(run(start, kept, pot, "nonlocal-ch", kernel), ref, kernel)
+        rung, states = run_states(start, cfg, pot, "nonlocal-ch", kernel)
+        expected = gronwall_trace(rung.times, states, ref, kernel)
         for name in ("times", "dual_sq_half", "derivative", "l2_sq_half", "pair_energy_half",
                      "dual_sq", "consistency_sq"):
             assert np.array_equal(getattr(trace, name), getattr(expected, name)), name

@@ -50,10 +50,20 @@ def pot():
 SMALL = SolverConfig(tau=1e-4, t_final=1e-3)
 
 
+def run_states(initial, config, potential, equation, kernel=None):
+    """``run``'s record, and the state at each record, collected through
+    ``on_record``."""
+    states = []
+    record = run(initial, config, potential, equation, kernel,
+                 on_record=lambda index, values: states.append(Field(initial.grid,
+                                                                     values[0].copy())))
+    return record, states
+
+
 def one_step(state, potential, equation, kernel=None):
     """The state after one step of SMALL's size: ``run`` to ``t_final = tau``."""
-    config = replace(SMALL, t_final=SMALL.tau, record_every=1, keep_fields=True)
-    return run(state, config, potential, equation, kernel).fields[-1]
+    config = replace(SMALL, t_final=SMALL.tau, record_every=1)
+    return run_states(state, config, potential, equation, kernel)[1][-1]
 
 
 class TestFixedPoints:
@@ -124,18 +134,18 @@ class TestAgainstAnalyticDynamics:
         g = UniformGrid((2 * math.pi,), (128,), "periodic")
         amp = 1e-6
         init = sample(g, lambda x: amp * np.cos(x))
-        cfg = SolverConfig(tau=1e-6, t_final=1e-2, record_every=10000, keep_fields=True)
-        rec = run(init, cfg, pot, "local-ch")
-        growth = math.log(l2_norm(rec_field(rec, -1)) / l2_norm(rec_field(rec, 0)))
+        cfg = SolverConfig(tau=1e-6, t_final=1e-2, record_every=10000)
+        rec, states = run_states(init, cfg, pot, "local-ch")
+        growth = math.log(l2_norm(states[-1]) / l2_norm(states[0]))
         rate = growth / rec.times[-1]
         assert rate == pytest.approx(3.0, rel=0.02)
 
     def test_stable_mode_decays(self, pot):
         g = UniformGrid((2 * math.pi,), (128,), "periodic")
         init = sample(g, lambda x: 1e-6 * np.cos(3 * x))
-        cfg = SolverConfig(tau=1e-6, t_final=1e-3, record_every=1000, keep_fields=True)
-        rec = run(init, cfg, pot, "local-ch")
-        rate = math.log(l2_norm(rec_field(rec, -1)) / l2_norm(rec_field(rec, 0))) / rec.times[-1]
+        cfg = SolverConfig(tau=1e-6, t_final=1e-3, record_every=1000)
+        rec, states = run_states(init, cfg, pot, "local-ch")
+        rate = math.log(l2_norm(states[-1]) / l2_norm(states[0])) / rec.times[-1]
         assert rate == pytest.approx(9.0 * (4.0 - 9.0), rel=0.05)
 
     def test_homogeneous_relaxation_matches_closed_form(self, pot):
@@ -152,12 +162,6 @@ class TestAgainstAnalyticDynamics:
         assert np.all(np.diff(rec.mass) > 0)  # monotone climb toward the well
 
 
-def rec_field(record, idx):
-    if record.fields is None:
-        raise AssertionError("run was not configured to keep fields")
-    return record.fields[idx]
-
-
 class TestSchemeProperties:
     def test_first_order_in_time(self, pot):
         g = UniformGrid((1.0,), (64,), "periodic")
@@ -165,8 +169,8 @@ class TestSchemeProperties:
         taus = (4e-5, 2e-5, 1e-5)
 
         def final_state(tau):
-            cfg = SolverConfig(tau=tau, t_final=4e-3, record_every=10**6, keep_fields=True)
-            return run(init, cfg, pot, "local-ch").fields[-1]
+            cfg = SolverConfig(tau=tau, t_final=4e-3, record_every=10**6)
+            return run_states(init, cfg, pot, "local-ch")[1][-1]
 
         ref_field = final_state(1.25e-6)
         errors = [l2_norm(final_state(t) - ref_field) for t in taus]
@@ -286,7 +290,7 @@ class TestTwoDimensional:
 class TestRecords:
     def test_reference_config_aligns_times(self, grid, pot):
         init = sample(grid, lambda x: 0.1 * np.cos(np.pi * x))
-        cfg = SolverConfig(tau=1e-4, t_final=1e-2, record_every=10, keep_fields=True)
+        cfg = SolverConfig(tau=1e-4, t_final=1e-2, record_every=10)
         rec = run(init, cfg, pot, "local-ch")
         ref = run(init, reference_config(cfg), pot, "local-ch")
         assert rec.times.shape == ref.times.shape
@@ -306,8 +310,7 @@ class TestRecords:
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="increasing"):
-            TrajectoryRecord("local-ch", np.asarray([0.0, 0.0]),
-                             np.zeros(2), np.zeros(2))
+            TrajectoryRecord(np.asarray([0.0, 0.0]), np.zeros(2), np.zeros(2))
 
     @pytest.mark.parametrize("mobility", [3.0, 0.5])
     def test_allen_cahn_flows_reject_a_mobility(self, grid, pot, mobility):
@@ -365,13 +368,12 @@ def _assert_matches_five_transform_reference(equation, lengths, cells, eps, boun
     pot = DoubleWell(K=1.0)
     tau = 1e-4
     n_steps = 200
-    cfg = SolverConfig(tau=tau, t_final=n_steps * tau, record_every=n_steps, keep_fields=True,
-                       **gains)
+    cfg = SolverConfig(tau=tau, t_final=n_steps * tau, record_every=n_steps, **gains)
     rng = np.random.default_rng(7)
     smooth = sample(g, lambda *xs: 0.3 * math.prod(np.cos(np.pi * x) for x in xs))
     init = Field(g, smooth.values + 0.05 * rng.standard_normal(g.shape))
 
-    out = run(init, cfg, pot, equation, kernel).fields[-1].values
+    out = run_states(init, cfg, pot, equation, kernel)[1][-1].values
     ref_step = _reference_stepper(g, equation, cfg, pot, kernel)
     ref = init.values
     for _ in range(n_steps):
@@ -432,13 +434,24 @@ class TestSpectralStateStepper:
         assert np.max(np.abs(rec.mass - integrate(init))) <= 1e-10
 
 
-def _assert_records_equal(a, b):
+def _assert_records_equal(a, a_states, b, b_states):
+    """Two records and their state arrays at each record are equal bit for bit."""
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.mass, b.mass)
     assert np.array_equal(a.energy, b.energy)
-    assert len(a.fields) == len(b.fields)
-    for fa, fb in zip(a.fields, b.fields):
-        assert np.array_equal(fa.values, fb.values)
+    assert len(a_states) == len(b_states)
+    for fa, fb in zip(a_states, b_states):
+        assert np.array_equal(fa, fb)
+
+
+def _assert_members_equal_separate_runs(inits, cfg, pot, equation, kernels):
+    seen = []
+    records = run_batch(inits, cfg, pot, equation, kernels,
+                        on_record=lambda index, values: seen.append(values.copy()))
+    assert len(records) == len(inits)
+    for m, (init, kernel, record) in enumerate(zip(inits, kernels, records)):
+        alone, states = run_states(init, cfg, pot, equation, kernel)
+        _assert_records_equal(record, [v[m] for v in seen], alone, [f.values for f in states])
 
 
 class TestRunBatch:
@@ -454,22 +467,16 @@ class TestRunBatch:
             kernels = [make_kernel(g.dimension, e) for e in epsilons]
         else:
             kernels = [None] * len(epsilons)
-        cfg = SolverConfig(tau=1e-4, t_final=3e-3, record_every=7, keep_fields=True)
-        pot = DoubleWell(K=1.0)
-        records = run_batch(inits, cfg, pot, equation, kernels)
-        assert len(records) == len(inits)
-        for init, kernel, record in zip(inits, kernels, records):
-            _assert_records_equal(record, run(init, cfg, pot, equation, kernel))
+        cfg = SolverConfig(tau=1e-4, t_final=3e-3, record_every=7)
+        _assert_members_equal_separate_runs(inits, cfg, DoubleWell(K=1.0), equation, kernels)
 
     def test_logarithmic_members_equal_separate_runs(self, grid):
         rng = np.random.default_rng(8)
         inits = [Field(grid, rng.uniform(-0.9, 0.9, grid.shape)) for _ in range(2)]
         kernels = [make_kernel(1, e) for e in (0.2, 0.1)]
-        cfg = SolverConfig(tau=1e-5, t_final=2e-4, record_every=5, keep_fields=True)
-        records = run_batch(inits, cfg, LogarithmicPotential(0.8, 1.0), "nonlocal-ac", kernels)
-        for init, kernel, record in zip(inits, kernels, records):
-            _assert_records_equal(
-                record, run(init, cfg, LogarithmicPotential(0.8, 1.0), "nonlocal-ac", kernel))
+        cfg = SolverConfig(tau=1e-5, t_final=2e-4, record_every=5)
+        _assert_members_equal_separate_runs(inits, cfg, LogarithmicPotential(0.8, 1.0),
+                                            "nonlocal-ac", kernels)
 
     def test_diverging_member_names_its_epsilon(self, grid):
         # the cubic term stays explicit, so large data and a large step blow
@@ -491,7 +498,7 @@ class TestRunBatch:
         assert str(batched.value) == str(alone.value)
 
     @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
-    def test_on_record_sees_every_record_as_kept_fields(self, boundary, pot):
+    def test_on_record_sees_every_record_in_order(self, boundary, pot):
         # 30 steps recorded every 7: records at steps 0, 7, 14, 21, 28 and 30
         g = UniformGrid((1.0,), (64,), boundary)
         rng = np.random.default_rng(9)
@@ -502,12 +509,11 @@ class TestRunBatch:
         records = run_batch(inits, cfg, pot, "nonlocal-ch", kernels,
                             on_record=lambda index, values: seen.append((index, values.copy())))
         assert [index for index, _ in seen] == list(range(len(records[0].times))) == list(range(6))
-        assert all(r.fields is None for r in records)
-        kept = run_batch(inits, replace(cfg, keep_fields=True), pot, "nonlocal-ch", kernels)
-        for m, record in enumerate(kept):
+        for m, (init, kernel) in enumerate(zip(inits, kernels)):
+            record, states = run_states(init, cfg, pot, "nonlocal-ch", kernel)
             assert np.array_equal(record.mass, records[m].mass)
             assert np.array_equal(record.energy, records[m].energy)
-            for (_, values), field in zip(seen, record.fields, strict=True):
+            for (_, values), field in zip(seen, states, strict=True):
                 assert np.array_equal(values[m], field.values)
 
     def test_argument_validation(self, grid, pot):

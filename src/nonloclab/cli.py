@@ -276,9 +276,9 @@ def _cmd_solve(args, outdir: Path) -> int:
     if nonlocal_eq != (args.eps_value is not None):
         raise ValueError("nonlocal equations need --eps" if nonlocal_eq else
                          f"{args.eq} takes no --eps: only the nonlocal equations have a kernel")
-    kernel = None
-    if nonlocal_eq:
-        kernel = Kernel(make_mollifier(grid.dimension, args.profile), args.eps_value)
+    # built for every flow, so an unknown --profile is rejected on a local one too
+    mollifier = make_mollifier(grid.dimension, args.profile)
+    kernel = Kernel(mollifier, args.eps_value) if nonlocal_eq else None
     initial = make_initial_field(grid, args.initial)
     names = []
     if args.checkpoints:

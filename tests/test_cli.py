@@ -250,6 +250,17 @@ class TestRateCommands:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_test_function_not_flat_at_the_walls_is_usage_error(self, tmp_path, capsys):
+        # sinmix has a nonzero normal derivative at both walls, where the
+        # spectral Laplacian then sees a kink: the error would be its artifact
+        out = tmp_path / "box"
+        assert run_cli(["operator-rate", "--domain", "neumann", "--func", "sinmix",
+                        "--N", "1024", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: test function 'sinmix' has a nonzero normal derivative")
+        assert "zero-flux box" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_slope_bound_from_config_file_is_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("slope_min=nan\n")
@@ -318,6 +329,22 @@ class TestSolveCommand:
         assert run_cli(argv) == 2
         assert "--eps" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("eq", ["local-ch", "local-ac"])
+    def test_local_equation_checks_profile(self, tmp_path, capsys, eq):
+        # a local flow takes no kernel, yet a profile name that no flow knows
+        # is rejected as on the nonlocal flows; a known one is accepted unused
+        argv = ["solve", "--eq", eq, "--N", "32", "--T", "1e-4", "--tau", "1e-5"]
+        out = tmp_path / "bogus"
+        assert run_cli([*argv, "--profile", "bogus", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown profile 'bogus'; available: [")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert run_cli([*argv, "--profile", "poly-4-3", "--out", str(tmp_path / "a")]) == 0
+        assert run_cli([*argv, "--out", str(tmp_path / "b")]) == 0
+        trajectories = [(tmp_path / d / "trajectory.csv").read_bytes() for d in "ab"]
+        assert trajectories[0] == trajectories[1]
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--T", "inf", "t_final must be finite"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,15 @@ def run_states(initial, config, potential, equation, kernel=None):
                  on_record=lambda index, values: states.append(Field(initial.grid,
                                                                      values[0].copy())))
     return record, states
+
+
+def gronwall_rows(states, ref, kernel):
+    """The rows that ``gronwall_trace`` takes, formed from collected states:
+    per record, the squared dual and L2 norms and the pair energy of the
+    difference, and the squared consistency error of the reference."""
+    return [(hminus1_norm(fe - fr) ** 2, l2_norm(fe - fr) ** 2, nonlocal_energy(kernel, fe - fr),
+             l2_norm(apply_fft(kernel, fr) + laplacian(fr)) ** 2)
+            for fe, fr in zip(states, ref)]
 
 
 class TestFitRate:
@@ -190,6 +200,40 @@ class TestOperatorStudy:
         g = UniformGrid((1.0,), (64,), "periodic")
         with pytest.raises(ValueError, match="resolve"):
             operator_rate_study(g, moll, "sinmix", (0.2, 0.1, 0.01))
+
+    def test_box_takes_only_the_wall_flat_test_functions(self, moll):
+        # on a zero-flux box the spectral Laplacian sees a kink at a wall where
+        # the normal derivative does not vanish, and that artifact, not the
+        # operator's error, would set the rate
+        box = UniformGrid((1.0,), (512,), "neumann")
+        with pytest.raises(ValueError) as info:
+            operator_rate_study(box, moll, "sinmix", (0.2, 0.1, 0.05))
+        assert str(info.value) == (
+            "test function 'sinmix' has a nonzero normal derivative at the walls of a "
+            "zero-flux box, where the spectral Laplacian sees a kink; use one of "
+            "['cospix', 'flatbump', 'one'] or a torus")
+        # the energy limit does not need the wall condition, and the boundary
+        # remainder's divergence without it is real
+        energy_rate_study(box, moll, "sinmix", (0.2, 0.1, 0.05))
+        remainder_rate_study(box, moll, "sinmix", (0.2, 0.1, 0.05))
+
+    @pytest.mark.parametrize("shape", [(64,), (256,), (32, 48)])
+    def test_a_box_takes_exactly_the_names_flat_at_the_walls(self, moll, shape):
+        # a name is flat at a wall when, on every axis, its step between the
+        # two nodes next to either wall is at most a tenth of its largest step
+        box = UniformGrid((1.0,) * len(shape), shape, "neumann")
+        flat = []
+        for name, builder in experiments.TEST_FUNCTIONS.items():
+            v = builder(box)
+            steps = [np.abs(np.diff(v, axis=a)) for a in range(v.ndim)]
+            if all(np.max(np.take(d, 0, a)) <= 0.1 * np.max(d)
+                   and np.max(np.take(d, -1, a)) <= 0.1 * np.max(d)
+                   for a, d in enumerate(steps)):
+                flat.append(name)
+            else:
+                with pytest.raises(ValueError, match=f"{name!r} has a nonzero normal"):
+                    operator_rate_study(box, moll, name, (0.5, 0.4, 0.3))
+        assert tuple(flat) == experiments._WALL_FLAT
 
     def test_accepts_field_rejects_callable(self, moll):
         g = UniformGrid((1.0,), (512,), "periodic")
@@ -385,7 +429,6 @@ class TestSolutionStudy:
         from nonloclab.grid import Field, l2_norm
         from nonloclab.kernels import Kernel
         from nonloclab.solvers import reference_config, run
-        from dataclasses import replace
 
         g = UniformGrid((1.0,), (256,), "neumann")
         pot = DoubleWell(K=1.0)
@@ -408,7 +451,7 @@ class TestGronwallTrace:
         g = UniformGrid((1.0,), (128,), "neumann")
         cfg = SolverConfig(tau=1e-4, t_final=5e-3, record_every=10)
         rec, states = run_states(make_initial_field(g, "cosmix"), cfg, DoubleWell(), "local-ch")
-        trace = gronwall_trace(rec.times, states, states, Kernel(moll, 0.1))
+        trace = gronwall_trace(rec.times, gronwall_rows(states, states, Kernel(moll, 0.1)))
         assert np.all(trace.dual_sq_half == 0.0)
         assert np.all(trace.l2_sq_half == 0.0)
         assert np.all(trace.pair_energy_half == 0.0)
@@ -425,7 +468,7 @@ class TestGronwallTrace:
         kernel = Kernel(moll, 0.1)
         _, ref = run_states(init, cfg, DoubleWell(), "local-ch")
         rec, states = run_states(init, cfg, DoubleWell(), "nonlocal-ch", kernel)
-        trace = gronwall_trace(rec.times, states, ref, kernel)
+        trace = gronwall_trace(rec.times, gronwall_rows(states, ref, kernel))
         audited = len(rec.times) - 1
         assert np.array_equal(trace.times, rec.times[:-1])
         for name in ("dual_sq_half", "derivative", "l2_sq_half", "pair_energy_half",
@@ -466,17 +509,6 @@ class TestGronwallTrace:
         assert c1 > 0 and c2 > 0
         assert max(c1, c2) / min(c1, c2) < 2.0
 
-    def test_time_mismatch_rejected(self, moll):
-        g = UniformGrid((1.0,), (128,), "neumann")
-        pot = DoubleWell()
-        init = make_initial_field(g, "cosmix")
-        rec_a, states_a = run_states(init, SolverConfig(tau=1e-4, t_final=5e-3, record_every=10),
-                                     pot, "local-ch")
-        _, states_b = run_states(init, SolverConfig(tau=1e-4, t_final=5e-3, record_every=25),
-                                 pot, "local-ch")
-        with pytest.raises(ValueError, match="time grids"):
-            gronwall_trace(rec_a.times, states_a, states_b, Kernel(moll, 0.1))
-
     def test_integrated_pair_energy_trend(self, moll):
         # the time integral of the pair energy of the difference has to decay
         # at least as fast as the square root of the scale
@@ -488,8 +520,8 @@ class TestGronwallTrace:
         integrals = []
         for e in eps:
             rec, states = run_states(init, cfg, DoubleWell(), "nonlocal-ch", Kernel(moll, e))
-            integrals.append(gronwall_trace(rec.times, states, ref,
-                                            Kernel(moll, e)).energy_time_integral)
+            rows = gronwall_rows(states, ref, Kernel(moll, e))
+            integrals.append(gronwall_trace(rec.times, rows).energy_time_integral)
         assert all(v > 0 for v in integrals)
         table = fit_rate(zip(eps, integrals))
         assert table.fitted_slope >= 0.45
@@ -518,12 +550,32 @@ class TestGronwallAudit:
         start = Field(g, init.values + 0.03 * math.sqrt(0.08) * np.cos(np.pi * g.axis_nodes(0)))
         kernel = Kernel(moll, 0.08)
         rung, states = run_states(start, cfg, pot, "nonlocal-ch", kernel)
-        expected = gronwall_trace(rung.times, states, ref, kernel)
+        expected = gronwall_trace(rung.times, gronwall_rows(states, ref, kernel))
         for name in ("times", "dual_sq_half", "derivative", "l2_sq_half", "pair_energy_half",
                      "dual_sq", "consistency_sq"):
             assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
         assert trace.empirical_constant == expected.empirical_constant
         assert trace.energy_time_integral == expected.energy_time_integral
+
+    def test_keeps_one_trajectory(self, moll):
+        # the reference's states are the one trajectory the audit keeps; at
+        # each record the rung's state gives its row and is dropped
+        g = UniformGrid((1.0,), (4096,), "neumann")
+        ladder = (0.16, 0.08, 0.04)
+        # a two-step audit first fills the per-kernel operator caches (the
+        # rung's wall matrices alone take 1.7 MB), which outlive the call
+        gronwall_audit(g, SolverConfig(tau=1e-6, t_final=2e-6, record_every=1),
+                       DoubleWell(K=1.0), moll, ladder, "cosmix")
+        cfg = SolverConfig(tau=1e-6, t_final=2e-4, record_every=1)
+        trajectory = 201 * 4096 * 8
+        tracemalloc.start()
+        try:
+            trace = gronwall_audit(g, cfg, DoubleWell(K=1.0), moll, ladder, "cosmix")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.times) == 200
+        assert peak < 1.5 * trajectory
 
     @pytest.mark.parametrize("cells, boundary, ladder, initial, match", [
         (256, "periodic", (0.16, 0.08, 0.04), "random", "zero-flux"),

@@ -52,7 +52,8 @@ def test_unused_import_check_sees_what_it_guards():
                            "def f(a: np.ndarray):\n    return os.path.sep\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(Path(nonloclab.__file__).parent.glob("*.py")),
+@pytest.mark.parametrize("path", sorted(Path(nonloclab.__file__).parent.glob("*.py"))
+                         + sorted(Path(__file__).parent.glob("*.py")),
                          ids=lambda path: path.name)
 def test_no_unused_imports(path):
     # no linter ships with the package's toolchain; a deletion that leaves

@@ -10,7 +10,9 @@ outputs, and identical configurations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import math
 import sys
 from pathlib import Path
@@ -33,6 +35,7 @@ from .grid import Field, UniformGrid, l2_norm, save_field
 from .kernels import (
     SUPPORTED_DIMENSIONS,
     Kernel,
+    MollifierSpec,
     eval_J,
     make_mollifier,
     moment_first,
@@ -116,18 +119,27 @@ def _axis_values(text, convert, flag: str) -> tuple:
                          f"got {text!r}") from None
 
 
-def _make_grid(args) -> UniformGrid:
+def _make_grid(args) -> tuple[UniformGrid, MollifierSpec]:
+    """The call's grid, and its ``--profile`` mollifier in the grid's dimension."""
     cells = _axis_values(args.N, int, "--N")
     lengths = _axis_values(args.L, float, "--L")
     if len(lengths) == 1 and len(cells) > 1:
         lengths = lengths * len(cells)
-    return UniformGrid(lengths, cells, args.domain)
+    grid = UniformGrid(lengths, cells, args.domain)
+    return grid, make_mollifier(grid.dimension, args.profile)
+
+
+def _verdict(outdir: Path, name: str, summary: dict, line: str) -> int:
+    """Write ``summary`` as ``<name>_summary.json``, print ``line`` with its
+    verdict, and return the exit code of ``summary["pass"]``."""
+    write_summary_json(outdir / f"{name}_summary.json", summary)
+    print(f"{line} -> {'pass' if summary['pass'] else 'FAIL'}")
+    return PASS if summary["pass"] else BAND_FAIL
 
 
 def _emit_rate_outputs(outdir: Path, name: str, table, band, extra=None) -> int:
     lo, hi = band
     slope = table.fitted_slope
-    ok = not (lo is not None and slope < lo) and not (hi is not None and slope > hi)
     summary = {
         "study": name,
         "slope": slope,
@@ -135,20 +147,16 @@ def _emit_rate_outputs(outdir: Path, name: str, table, band, extra=None) -> int:
         "r_squared": table.r_squared,
         "band_min": lo,
         "band_max": hi,
-        "pass": ok,
+        "pass": not (lo is not None and slope < lo) and not (hi is not None and slope > hi),
         "epsilons": list(table.epsilons),
         "errors": list(table.errors),
         "included_in_fit": [bool(b) for b in table.included],
+        **(extra or {}),
     }
-    if extra:
-        summary.update(extra)
     write_rate_csv(outdir / f"{name}.csv", table)
-    write_summary_json(outdir / f"{name}_summary.json", summary)
     write_loglog_svg(outdir / f"{name}.svg", table, title=name)
-    band_text = f"band [{lo}, {hi}]"
-    print(f"{name}: slope {slope:.4f} (r2 {table.r_squared:.4f}) "
-          f"{band_text} -> {'pass' if ok else 'FAIL'}")
-    return PASS if ok else BAND_FAIL
+    return _verdict(outdir, name, summary,
+                    f"{name}: slope {slope:.4f} (r2 {table.r_squared:.4f}) band [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +193,11 @@ def _cmd_check_kernel(args, outdir: Path) -> int:
         "pass": all(checks.values()),
         "checks": checks,
     }
-    write_summary_json(outdir / "check_kernel_summary.json", summary)
     print(f"normalization: {radial:.12e} (target {target:.12e})")
     print(f"first moments: {firsts}")
     print(f"second moment trace: {trace:.12f} (target {args.n}), "
           f"per axis: {per_axis:.12f} (target 2)")
-    print(f"check-kernel -> {'pass' if summary['pass'] else 'FAIL'}")
-    return PASS if summary["pass"] else BAND_FAIL
+    return _verdict(outdir, "check_kernel", summary, "check-kernel")
 
 
 def _cmd_symbol_rate(args, outdir: Path) -> int:
@@ -201,8 +207,7 @@ def _cmd_symbol_rate(args, outdir: Path) -> int:
 
 
 def _cmd_operator_rate(args, outdir: Path) -> int:
-    grid = _make_grid(args)
-    mollifier = make_mollifier(grid.dimension, args.profile)
+    grid, mollifier = _make_grid(args)
     table = operator_rate_study(grid, mollifier, args.func, args.eps)
     lo, hi = args.slope_min, args.slope_max
     if lo is None and hi is None:
@@ -223,28 +228,24 @@ def _emit_verdict_outputs(outdir: Path, study: str, result, header, columns, ext
     the series CSV, the summary (``extra`` adds fields; tuples are written as
     JSON arrays), and the log-log plot when a rate was fitted."""
     name = study.replace("-", "_")
-    ok = result.verdict == "exact" or result.monotone_decreasing
     summary = {
         "study": study,
         "verdict": result.verdict,
         "monotone_decreasing": result.monotone_decreasing,
         "epsilons": list(result.epsilons),
-        "pass": ok,
+        "pass": result.verdict == "exact" or result.monotone_decreasing,
         **extra,
     }
     write_series_csv(outdir / f"{name}.csv", header, columns)
     if result.table is not None:
         summary["slope"] = result.table.fitted_slope
         write_loglog_svg(outdir / f"{name}.svg", result.table, title=name)
-    write_summary_json(outdir / f"{name}_summary.json", summary)
-    print(f"{study}: verdict {result.verdict}, monotone {result.monotone_decreasing} "
-          f"-> {'pass' if ok else 'FAIL'}")
-    return PASS if ok else BAND_FAIL
+    return _verdict(outdir, name, summary,
+                    f"{study}: verdict {result.verdict}, monotone {result.monotone_decreasing}")
 
 
 def _cmd_energy_rate(args, outdir: Path) -> int:
-    grid = _make_grid(args)
-    mollifier = make_mollifier(grid.dimension, args.profile)
+    grid, mollifier = _make_grid(args)
     result = energy_rate_study(grid, mollifier, args.func, args.eps)
     return _emit_verdict_outputs(
         outdir, "energy-rate", result, ["epsilon", "energy", "error"],
@@ -255,8 +256,7 @@ def _cmd_energy_rate(args, outdir: Path) -> int:
 
 
 def _cmd_remainder_rate(args, outdir: Path) -> int:
-    grid = _make_grid(args)
-    mollifier = make_mollifier(grid.dimension, args.profile)
+    grid, mollifier = _make_grid(args)
     result = remainder_rate_study(grid, mollifier, args.func, args.eps,
                                   margin_factor=args.margin_factor)
     return _emit_verdict_outputs(
@@ -268,7 +268,7 @@ def _cmd_remainder_rate(args, outdir: Path) -> int:
 
 
 def _cmd_solve(args, outdir: Path) -> int:
-    grid = _make_grid(args)
+    grid, mollifier = _make_grid(args)  # so a local flow checks --profile too
     potential = parse_potential(args.potential)
     config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
                           stabilization=args.stabilization, record_every=args.record_every)
@@ -276,8 +276,6 @@ def _cmd_solve(args, outdir: Path) -> int:
     if nonlocal_eq != (args.eps_value is not None):
         raise ValueError("nonlocal equations need --eps" if nonlocal_eq else
                          f"{args.eq} takes no --eps: only the nonlocal equations have a kernel")
-    # built for every flow, so an unknown --profile is rejected on a local one too
-    mollifier = make_mollifier(grid.dimension, args.profile)
     kernel = Kernel(mollifier, args.eps_value) if nonlocal_eq else None
     initial = make_initial_field(grid, args.initial)
     names = []
@@ -304,15 +302,18 @@ def _cmd_solve(args, outdir: Path) -> int:
     return PASS
 
 
-def _cmd_solution_rate(args, outdir: Path) -> int:
-    grid = _make_grid(args)
-    mollifier = make_mollifier(grid.dimension, args.profile)
+def _ladder_study(args, study):
+    """``study``, the solution study or the Grönwall audit, of the call's
+    grid, flow and scale ladder."""
+    grid, mollifier = _make_grid(args)
     config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
                           record_every=args.record_every)
-    result = solution_convergence_study(
-        grid, config, parse_potential(args.potential), mollifier, args.eps, args.initial,
-        equation=args.eq, perturbation_scale=args.perturbation,
-    )
+    return study(grid, config, parse_potential(args.potential), mollifier, args.eps,
+                 args.initial, equation=args.eq, perturbation_scale=args.perturbation)
+
+
+def _cmd_solution_rate(args, outdir: Path) -> int:
+    result = _ladder_study(args, solution_convergence_study)
     code = PASS
     extra = {"equation": args.eq, "reference_h3_max": result.reference_h3_max}
     primary = "l2_sup" if args.eq.endswith("ac") else "hminus1_sup"
@@ -324,8 +325,7 @@ def _cmd_solution_rate(args, outdir: Path) -> int:
 
 
 def _cmd_oracle_check(args, outdir: Path) -> int:
-    grid = _make_grid(args)
-    mollifier = make_mollifier(grid.dimension, args.profile)
+    grid, mollifier = _make_grid(args)
     kernel = Kernel(mollifier, args.eps_value)
     check_support_reaches_nodes(kernel, grid)
     rng = np.random.default_rng(args.seed)
@@ -335,7 +335,6 @@ def _cmd_oracle_check(args, outdir: Path) -> int:
     rel = l2_norm(fast - direct) / l2_norm(direct)
     quad_form = l2_inner(direct, field)
     ratio = quad_form / double_sum
-    ok = rel <= args.tol and abs(ratio - 0.5) <= 1e-10
     summary = {
         "study": "oracle-check",
         "relative_l2_difference": rel,
@@ -343,23 +342,15 @@ def _cmd_oracle_check(args, outdir: Path) -> int:
         "quadratic_form": quad_form,
         "pair_double_sum": double_sum,
         "quadratic_form_over_double_sum": ratio,
-        "pass": ok,
+        "pass": rel <= args.tol and abs(ratio - 0.5) <= 1e-10,
     }
-    write_summary_json(outdir / "oracle_check_summary.json", summary)
-    print(f"oracle-check: fft vs direct rel {rel:.3e} (tol {args.tol:.1e}); "
-          f"<Lc,c>/double-sum = {ratio:.12f} -> {'pass' if ok else 'FAIL'}")
-    return PASS if ok else BAND_FAIL
+    return _verdict(outdir, "oracle_check", summary,
+                    f"oracle-check: fft vs direct rel {rel:.3e} (tol {args.tol:.1e}); "
+                    f"<Lc,c>/double-sum = {ratio:.12f}")
 
 
 def _cmd_gronwall(args, outdir: Path) -> int:
-    grid = _make_grid(args)
-    mollifier = make_mollifier(grid.dimension, args.profile)
-    config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
-                          record_every=args.record_every)
-    trace = gronwall_audit(
-        grid, config, parse_potential(args.potential), mollifier, args.eps, args.initial,
-        equation=args.eq, perturbation_scale=args.perturbation,
-    )
+    trace = _ladder_study(args, gronwall_audit)
     eps0 = args.eps[1]
     write_series_csv(
         outdir / "gronwall_trace.csv",
@@ -368,17 +359,16 @@ def _cmd_gronwall(args, outdir: Path) -> int:
         [trace.times, trace.dual_sq_half, trace.derivative, trace.l2_sq_half,
          trace.pair_energy_half, trace.dual_sq, trace.consistency_sq],
     )
-    ok = trace.holds_with(trace.empirical_constant)
-    write_summary_json(outdir / "gronwall_summary.json", {
+    summary = {
         "study": "gronwall",
         "epsilon": eps0,
         "empirical_constant": trace.empirical_constant,
         "energy_time_integral": trace.energy_time_integral,
-        "pass": ok,
-    })
-    print(f"gronwall (eps {eps0}): C = {trace.empirical_constant:.6g}, "
-          f"int pair energy = {trace.energy_time_integral:.4e} -> {'pass' if ok else 'FAIL'}")
-    return PASS if ok else BAND_FAIL
+        "pass": trace.holds_with(trace.empirical_constant),
+    }
+    return _verdict(outdir, "gronwall", summary,
+                    f"gronwall (eps {eps0}): C = {trace.empirical_constant:.6g}, "
+                    f"int pair energy = {trace.energy_time_integral:.4e}")
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +583,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     outdir = Path(args.out) if args.out else Path(f"out-{args.command}")
-    created = []
+    created, report = [], io.StringIO()
     try:
         lo, hi = getattr(args, "slope_min", None), getattr(args, "slope_max", None)
         if lo is not None and hi is not None and lo > hi:
@@ -604,12 +594,15 @@ def main(argv=None) -> int:
                              "the conserved (-ch) flows take a mobility")
         created = _missing_directories(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        code = args.func_impl(args, outdir)
+        # a rejected call prints nothing: stdout is written once the call is accepted
+        with contextlib.redirect_stdout(report):
+            code = args.func_impl(args, outdir)
         _write_resolved_config(outdir, parser, args)
     except (ValueError, OSError, SolverDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _remove_empty(created)
         return USAGE_ERROR
+    sys.stdout.write(report.getvalue())
     return code
 
 

@@ -76,19 +76,10 @@ class RateTable:
     fitted_intercept: float
     r_squared: float
 
-    def __post_init__(self):
-        if len(self.epsilons) != len(self.errors) or len(self.errors) != len(self.included):
-            raise ValueError("epsilons, errors, included must have equal length")
-        if len(self.epsilons) < 3:
-            raise ValueError("need at least 3 ladder points")
-        if any(e2 >= e1 for e1, e2 in zip(self.epsilons, self.epsilons[1:])):
-            raise ValueError("epsilons must be strictly decreasing")
-        if any(e <= 0 for e in self.errors):
-            raise ValueError("errors must be positive")
-
 
 def fit_rate(pairs, included=None) -> RateTable:
-    """Least-squares power-law fit of (scale, error) pairs in log-log space."""
+    """Least-squares power-law fit of (scale, error) pairs in log-log space:
+    the table's scales strictly decrease and its errors are positive."""
     pairs = [(float(e), float(v)) for e, v in pairs]
     if included is None:
         included = [True] * len(pairs)
@@ -99,6 +90,8 @@ def fit_rate(pairs, included=None) -> RateTable:
     eps = tuple(r[0] for r in rows)
     err = tuple(r[1] for r in rows)
     mask = tuple(r[2] for r in rows)
+    if any(a == b for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"rate fitting needs distinct scales, got {list(eps)}")
     if any(v <= 0 for v in err):
         raise ValueError("rate fitting needs positive error values")
     if sum(mask) < 3:
@@ -431,12 +424,6 @@ def _solution_errors(times, rows) -> tuple[float, ...]:
             float(hs.max()), float(np.sqrt(np.trapezoid(l4**2, times))))
 
 
-def _check_same_times(a: TrajectoryRecord, b: TrajectoryRecord) -> None:
-    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times,
-                                                         rtol=1e-12, atol=1e-14):
-        raise ValueError("time grids of the two trajectories do not match")
-
-
 @dataclass(frozen=True)
 class SolutionStudyResult:
     """The errors and fitted tables of a solution study, with the records
@@ -453,13 +440,17 @@ class SolutionStudyResult:
     records: dict[float, TrajectoryRecord]
 
 
-def _solution_setup(grid: UniformGrid, config: SolverConfig, potential,
-                    mollifier: MollifierSpec, eps_list, initial, equation: str,
-                    perturbation_scale: float):
-    """What the solution study and the Grönwall audit share: the checks, the
-    scale ladder and its kernels, the fine-step local reference run with its
-    states at each record, and each rung's offset start.  Raises
-    ``ValueError`` before any step."""
+def _ladder_rows(grid: UniformGrid, config: SolverConfig, potential,
+                 mollifier: MollifierSpec, eps_list, initial, equation: str,
+                 perturbation_scale: float, rungs: slice, row):
+    """What the solution study and the Grönwall audit share.  Checks the
+    inputs and the whole scale ladder (``ValueError`` before any step), runs
+    the fine-step local reference, keeping its state at each record, and
+    steps the ``rungs`` of the ladder from their offset starts as one
+    :func:`run_batch`.  At each record, ``row(kernel, u, r)`` gives a rung's
+    row from the reference's state ``r`` and the rung's state minus ``r``.
+    Returns the ladder, the reference's record and states, and the rungs'
+    records and rows."""
     if not equation.startswith("nonlocal"):
         raise ValueError("solution study compares a nonlocal flow to its local limit")
     if grid.boundary != NEUMANN:
@@ -475,8 +466,19 @@ def _solution_setup(grid: UniformGrid, config: SolverConfig, potential,
               on_record=lambda index, values: ref_states.append(Field(grid, values[0].copy())))
     profile = _f_cospix(grid)
     starts = [Field(grid, initial.values + perturbation_scale * math.sqrt(e) * profile)
-              for e in eps]
-    return eps, kernels, ref, ref_states, starts
+              for e in eps[rungs]]
+    kernels, rows = kernels[rungs], [[] for _ in starts]
+
+    def record_rows(index: int, values: np.ndarray) -> None:
+        r = ref_states[index]
+        for kernel, member, rung_rows in zip(kernels, values, rows):
+            rung_rows.append(row(kernel, Field(grid, member) - r, r))
+
+    runs = run_batch(starts, config, potential, equation, kernels, on_record=record_rows)
+    if runs[0].times.shape != ref.times.shape or not np.allclose(
+            runs[0].times, ref.times, rtol=1e-12, atol=1e-14):
+        raise ValueError("time grids of the two trajectories do not match")
+    return eps, ref, ref_states, runs, rows
 
 
 def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potential,
@@ -510,18 +512,10 @@ def solution_convergence_study(grid: UniformGrid, config: SolverConfig, potentia
     dropped, so memory holds one trajectory, not one per rung.
     ``workers`` is accepted and ignored.
     """
-    eps, kernels, ref, ref_states, starts = _solution_setup(
-        grid, config, potential, mollifier, eps_list, initial, equation, perturbation_scale)
-    rows = [[] for _ in eps]
-
-    def record_norms(index: int, values: np.ndarray) -> None:
-        for m, rung_rows in enumerate(rows):
-            u = Field(grid, values[m]) - ref_states[index]
-            rung_rows.append((hminus1_norm(u), l2_norm(u), sobolev_norm(u, -0.5), lp_norm(u, 4)))
-
-    runs = run_batch(starts, config, potential, equation, kernels, on_record=record_norms)
-    _check_same_times(runs[0], ref)
-
+    eps, ref, ref_states, runs, rows = _ladder_rows(
+        grid, config, potential, mollifier, eps_list, initial, equation, perturbation_scale,
+        slice(None),
+        lambda kernel, u, r: (hminus1_norm(u), l2_norm(u), sobolev_norm(u, -0.5), lp_norm(u, 4)))
     per_run = [_solution_errors(r.times, rung_rows) for r, rung_rows in zip(runs, rows)]
     errors = dict(zip(_SOLUTION_NORMS, zip(*per_run)))
     scale = max(max(l2_norm(f) for f in ref_states), 1e-30)
@@ -620,16 +614,9 @@ def gronwall_audit(grid: UniformGrid, config: SolverConfig, potential,
     data by default).  The whole ladder is checked as there, but only the
     reference and the audited rung run, and only the reference's states are
     kept; the rung equals its member of the study's batch bit for bit."""
-    _, kernels, ref, ref_states, starts = _solution_setup(
-        grid, config, potential, mollifier, eps_list, initial, equation, perturbation_scale)
-    kernel, rows = kernels[1], []
-
-    def record_row(index: int, values: np.ndarray) -> None:
-        r = ref_states[index]
-        u = Field(grid, values[0]) - r
-        rows.append((hminus1_norm(u) ** 2, l2_norm(u) ** 2, nonlocal_energy(kernel, u),
-                     l2_norm(apply_fft(kernel, r) + laplacian(r)) ** 2))
-
-    rung = run(starts[1], config, potential, equation, kernel, on_record=record_row)
-    _check_same_times(rung, ref)
+    *_, (rung,), (rows,) = _ladder_rows(
+        grid, config, potential, mollifier, eps_list, initial, equation, perturbation_scale,
+        slice(1, 2),
+        lambda kernel, u, r: (hminus1_norm(u) ** 2, l2_norm(u) ** 2, nonlocal_energy(kernel, u),
+                              l2_norm(apply_fft(kernel, r) + laplacian(r)) ** 2))
     return gronwall_trace(rung.times, rows)

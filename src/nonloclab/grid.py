@@ -160,9 +160,6 @@ def l2_norm(field: Field) -> float:
 def lp_norm(field: Field, p: float) -> float:
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and at least 1, got {p!r}")
-    if p == 2:
-        # keep the p = 2 route bit-identical to l2_norm
-        return l2_norm(field)
     v = np.abs(field.values)
     return float((np.sum(v**p) * field.grid.cell_volume) ** (1.0 / p))
 

@@ -321,15 +321,18 @@ def _member_peaks(values: np.ndarray) -> np.ndarray:
     return np.abs(values).reshape(len(values), -1).max(axis=1)
 
 
-def reference_config(config: SolverConfig, refinement: int = 10) -> SolverConfig:
+_REFERENCE_REFINEMENT = 10
+
+
+def reference_config(config: SolverConfig) -> SolverConfig:
     """Config for the matching fine-step local reference run.
 
-    The step shrinks by ``refinement`` and the record cadence grows by the
-    same factor, so record times line up with the original run.
+    The step shrinks by ``_REFERENCE_REFINEMENT`` and the record cadence
+    grows by the same factor, so record times line up with the original run.
     """
     return replace(
         config,
-        tau=config.tau / refinement,
-        record_every=config.record_every * refinement,
+        tau=config.tau / _REFERENCE_REFINEMENT,
+        record_every=config.record_every * _REFERENCE_REFINEMENT,
         stabilization=None,
     )

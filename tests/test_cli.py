@@ -174,6 +174,25 @@ class TestRateCommands:
         assert summary["values"][1:] == [0.0, 0.0]
         assert summary["monotone_decreasing"] is True
 
+    @pytest.mark.parametrize("argv, summary_name, passed", [
+        (["check-kernel", "--n", "2", "--eps", "0.1"], "check_kernel", True),
+        (["symbol-rate", "--n", "1", "--eps", "0.2,0.1,0.05"], "symbol_rate", True),
+        (["operator-rate", "--domain", "periodic", "--func", "sinmix", "--N", "512",
+          "--eps", "0.2,0.1,0.05", "--slope-min", "5"], "operator_rate", False),
+        (["energy-rate", "--N", "512", "--eps", "0.2,0.1,0.05"], "energy_rate", True),
+        (["oracle-check", "--N", "32", "--eps", "0.2", "--tol", "0"], "oracle_check", False),
+        (["gronwall", "--N", "256", "--T", "2e-3", "--eps", "0.16,0.08,0.04"], "gronwall", True),
+    ])
+    def test_exit_code_summary_and_verdict_line_agree(self, tmp_path, capsys, argv,
+                                                      summary_name, passed):
+        out = tmp_path / "verdict"
+        code = run_cli([*argv, "--out", str(out)])
+        summary = json.loads((out / f"{summary_name}_summary.json").read_text())
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert summary["pass"] is passed
+        assert code == (0 if passed else 1)
+        assert last.endswith("-> pass" if passed else "-> FAIL")
+
     @pytest.mark.parametrize("command", [
         ["symbol-rate", "--n", "1"],
         ["operator-rate", "--N", "256"],
@@ -616,7 +635,7 @@ class TestUsageAndConfig:
                            "solution-rate"]
         for name in studies:
             args = parser.parse_args([name])
-            assert experiments._grid_ladder(cli._make_grid(args), args.eps) == args.eps
+            assert experiments._grid_ladder(cli._make_grid(args)[0], args.eps) == args.eps
 
     def test_config_file_provides_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -719,9 +738,11 @@ class TestUsageAndConfig:
         out = tmp_path / "ck"
         (out / "resolved_config.txt").mkdir(parents=True)
         assert run_cli(["check-kernel", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Is a directory" in err
+        captured = capsys.readouterr()
+        # the command ran and judged the kernel, but the call was rejected
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Is a directory" in captured.err
 
     def test_unresolvable_scale_is_usage_error(self, tmp_path):
         out = tmp_path / "bad"
@@ -995,7 +1016,7 @@ class TestReadmeExamples:
         args = cli.build_parser().parse_args(argv)
         if not hasattr(args, "domain"):
             return
-        grid = cli._make_grid(args)
+        grid, _ = cli._make_grid(args)
         if hasattr(args, "eps"):
             experiments._grid_ladder(grid, args.eps)
         if hasattr(args, "func"):

@@ -13,7 +13,7 @@ from nonloclab.kernels import Kernel, fourier_symbol, make_mollifier
 from nonloclab.local_ops import laplacian
 from nonloclab.nonlocal_ops import apply_fft, nonlocal_energy
 from nonloclab.potentials import DoubleWell
-from nonloclab.solvers import SolverConfig, reference_config, run
+from nonloclab.solvers import SolverConfig, reference_config, run, run_batch
 from nonloclab.experiments import (
     GronwallTrace,
     default_symbol_lattice,
@@ -85,6 +85,12 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([(0.2, 1.0), (0.1, 0.5), (0.05, 0.2)], included=[True, True, False])
 
+    @pytest.mark.parametrize("included", [None, [True, True, False, True]])
+    def test_rejects_a_repeated_scale(self, included):
+        # in or out of the fit, a scale given twice is not a ladder
+        with pytest.raises(ValueError, match="distinct scales"):
+            fit_rate([(0.2, 1.0), (0.1, 0.5), (0.1, 0.4), (0.05, 0.2)], included)
+
     def test_included_mask_excludes_floor_points(self):
         pairs = [(0.2, 0.2), (0.1, 0.1), (0.05, 0.05), (0.025, 0.025), (0.0125, 0.04)]
         table = fit_rate(pairs, included=[True, True, True, True, False])
@@ -147,6 +153,14 @@ class TestSymbolStudy:
         table = symbol_study(moll, (0.2, 0.1, 0.05, 0.025))
         assert table.fitted_slope >= 0.9
         assert table.r_squared > 0.99
+
+    def test_fits_every_point_when_all_lie_on_the_floor(self, moll):
+        # errors of 1.8e-11, 4.5e-12 and 1.1e-12, all below the 1e-9 floor:
+        # with fewer than 3 points above it, the fit takes every point
+        table = symbol_study(moll, (1e-5, 5e-6, 2.5e-6))
+        assert all(e < experiments.FLOOR_FACTOR for e in table.errors)
+        assert table.included == (True, True, True)
+        assert table.fitted_slope == pytest.approx(2.0, abs=5e-5)
 
 
 def _symbol_errors_per_point(mollifier, eps_list, lattice):
@@ -535,15 +549,19 @@ class TestGronwallAudit:
         calls = []
 
         def counted_run(initial, config, potential, equation, kernel=None, on_record=None):
-            calls.append((equation, None if kernel is None else kernel.epsilon))
+            calls.append((equation, [None if kernel is None else kernel.epsilon]))
             return run(initial, config, potential, equation, kernel, on_record)
 
+        def counted_batch(initials, config, potential, equation, kernels, on_record=None):
+            calls.append((equation, [k.epsilon for k in kernels]))
+            return run_batch(initials, config, potential, equation, kernels, on_record)
+
         monkeypatch.setattr(experiments, "run", counted_run)
-        monkeypatch.setattr(experiments, "run_batch", None)
+        monkeypatch.setattr(experiments, "run_batch", counted_batch)
         trace = gronwall_audit(g, cfg, pot, moll, (0.16, 0.08, 0.04), "cosmix",
                                perturbation_scale=0.03)
         # the reference and the audited rung, and no other rung
-        assert calls == [("local-ch", None), ("nonlocal-ch", 0.08)]
+        assert calls == [("local-ch", [None]), ("nonlocal-ch", [0.08])]
 
         init = make_initial_field(g, "cosmix")
         _, ref = run_states(init, reference_config(cfg), pot, "local-ch")

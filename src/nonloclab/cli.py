@@ -3,14 +3,16 @@
 One study per invocation; composition happens in the shell.  Exit codes:
 0 on success, 1 when a fitted rate misses its acceptance band (or a checked
 identity fails), 2 on usage or configuration errors and on a diverged run.
-Every run that exits 0 or 1 writes its resolved configuration next to its
-outputs, and identical configurations produce byte-identical outputs.
+Commands only list their output files; ``main`` writes them, after the
+resolved configuration, once the call is accepted, so a rejected call writes
+nothing.  Identical configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import io
 import math
@@ -129,15 +131,15 @@ def _make_grid(args) -> tuple[UniformGrid, MollifierSpec]:
     return grid, make_mollifier(grid.dimension, args.profile)
 
 
-def _verdict(outdir: Path, name: str, summary: dict, line: str) -> int:
-    """Write ``summary`` as ``<name>_summary.json``, print ``line`` with its
+def _verdict(files: list, name: str, summary: dict, line: str) -> int:
+    """List ``summary`` as ``<name>_summary.json``, print ``line`` with its
     verdict, and return the exit code of ``summary["pass"]``."""
-    write_summary_json(outdir / f"{name}_summary.json", summary)
+    files.append((f"{name}_summary.json", lambda path: write_summary_json(path, summary)))
     print(f"{line} -> {'pass' if summary['pass'] else 'FAIL'}")
     return PASS if summary["pass"] else BAND_FAIL
 
 
-def _emit_rate_outputs(outdir: Path, name: str, table, band, extra=None) -> int:
+def _emit_rate_outputs(files: list, name: str, table, band, extra=None) -> int:
     lo, hi = band
     slope = table.fitted_slope
     summary = {
@@ -153,16 +155,16 @@ def _emit_rate_outputs(outdir: Path, name: str, table, band, extra=None) -> int:
         "included_in_fit": [bool(b) for b in table.included],
         **(extra or {}),
     }
-    write_rate_csv(outdir / f"{name}.csv", table)
-    write_loglog_svg(outdir / f"{name}.svg", table, title=name)
-    return _verdict(outdir, name, summary,
+    files += [(f"{name}.csv", lambda path: write_rate_csv(path, table)),
+              (f"{name}.svg", lambda path: write_loglog_svg(path, table, title=name))]
+    return _verdict(files, name, summary,
                     f"{name}: slope {slope:.4f} (r2 {table.r_squared:.4f}) band [{lo}, {hi}]")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_check_kernel(args, outdir: Path) -> int:
+def _cmd_check_kernel(args, files: list) -> int:
     mollifier = make_mollifier(args.n, args.profile)
     kernel = Kernel(mollifier, args.eps)
     target = radial_mass_target(args.n)
@@ -197,16 +199,16 @@ def _cmd_check_kernel(args, outdir: Path) -> int:
     print(f"first moments: {firsts}")
     print(f"second moment trace: {trace:.12f} (target {args.n}), "
           f"per axis: {per_axis:.12f} (target 2)")
-    return _verdict(outdir, "check_kernel", summary, "check-kernel")
+    return _verdict(files, "check_kernel", summary, "check-kernel")
 
 
-def _cmd_symbol_rate(args, outdir: Path) -> int:
+def _cmd_symbol_rate(args, files: list) -> int:
     mollifier = make_mollifier(args.n, args.profile)
     table = symbol_study(mollifier, args.eps)
-    return _emit_rate_outputs(outdir, "symbol_rate", table, (args.slope_min, args.slope_max))
+    return _emit_rate_outputs(files, "symbol_rate", table, (args.slope_min, args.slope_max))
 
 
-def _cmd_operator_rate(args, outdir: Path) -> int:
+def _cmd_operator_rate(args, files: list) -> int:
     grid, mollifier = _make_grid(args)
     table = operator_rate_study(grid, mollifier, args.func, args.eps)
     lo, hi = args.slope_min, args.slope_max
@@ -219,11 +221,11 @@ def _cmd_operator_rate(args, outdir: Path) -> int:
             lo, hi = 0.85, None
         else:
             lo, hi = 0.9, None
-    return _emit_rate_outputs(outdir, "operator_rate", table, (lo, hi),
+    return _emit_rate_outputs(files, "operator_rate", table, (lo, hi),
                               extra={"domain": grid.boundary, "func": args.func})
 
 
-def _emit_verdict_outputs(outdir: Path, study: str, result, header, columns, extra) -> int:
+def _emit_verdict_outputs(files: list, study: str, result, header, columns, extra) -> int:
     """Outputs of a study judged by its verdict and monotone decay, not a band:
     the series CSV, the summary (``extra`` adds fields; tuples are written as
     JSON arrays), and the log-log plot when a rate was fitted."""
@@ -236,38 +238,38 @@ def _emit_verdict_outputs(outdir: Path, study: str, result, header, columns, ext
         "pass": result.verdict == "exact" or result.monotone_decreasing,
         **extra,
     }
-    write_series_csv(outdir / f"{name}.csv", header, columns)
+    files.append((f"{name}.csv", lambda path: write_series_csv(path, header, columns)))
     if result.table is not None:
         summary["slope"] = result.table.fitted_slope
-        write_loglog_svg(outdir / f"{name}.svg", result.table, title=name)
-    return _verdict(outdir, name, summary,
+        files.append((f"{name}.svg", lambda path: write_loglog_svg(path, result.table, title=name)))
+    return _verdict(files, name, summary,
                     f"{study}: verdict {result.verdict}, monotone {result.monotone_decreasing}")
 
 
-def _cmd_energy_rate(args, outdir: Path) -> int:
+def _cmd_energy_rate(args, files: list) -> int:
     grid, mollifier = _make_grid(args)
     result = energy_rate_study(grid, mollifier, args.func, args.eps)
     return _emit_verdict_outputs(
-        outdir, "energy-rate", result, ["epsilon", "energy", "error"],
+        files, "energy-rate", result, ["epsilon", "energy", "error"],
         [result.epsilons, result.energies, result.errors],
         {"limit_value": result.limit_value, "energies": result.energies,
          "errors": result.errors},
     )
 
 
-def _cmd_remainder_rate(args, outdir: Path) -> int:
+def _cmd_remainder_rate(args, files: list) -> int:
     grid, mollifier = _make_grid(args)
     result = remainder_rate_study(grid, mollifier, args.func, args.eps,
                                   margin_factor=args.margin_factor)
     return _emit_verdict_outputs(
-        outdir, "remainder-rate", result, ["epsilon", "margin", "value"],
+        files, "remainder-rate", result, ["epsilon", "margin", "value"],
         [result.epsilons, result.margins, result.values],
         {"margin_factor": args.margin_factor, "values": result.values,
          "margins": result.margins},
     )
 
 
-def _cmd_solve(args, outdir: Path) -> int:
+def _cmd_solve(args, files: list) -> int:
     grid, mollifier = _make_grid(args)  # so a local flow checks --profile too
     potential = parse_potential(args.potential)
     config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
@@ -288,14 +290,13 @@ def _cmd_solve(args, outdir: Path) -> int:
             raise ValueError(f"two records would write the same checkpoint {clash}: names "
                              "keep 8 decimals of the time, so records must lie about 1e-8 "
                              "apart; raise --record-every")
-    # written only once the run returns, so a diverged run leaves no checkpoints
     states = []
     on_record = (lambda i, v: states.append(v[0].copy())) if args.checkpoints else None
     record = run(initial, config, potential, args.eq, kernel, on_record=on_record)
-    write_series_csv(outdir / "trajectory.csv", ["t", "mass", "energy"],
-                     [record.times, record.mass, record.energy])
-    for name, values in zip(names, states):
-        save_field(Field(grid, values), outdir / name)
+    files.append(("trajectory.csv", lambda path: write_series_csv(
+        path, ["t", "mass", "energy"], [record.times, record.mass, record.energy])))
+    files += [(name, functools.partial(save_field, Field(grid, values)))
+              for name, values in zip(names, states)]
     drift = float(np.max(np.abs(record.mass - record.mass[0])))
     print(f"solve {args.eq}: {len(record.times)} records to t = {record.times[-1]:.6g}; "
           f"mass drift {drift:.3e}; final energy {record.energy[-1]:.8g}")
@@ -312,19 +313,19 @@ def _ladder_study(args, study):
                  args.initial, equation=args.eq, perturbation_scale=args.perturbation)
 
 
-def _cmd_solution_rate(args, outdir: Path) -> int:
+def _cmd_solution_rate(args, files: list) -> int:
     result = _ladder_study(args, solution_convergence_study)
     code = PASS
     extra = {"equation": args.eq, "reference_h3_max": result.reference_h3_max}
     primary = "l2_sup" if args.eq.endswith("ac") else "hminus1_sup"
     for name, table in sorted(result.tables.items()):
         band = (args.slope_min, args.slope_max) if name in (primary, "l2_spacetime") else (None, None)
-        rc = _emit_rate_outputs(outdir, f"solution_rate_{name}", table, band, extra=extra)
+        rc = _emit_rate_outputs(files, f"solution_rate_{name}", table, band, extra=extra)
         code = max(code, rc)
     return code
 
 
-def _cmd_oracle_check(args, outdir: Path) -> int:
+def _cmd_oracle_check(args, files: list) -> int:
     grid, mollifier = _make_grid(args)
     kernel = Kernel(mollifier, args.eps_value)
     check_support_reaches_nodes(kernel, grid)
@@ -344,21 +345,21 @@ def _cmd_oracle_check(args, outdir: Path) -> int:
         "quadratic_form_over_double_sum": ratio,
         "pass": rel <= args.tol and abs(ratio - 0.5) <= 1e-10,
     }
-    return _verdict(outdir, "oracle_check", summary,
+    return _verdict(files, "oracle_check", summary,
                     f"oracle-check: fft vs direct rel {rel:.3e} (tol {args.tol:.1e}); "
                     f"<Lc,c>/double-sum = {ratio:.12f}")
 
 
-def _cmd_gronwall(args, outdir: Path) -> int:
+def _cmd_gronwall(args, files: list) -> int:
     trace = _ladder_study(args, gronwall_audit)
     eps0 = args.eps[1]
-    write_series_csv(
-        outdir / "gronwall_trace.csv",
+    files.append(("gronwall_trace.csv", lambda path: write_series_csv(
+        path,
         ["t", "dual_sq_half", "derivative", "l2_sq_half", "pair_energy_half",
          "dual_sq", "consistency_sq"],
         [trace.times, trace.dual_sq_half, trace.derivative, trace.l2_sq_half,
          trace.pair_energy_half, trace.dual_sq, trace.consistency_sq],
-    )
+    )))
     summary = {
         "study": "gronwall",
         "epsilon": eps0,
@@ -366,7 +367,7 @@ def _cmd_gronwall(args, outdir: Path) -> int:
         "energy_time_integral": trace.energy_time_integral,
         "pass": trace.holds_with(trace.empirical_constant),
     }
-    return _verdict(outdir, "gronwall", summary,
+    return _verdict(files, "gronwall", summary,
                     f"gronwall (eps {eps0}): C = {trace.empirical_constant:.6g}, "
                     f"int pair energy = {trace.energy_time_integral:.4e}")
 
@@ -543,25 +544,6 @@ def _config_arguments(parser: _Parser, argv: list[str], entries: dict[str, str])
     return argv[:at + 1] + tokens + argv[at + 1:]
 
 
-def _missing_directories(path: Path) -> list[Path]:
-    """``path`` and those of its ancestors that do not exist yet, deepest first."""
-    missing = []
-    while not path.exists() and path != path.parent:
-        missing.append(path)
-        path = path.parent
-    return missing
-
-
-def _remove_empty(directories: list[Path]) -> None:
-    """Remove ``directories`` in order while each is empty, so a rejected call
-    leaves behind no directory that it made and wrote nothing into."""
-    for directory in directories:
-        try:
-            directory.rmdir()
-        except OSError:
-            return
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _shared_parser()
@@ -583,7 +565,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     outdir = Path(args.out) if args.out else Path(f"out-{args.command}")
-    created, report = [], io.StringIO()
+    files, report = [], io.StringIO()
     try:
         lo, hi = getattr(args, "slope_min", None), getattr(args, "slope_max", None)
         if lo is not None and hi is not None and lo > hi:
@@ -592,15 +574,23 @@ def main(argv=None) -> int:
         if getattr(args, "mobility", 1.0) != 1.0 and args.eq.endswith("-ac"):
             raise ValueError(f"--mobility {args.mobility:g} has no effect on {args.eq}: only "
                              "the conserved (-ch) flows take a mobility")
-        created = _missing_directories(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        # a rejected call prints nothing: stdout is written once the call is accepted
+        # an --out under a file fails before the command runs, yet makes nothing
+        if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(outdir))
+        # the command only prints and lists its files, so a rejected call leaves nothing
         with contextlib.redirect_stdout(report):
-            code = args.func_impl(args, outdir)
+            code = args.func_impl(args, files)
+        outdir.mkdir(parents=True, exist_ok=True)
         _write_resolved_config(outdir, parser, args)
+        try:
+            for name, write in files:
+                write(outdir / name)
+        except BaseException:
+            # so that no config vouches for a partial set of outputs
+            (outdir / "resolved_config.txt").unlink()
+            raise
     except (ValueError, OSError, SolverDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _remove_empty(created)
         return USAGE_ERROR
     sys.stdout.write(report.getvalue())
     return code

@@ -229,6 +229,9 @@ class Kernel:
         if not math.isfinite(scale):
             raise ValueError(f"kernel scale eps = {self.epsilon:g} is too small: "
                              f"the kernel value scale {c:.3g} * eps**{p} overflows a float")
+        if scale < np.finfo(float).tiny:  # the smallest normal float
+            raise ValueError(f"kernel scale eps = {self.epsilon:g} is too large: "
+                             f"the kernel value scale {c:.3g} * eps**{p} underflows a float")
 
     @property
     def dimension(self) -> int:

@@ -37,6 +37,26 @@ class TestKernelChecks:
         out = tmp_path / "ck2"
         assert run_cli(["check-kernel", "--n", "2", "--eps", "0.2", "--out", str(out)]) == 0
 
+    def test_large_scale_within_range_passes(self, tmp_path):
+        out = tmp_path / "ck"
+        assert run_cli(["check-kernel", "--n", "2", "--eps", "1e60", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["check-kernel", "--n", "2", "--eps", "1e90"],
+        ["check-kernel", "--n", "1", "--eps", "1e120"],
+        ["check-kernel", "--n", "1", "--eps", "1e160"],
+        ["symbol-rate", "--n", "2", "--eps", "1e90,1e89,1e88"],
+    ])
+    def test_kernel_value_scale_underflow_is_usage_error(self, tmp_path, capsys, argv):
+        # the kernel would be identically zero, and judged as such
+        out = tmp_path / "zero"
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "underflows" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["1", "2"])
     @pytest.mark.parametrize("eps", ["0.1", "1e-6"])
     def test_check_kernel_first_moments_scale_with_the_kernel(self, tmp_path, n, eps):
@@ -531,23 +551,22 @@ class TestSolveCommand:
         argv = ["solve", "--eq", "local-ch", "--N", "32,abc", "--out"]
         assert run_cli([*argv, str(kept)]) == 2
         assert kept.is_dir() and list(kept.iterdir()) == []
-        # the call made kept/a and kept/a/b, and removes both, deepest first
+        # nor does it make kept/a or kept/a/b
         assert run_cli([*argv, str(kept / "a" / "b")]) == 2
         assert list(tmp_path.iterdir()) == [kept]
         assert list(kept.iterdir()) == []
 
-    def test_rejected_call_keeps_a_directory_it_wrote_into(self, tmp_path, monkeypatch):
+    def test_rejected_call_writes_no_file_it_listed(self, tmp_path, monkeypatch):
         parser = cli.build_parser()
 
-        def write_then_fail(args, outdir):
-            (outdir / "partial.csv").write_text("t\n")
-            raise ValueError("failed after writing")
+        def list_then_fail(args, files):
+            files.append(("partial.csv", lambda path: path.write_text("t\n")))
+            raise ValueError("failed after listing a file")
 
-        parser.commands["solve"].set_defaults(func_impl=write_then_fail)
+        parser.commands["solve"].set_defaults(func_impl=list_then_fail)
         monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
-        out = tmp_path / "a" / "b"
-        assert run_cli(["solve", "--eq", "local-ch", "--out", str(out)]) == 2
-        assert [p.name for p in out.iterdir()] == ["partial.csv"]
+        assert run_cli(["solve", "--eq", "local-ch", "--out", str(tmp_path / "a" / "b")]) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 def _extreme_floats(lo, hi):
@@ -585,10 +604,10 @@ class TestSolveProperty:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
             out = Path(tmp) / "out"
             code = run_cli([*argv, "--out", str(out)])
-            resolved = (out / "resolved_config.txt").exists()
+            made, resolved = out.exists(), (out / "resolved_config.txt").exists()
         assert code in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
-        assert resolved == (code == 0)
+        assert resolved == made == (code == 0)
 
 
 class TestUsageAndConfig:
@@ -725,24 +744,83 @@ class TestUsageAndConfig:
 
         assert without_out(second) == without_out(first)
 
-    def test_uncreatable_output_directory_is_usage_error(self, tmp_path, capsys):
+    def test_uncreatable_output_directory_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran into an uncreatable --out")
+
+        monkeypatch.setattr(cli, "solution_convergence_study", no_study)
         blocker = tmp_path / "file"
         blocker.write_text("")
-        assert run_cli(["check-kernel", "--out", str(blocker / "sub")]) == 2
+        assert run_cli(["solution-rate", "--out", str(blocker / "sub")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Not a directory" in err
         assert sorted(tmp_path.iterdir()) == [blocker]
 
-    def test_unwritable_resolved_config_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "ck"
+    # one small accepted call of each command
+    TINY = {
+        "check-kernel": ["--eps", "0.2"],
+        "symbol-rate": ["--eps", "0.2,0.1,0.05"],
+        "operator-rate": ["--N", "256", "--eps", "0.2,0.1,0.05"],
+        "energy-rate": ["--N", "256", "--eps", "0.2,0.1,0.05"],
+        "remainder-rate": ["--N", "256", "--eps", "0.2,0.1,0.05"],
+        "solve": ["--eq", "local-ch", "--N", "16", "--T", "2e-4", "--tau", "1e-4",
+                  "--record-every", "1", "--checkpoints"],
+        "solution-rate": ["--N", "256", "--T", "1e-3", "--tau", "1e-4", "--record-every", "5",
+                          "--eps", "0.16,0.08,0.04"],
+        "oracle-check": ["--N", "32", "--eps", "0.2"],
+        "gronwall": ["--N", "256", "--T", "1e-3", "--tau", "1e-4", "--eps", "0.16,0.08,0.04"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(TINY))
+    def test_unwritable_resolved_config_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
         (out / "resolved_config.txt").mkdir(parents=True)
-        assert run_cli(["check-kernel", "--out", str(out)]) == 2
+        assert run_cli([command, *self.TINY[command], "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        # the command ran and judged the kernel, but the call was rejected
+        # the command ran, but the call was rejected: it printed and wrote nothing
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Is a directory" in captured.err
+        assert list(out.iterdir()) == [out / "resolved_config.txt"]
+
+    def test_failed_output_write_removes_the_resolved_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "symbol_rate.svg").mkdir(parents=True)
+        assert run_cli(["symbol-rate", *self.TINY["symbol-rate"], "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert not (out / "resolved_config.txt").exists()
+
+    @staticmethod
+    def _contents(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    def test_rejected_call_keeps_a_reused_directory_byte_for_byte(self, tmp_path, monkeypatch):
+        out = tmp_path / "d"
+        assert run_cli(["check-kernel", "--eps", "0.1", "--out", str(out)]) == 0
+        before = self._contents(out)
+
+        def unwritable(*args):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(cli, "_write_resolved_config", unwritable)
+        assert run_cli(["check-kernel", "--eps", "0.2", "--out", str(out)]) == 2
+        assert self._contents(out) == before
+
+    def test_diverged_run_keeps_a_reused_directory_byte_for_byte(self, tmp_path, monkeypatch):
+        out = tmp_path / "d"
+        argv = ["solve", "--eq", "local-ch", "--N", "16", "--tau", "1e-4", "--record-every",
+                "1", "--checkpoints", "--out", str(out)]
+        assert run_cli([*argv, "--T", "2e-4"]) == 0
+        before = self._contents(out)
+
+        def diverge(*args, **kwargs):
+            raise SolverDivergedError("local-ch diverged")
+
+        monkeypatch.setattr(cli, "run", diverge)
+        assert run_cli([*argv, "--T", "3e-4"]) == 2
+        assert self._contents(out) == before
 
     def test_unresolvable_scale_is_usage_error(self, tmp_path):
         out = tmp_path / "bad"
@@ -926,7 +1004,7 @@ class TestConfigRoundTrip:
         # the commands themselves are stubbed: this pins how arguments resolve
         parser = cli.build_parser()
         for sub in parser.commands.values():
-            sub.set_defaults(func_impl=lambda args, outdir: 0)
+            sub.set_defaults(func_impl=lambda args, files: 0)
         monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
         lines = [f"{key}={value}" for key, value in self.REQUIRED.get(command, {}).items()]
         for action in parser.commands[command]._actions:
@@ -946,7 +1024,7 @@ class TestConfigRoundTrip:
     def test_resolved_config_reads_back_as_itself(self, tmp_path, monkeypatch, command):
         parser = cli.build_parser()
         for sub in parser.commands.values():
-            sub.set_defaults(func_impl=lambda args, outdir: 0)
+            sub.set_defaults(func_impl=lambda args, files: 0)
         monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
         out = tmp_path / "out"
         required = [f"--{key}={value}" for key, value in self.REQUIRED.get(command, {}).items()]

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -102,6 +103,13 @@ class TestNormalization:
     def test_rejects_scale_whose_kernel_value_overflows(self, n, eps):
         # the kernel's value scale is c * eps**(-n - 2), beyond the float range here
         with pytest.raises(ValueError, match=f"eps = {eps:g}"):
+            Kernel(make_mollifier(n), epsilon=eps)
+
+    # the kernel's value scale c * eps**(-n - 2) is subnormal at (1, 1e105)
+    # and rounds to zero at the others, where the kernel would vanish
+    @pytest.mark.parametrize("n, eps", [(1, 1e105), (2, 1e90), (1, 1e120), (1, 1e160)])
+    def test_rejects_scale_whose_kernel_value_underflows(self, n, eps):
+        with pytest.raises(ValueError, match=re.escape(f"eps = {eps:g} is too large")):
             Kernel(make_mollifier(n), epsilon=eps)
 
     @pytest.mark.parametrize("n, eps", [(1, 1e-100), (2, 1e-75)])

@@ -231,12 +231,13 @@ class TestOperatorApplications:
         ("neumann", "exceeds the box"),
         ("periodic", "wraps"),
     ])
-    @pytest.mark.parametrize("eps", [1e308, 1e300])
-    def test_huge_scale_is_rejected_before_integer_reach(self, boundary, message, eps):
-        # 1e308 / h overflows to inf, 1e300 / h does not; neither may reach int()
-        g = UniformGrid((1.0,), (64,), boundary)
+    @pytest.mark.parametrize("length", [1e-250, 1.0])
+    def test_huge_scale_is_rejected_before_integer_reach(self, boundary, message, length):
+        # 1e100 / h overflows to inf on the tiny box, not on the unit box;
+        # neither may reach int() (a larger eps is no kernel: its value underflows)
+        g = UniformGrid((length,), (64,), boundary)
         with pytest.raises(ValueError, match=message):
-            apply_fft(make_kernel(1, eps), random_field(g, 8))
+            apply_fft(make_kernel(1, 1e100), random_field(g, 8))
 
 
 def _dense_pair_weights(kernel, grid):

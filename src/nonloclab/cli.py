@@ -81,6 +81,16 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return value
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     """Flat key=value text, each key once; blank lines and # comments ignored."""
     out: dict[str, str] = {}
@@ -489,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, eps_ladder=False)
     p.add_argument("--eps", dest="eps_value", type=float, default=0.1)
     p.add_argument("--tol", type=_nonnegative_float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func_impl=_cmd_oracle_check)
 
     p = sub.add_parser("gronwall", help="per-time differential inequality audit")

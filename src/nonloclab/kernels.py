@@ -216,10 +216,10 @@ class Kernel:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
         # value_radial's scale; the profile quotients it multiplies are at most 1
         c, p = self.mollifier.norm_constant, -self.dimension - 2
         try:

@@ -236,7 +236,10 @@ def _pair_blocks(kernel: Kernel, field: Field):
     axis, and the profile runs only inside its support.  The walk goes over
     column blocks of the last axis, then the offsets along the first axis of
     a 2D grid, then blocks of rows, with at most about ``_BLOCK_TERMS``
-    pairs per block.
+    pairs per block.  A block's weights are evaluated once per distinct
+    squared distance along the first axis, not once per row: equal inputs
+    give equal bits, and on a uniform spacing that is one or a few rows'
+    worth.  Each block's ``J`` is a fresh array of the block's shape.
     """
     grid = field.grid
     axis_offsets = [np.arange(-k, k + 1) for k in _stencil_data(kernel, grid).reach]
@@ -264,7 +267,9 @@ def _pair_blocks(kernel: Kernel, field: Field):
             rows = np.flatnonzero(np.isfinite(lead_sq[:, o]))
             for r in range(0, rows.size, step):
                 i = rows[r:r + step]
-                dist = lead_sq[i, o, None, None] + sq
+                # rows with equal squared lead distances share their weights
+                lead, inv = np.unique(lead_sq[i, o], return_inverse=True)
+                dist = lead[:, None, None] + sq
                 np.sqrt(dist, out=dist)
                 # the profile vanishes from its support radius on, so every
                 # skipped pair is a zero.  For positive floats dist < eps
@@ -273,7 +278,7 @@ def _pair_blocks(kernel: Kernel, field: Field):
                 r_inside = dist[inside]
                 dist.fill(0.0)
                 dist[inside] = kernel.value_radial(r_inside)
-                yield (i, block), windows[lead_partner[i, o], block], dist
+                yield (i, block), windows[lead_partner[i, o], block], dist[inv]
 
 
 def _pair_pass(kernel: Kernel, field: Field) -> tuple[Field, float]:

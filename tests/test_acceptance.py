@@ -109,13 +109,15 @@ def test_criterion_03_oracle_equivalence():
         g1 = UniformGrid((1.0,), (256,), "neumann")
         k1 = make_kernel(1, 0.1)
         f1 = Field(g1, np.random.default_rng(0).standard_normal(g1.shape))
-        rel1 = l2_norm(apply_fft(k1, f1) - apply_direct(k1, f1)) / l2_norm(apply_direct(k1, f1))
+        d1 = apply_direct(k1, f1)
+        rel1 = l2_norm(apply_fft(k1, f1) - d1) / l2_norm(d1)
         assert rel1 <= 1e-10
 
         g2 = UniformGrid((1.0, 1.0), (64, 64), "neumann")
         k2 = make_kernel(2, 0.15)
         f2 = Field(g2, np.random.default_rng(1).standard_normal(g2.shape))
-        rel2 = l2_norm(apply_fft(k2, f2) - apply_direct(k2, f2)) / l2_norm(apply_direct(k2, f2))
+        d2 = apply_direct(k2, f2)
+        rel2 = l2_norm(apply_fft(k2, f2) - d2) / l2_norm(d2)
         assert rel2 <= 1e-9
     sw.check()
     report("3 oracle equivalence", True,

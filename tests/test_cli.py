@@ -131,6 +131,17 @@ class TestKernelChecks:
         assert code == 2
         assert "--tol" in capsys.readouterr().err
 
+    def test_oracle_check_rejects_negative_seed(self, tmp_path, monkeypatch, capsys):
+        def no_direct_pass(*args, **kwargs):
+            raise AssertionError("the O(N^2) direct pass ran on invalid input")
+
+        monkeypatch.setattr(cli, "_pair_pass", no_direct_pass)
+        out = tmp_path / "seed"
+        code = run_cli(["oracle-check", "--N", "64", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "argument --seed: must not be negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_check_accepts_zero_tolerance(self, tmp_path):
         # a zero tolerance is a valid (strict) request; it fails the band, not the parse
         code = run_cli(["oracle-check", "--N", "32", "--eps", "0.2", "--tol", "0",

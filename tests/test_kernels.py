@@ -93,7 +93,7 @@ class TestNormalization:
 
     @pytest.mark.parametrize("eps", [float("inf"), float("nan")])
     def test_rejects_non_finite_scale(self, eps):
-        with pytest.raises(ValueError, match="epsilon must be"):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
             Kernel(make_mollifier(1), epsilon=eps)
 
     # 3e-103 and 1e-77 leave eps**(-n - 2) finite but not its product with the

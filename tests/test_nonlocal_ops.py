@@ -24,7 +24,7 @@ from nonloclab.grid import (
     spectral_coefficients,
     transform_values,
 )
-from nonloclab.kernels import PROFILES, eval_J, make_kernel, make_mollifier, total_mass
+from nonloclab.kernels import PROFILES, Kernel, eval_J, make_kernel, make_mollifier, total_mass
 from nonloclab.local_ops import dirichlet_energy
 from nonloclab.nonlocal_ops import (
     ResolutionWarning,
@@ -429,16 +429,18 @@ class TestWindowedPairPass:
         assert np.all(rows.values == 0.0)
         assert total == 0.0
 
-    @pytest.mark.parametrize("boundary, cells, eps", [
-        ("neumann", (300,), 0.2),
-        ("periodic", (300,), 0.45),
-        ("neumann", (24, 30), 0.3),
-        ("periodic", (20, 28), 0.4),
+    @pytest.mark.parametrize("boundary, lengths, cells, eps", [
+        ("neumann", (1.0,), (300,), 0.2),
+        ("periodic", (1.0,), (300,), 0.45),
+        ("neumann", (1.0, 1.0), (24, 30), 0.3),
+        ("periodic", (1.0, 1.0), (20, 28), 0.4),
+        # spacings off the dyadic grid: a block's rows meet several lead distances
+        ("neumann", (0.7, 0.9), (24, 30), 0.3),
     ])
     @pytest.mark.parametrize("block", [1, 50, 700])
-    def test_row_bits_do_not_depend_on_the_block_size(self, monkeypatch, boundary, cells,
-                                                      eps, block):
-        g = UniformGrid((1.0,) * len(cells), cells, boundary)
+    def test_row_bits_do_not_depend_on_the_block_size(self, monkeypatch, boundary, lengths,
+                                                      cells, eps, block):
+        g = UniformGrid(lengths, cells, boundary)
         k, f = make_kernel(g.dimension, eps), random_field(g, 5)
         rows, total = _pair_pass(k, f)
         monkeypatch.setattr(nonlocal_ops, "_BLOCK_TERMS", block)
@@ -465,6 +467,23 @@ class TestWindowedPairPass:
         monkeypatch.setattr(nonlocal_ops, "_pair_blocks", counting)
         _pair_pass(make_kernel(2, 0.05), random_field(g, 3))
         assert sum(visited) == 128 * 128 * 15 * 15
+
+    def test_evaluates_the_profile_once_per_lead_distance(self, monkeypatch):
+        # 64^2 with eps 0.15: reach 10, so 21 offsets along each axis, and 3
+        # chunks of rows per offset.  A block's rows at one offset share one
+        # squared lead distance, so the profile runs on one row's worth of
+        # pairs per chunk, not on each of the 64^2 * 21^2 pairs
+        g = UniformGrid((1.0, 1.0), (64, 64), "neumann")
+        evaluated = []
+        value_radial = Kernel.value_radial
+
+        def counting(self, r):
+            evaluated.append(np.size(r))
+            return value_radial(self, r)
+
+        monkeypatch.setattr(Kernel, "value_radial", counting)
+        _pair_pass(make_kernel(2, 0.15), random_field(g, 3))
+        assert 0 < sum(evaluated) <= 21 * 3 * 64 * 21
 
 
 class TestSupportReachesNodes:

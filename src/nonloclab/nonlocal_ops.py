@@ -204,11 +204,10 @@ def _stencil_data(kernel: Kernel, grid: UniformGrid) -> _StencilData:
 # ---------------------------------------------------------------------------
 # operator applications
 
-def _axis_pairs(grid: UniformGrid, axis: int, nodes: np.ndarray, offsets: np.ndarray):
-    """``(partner, sq)`` of shape ``(len(nodes), len(offsets))``: the index of
-    each node's partner at each offset along ``axis``, and their squared
-    coordinate difference, to the nearest image on a torus and inf past a
-    wall of a box."""
+def _axis_sq(grid: UniformGrid, axis: int, nodes: np.ndarray, offsets: np.ndarray):
+    """The squared coordinate difference, of shape ``(len(nodes),
+    len(offsets))``, between each node and its partner at each offset along
+    ``axis``: to the nearest image on a torus, and inf past a wall of a box."""
     N = grid.cells[axis]
     pos = nodes[:, None] + offsets
     partner = pos % N if grid.boundary == PERIODIC else np.clip(pos, 0, N - 1)
@@ -219,56 +218,51 @@ def _axis_pairs(grid: UniformGrid, axis: int, nodes: np.ndarray, offsets: np.nda
         d -= length * np.round(d / length)
     else:
         d[pos != partner] = np.inf
-    d *= d
-    return partner, d
+    return np.square(d, out=d)
 
 
 def _pair_blocks(kernel: Kernel, field: Field):
     """Yield the node pairs in the support window, the offsets ``-k..k`` of
     the fast path's stencil reach along each axis (so the pass rejects what
     :func:`apply_fft` rejects), in blocks ``(index, partners, J)``: ``index``
-    picks nodes from the field's values viewed as ``(rows, N_last)``, one
-    row in 1D; ``partners`` holds their partners' values, the window on one
-    more axis, as a fresh array; and ``J`` the pair weights, an exact zero
-    past a wall.
+    is two slices, of rows and of columns of the field's values viewed as
+    ``(rows, N_last)``, one row in 1D; ``partners`` is a read-only view of
+    their partners' values, the window on one more axis; and ``J`` the pair
+    weights, an exact zero past a wall.
 
     Each pair's distance is formed from the two nodes' coordinates axis by
     axis, and the profile runs only inside its support.  The walk goes over
     column blocks of the last axis, then the offsets along the first axis of
-    a 2D grid, then blocks of rows, with at most about ``_BLOCK_TERMS``
-    pairs per block.  A block's weights are evaluated once per distinct
-    squared distance along the first axis, not once per row: equal inputs
-    give equal bits, and on a uniform spacing that is one or a few rows'
-    worth.  Each block's ``J`` is a fresh array of the block's shape.
+    a 2D grid, then blocks of the rows whose partner row lies in the box,
+    with at most about ``_BLOCK_TERMS`` pairs per block.  A block's weights
+    are evaluated once per distinct squared distance along the first axis,
+    not once per row: equal inputs give equal bits, and on a uniform spacing
+    that is one or a few rows' worth.  Each ``J`` is a fresh block-shaped array.
     """
     grid = field.grid
-    axis_offsets = [np.arange(-k, k + 1) for k in _stencil_data(kernel, grid).reach]
-    last = grid.dimension - 1
-    N = grid.cells[last]
-    values = field.values.reshape(-1, N)
-    if grid.dimension == 1:
-        lead_partner, lead_sq = np.zeros((1, 1), dtype=int), np.zeros((1, 1))
-    else:
-        lead_partner, lead_sq = _axis_pairs(grid, 0, np.arange(grid.cells[0]), axis_offsets[0])
-    offsets = axis_offsets[last]
-    width = offsets.size
-    # windows[row, i, o] is the value at offset offsets[o] from node i of the
-    # row; past a wall it is a zero, whose weight is zero
-    padded = np.pad(values, [(0, 0), (-offsets[0], offsets[-1])],
+    reach = _stencil_data(kernel, grid).reach
+    k0, k = (reach[0] if grid.dimension == 2 else 0), reach[-1]
+    R, N = field.values.reshape(-1, grid.cells[-1]).shape
+    # squared distances to the partner rows, one zero for the one row in 1D
+    lead_sq = _axis_sq(grid, 0, np.arange(R), np.arange(-k0, k0 + 1))
+    offsets = np.arange(-k, k + 1)
+    # windows[k0 + row + o, i, q] is the value at offsets (o, offsets[q])
+    # from node (row, i); past a wall it is a zero, whose weight is zero
+    padded = np.pad(field.values.reshape(R, N), [(k0, k0), (k, k)],
                     mode="wrap" if grid.boundary == PERIODIC else "constant")
-    windows = sliding_window_view(padded, width, axis=1)
-    cols = min(N, max(1, _BLOCK_TERMS // width))
+    windows = sliding_window_view(padded, offsets.size, axis=1)
+    cols = min(N, max(1, _BLOCK_TERMS // offsets.size))
     for c in range(0, N, cols):
         block = slice(c, min(c + cols, N))
-        _, sq = _axis_pairs(grid, last, np.arange(N)[block], offsets)
+        sq = _axis_sq(grid, grid.dimension - 1, np.arange(N)[block], offsets)
         step = max(1, _BLOCK_TERMS // sq.size)
-        for o in range(lead_sq.shape[1]):
+        for o in range(-k0, k0 + 1):
             # the rows whose partner row at this offset lies in the box
-            rows = np.flatnonzero(np.isfinite(lead_sq[:, o]))
-            for r in range(0, rows.size, step):
-                i = rows[r:r + step]
+            first, end = (0, R) if grid.boundary == PERIODIC else (max(0, -o), min(R, R - o))
+            for r in range(first, end, step):
+                i = slice(r, min(r + step, end))
                 # rows with equal squared lead distances share their weights
-                lead, inv = np.unique(lead_sq[i, o], return_inverse=True)
+                lead, inv = np.unique(lead_sq[i, k0 + o], return_inverse=True)
                 dist = lead[:, None, None] + sq
                 np.sqrt(dist, out=dist)
                 # the profile vanishes from its support radius on, so every
@@ -278,7 +272,7 @@ def _pair_blocks(kernel: Kernel, field: Field):
                 r_inside = dist[inside]
                 dist.fill(0.0)
                 dist[inside] = kernel.value_radial(r_inside)
-                yield (i, block), windows[lead_partner[i, o], block], dist[inv]
+                yield (i, block), windows[k0 + o + r:k0 + o + i.stop, block], dist[inv]
 
 
 def _pair_pass(kernel: Kernel, field: Field) -> tuple[Field, float]:
@@ -296,10 +290,12 @@ def _pair_pass(kernel: Kernel, field: Field) -> tuple[Field, float]:
     rows = np.zeros_like(values)
     total = 0.0
     for index, partners, J in _pair_blocks(kernel, field):
-        dv = np.subtract(values[index][..., None], partners, out=partners)
+        dv = partners.copy()  # faster to subtract from than the window view
+        np.subtract(values[index][..., None], dv, out=dv)
         J *= dv
-        total += float(np.sum(J * dv))
         rows[index] += np.sum(J, axis=-1)
+        dv *= J
+        total += float(np.sum(dv))
     vol = grid.cell_volume
     return Field(grid, rows.reshape(grid.shape) * vol), total * vol * vol
 

@@ -236,8 +236,11 @@ class TestMoments:
             ref, _ = scipy.integrate.quad(lambda x: eval_J(k, x) * abs(x), -s, s,
                                           epsabs=0.0, epsrel=1e-12)
         else:
+            # over the support disk, so no inner integral meets its edge
+            half_chord = lambda x: math.sqrt(max(s * s - x * x, 0.0))
             ref, _ = scipy.integrate.dblquad(lambda y, x: eval_J(k, (x, y)) * abs(x),
-                                             -s, s, -s, s, epsabs=0.0, epsrel=1e-11)
+                                             -s, s, lambda x: -half_chord(x), half_chord,
+                                             epsabs=0.0, epsrel=1e-11)
         assert moment_first_absolute(k) == pytest.approx(ref, rel=1e-8)
         # it grows like 1/eps
         assert moment_first_absolute(make_kernel(n, eps / 10)) == pytest.approx(
@@ -262,8 +265,10 @@ class TestMoments:
         def integrand(y, x):
             return eval_J(k, (x, y)) * x * x
 
-        val, _ = scipy.integrate.dblquad(integrand, -0.3, 0.3, -0.3, 0.3,
-                                         epsabs=1e-11, epsrel=1e-11)
+        # over the support disk, so no inner integral meets its edge
+        half_chord = lambda x: math.sqrt(max(0.3 * 0.3 - x * x, 0.0))
+        val, _ = scipy.integrate.dblquad(integrand, -0.3, 0.3, lambda x: -half_chord(x),
+                                         half_chord, epsabs=1e-11, epsrel=1e-11)
         assert val == pytest.approx(2.0, abs=1e-6)
 
     def test_unnormalized_profile_breaks_identity(self):

@@ -485,6 +485,39 @@ class TestWindowedPairPass:
         _pair_pass(make_kernel(2, 0.15), random_field(g, 3))
         assert 0 < sum(evaluated) <= 21 * 3 * 64 * 21
 
+    @pytest.mark.parametrize("boundary, lengths, cells, eps", [
+        ("neumann", (1.0,), (4096,), 0.2),              # a window of 1641 offsets
+        ("neumann", (1.0, 1.0), (64, 64), 0.15),
+        # spacings off the dyadic grid: the rows at one offset meet many lead
+        # distances, so weights hoisted out of the row chunks exceed the bound
+        ("periodic", (0.7, 0.9), (21, 27), 0.3),
+    ])
+    @pytest.mark.parametrize("block", [nonlocal_ops._BLOCK_TERMS, 700])
+    def test_temporaries_keep_to_the_block_bound(self, monkeypatch, boundary, lengths, cells,
+                                                 eps, block):
+        g = UniformGrid(lengths, cells, boundary)
+        k = make_kernel(g.dimension, eps)
+        # a block holds one window at the least
+        bound = max(block, 2 * _stencil_data(k, g).reach[-1] + 1)
+        sizes, radii = [], []
+        blocks, value_radial = nonlocal_ops._pair_blocks, Kernel.value_radial
+
+        def spying(kernel, field):
+            for index, partners, J in blocks(kernel, field):
+                sizes.append(J.size)
+                yield index, partners, J
+
+        def counting(self, r):
+            radii.append(np.size(r))
+            return value_radial(self, r)
+
+        monkeypatch.setattr(nonlocal_ops, "_BLOCK_TERMS", block)
+        monkeypatch.setattr(nonlocal_ops, "_pair_blocks", spying)
+        monkeypatch.setattr(Kernel, "value_radial", counting)
+        _pair_pass(k, random_field(g, 3))
+        assert sizes and max(sizes) <= bound
+        assert radii and max(radii) <= bound
+
 
 class TestSupportReachesNodes:
     @pytest.mark.parametrize("lengths, cells, eps", [

@@ -45,6 +45,7 @@ from .kernels import (
     moment_second_trace,
     radial_mass,
     radial_mass_target,
+    second_moment_per_axis,
     total_mass,
 )
 from .nonlocal_ops import _pair_pass, apply_fft, check_support_reaches_nodes, l2_inner
@@ -183,7 +184,7 @@ def _cmd_check_kernel(args, files: list) -> int:
     # rounding residues of integrals of size int |x_a| J, which grows like 1/eps
     first_scale = moment_first_absolute(kernel)
     trace = moment_second_trace(kernel)
-    per_axis = trace * 2.0 / args.n  # as second_moment_per_axis, from the same trace
+    per_axis = second_moment_per_axis(kernel)
     checks = {
         "normalization": abs(radial - target) <= 1e-10 * target,
         "first_moments": all(abs(v) <= 1e-12 * first_scale for v in firsts),
@@ -282,8 +283,7 @@ def _cmd_remainder_rate(args, files: list) -> int:
 def _cmd_solve(args, files: list) -> int:
     grid, mollifier = _make_grid(args)  # so a local flow checks --profile too
     potential = parse_potential(args.potential)
-    config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
-                          stabilization=args.stabilization, record_every=args.record_every)
+    config = SolverConfig(tau=args.tau, t_final=args.T, record_every=args.record_every)
     nonlocal_eq = args.eq.startswith("nonlocal")
     if nonlocal_eq != (args.eps_value is not None):
         raise ValueError("nonlocal equations need --eps" if nonlocal_eq else
@@ -317,8 +317,7 @@ def _ladder_study(args, study):
     """``study``, the solution study or the Grönwall audit, of the call's
     grid, flow and scale ladder."""
     grid, mollifier = _make_grid(args)
-    config = SolverConfig(tau=args.tau, t_final=args.T, mobility=args.mobility,
-                          record_every=args.record_every)
+    config = SolverConfig(tau=args.tau, t_final=args.T, record_every=args.record_every)
     return study(grid, config, parse_potential(args.potential), mollifier, args.eps,
                  args.initial, equation=args.eq, perturbation_scale=args.perturbation)
 
@@ -407,7 +406,6 @@ def _add_flow(p, *, T, tau, record_every):
     p.add_argument("--initial", default="cosmix", help=f"one of {sorted(INITIAL_DATA)}")
     p.add_argument("--T", type=float, default=T)
     p.add_argument("--tau", type=float, default=tau)
-    p.add_argument("--mobility", type=float, default=1.0)
     p.add_argument("--record-every", type=int, default=record_every)
 
 
@@ -481,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", dest="eps_value", type=float, default=None,
                    help="kernel scale for the nonlocal equations")
     _add_flow(p, T=0.05, tau=1e-5, record_every=100)
-    p.add_argument("--stabilization", type=float, default=None)
     p.add_argument("--checkpoints", action="store_true", help="write binary state checkpoints")
     p.set_defaults(func_impl=_cmd_solve)
 
@@ -580,10 +577,6 @@ def main(argv=None) -> int:
         lo, hi = getattr(args, "slope_min", None), getattr(args, "slope_max", None)
         if lo is not None and hi is not None and lo > hi:
             raise ValueError(f"--slope-min {lo:g} is above --slope-max {hi:g}: no slope can pass")
-        # the stepper reads the mobility in the conserved flows only
-        if getattr(args, "mobility", 1.0) != 1.0 and args.eq.endswith("-ac"):
-            raise ValueError(f"--mobility {args.mobility:g} has no effect on {args.eq}: only "
-                             "the conserved (-ch) flows take a mobility")
         # an --out under a file fails before the command runs, yet makes nothing
         if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
             raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(outdir))

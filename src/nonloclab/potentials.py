@@ -3,7 +3,7 @@
 Both potentials expose the same small surface: ``f``, ``fprime``,
 ``fsecond``, and the lower curvature bound ``alpha`` (every second
 derivative stays above ``-alpha``), which the stabilized time steppers use
-as their default stabilization.
+as their stabilizer.
 """
 
 from __future__ import annotations

@@ -37,10 +37,11 @@ on the grid, and is applied member by member with that member's kernel:
   padded-FFT operator.
 
 Each member's arithmetic is the same as in a batch of one, so batched
-records equal separate runs bit for bit.  With stabilization at least the
-potential's curvature bound the step dissipates the corresponding free
-energy unconditionally.  The mass mode is untouched by construction for the
-conserved flows.
+records equal separate runs bit for bit.  The stabilizer is the potential's
+curvature bound ``alpha``, so the step dissipates the corresponding free
+energy unconditionally.  The flows have unit mobility (a constant mobility
+``M`` only rescales time: run at ``M tau`` to ``M t_final``).  The mass mode
+is untouched by construction for the conserved flows.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ __all__ = [
     "run",
     "run_batch",
     "record_steps",
-    "resolve_stabilization",
 ]
 
 EQUATIONS = ("local-ch", "nonlocal-ch", "local-ac", "nonlocal-ac")
@@ -88,23 +88,17 @@ class SolverDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters shared by all equations.
-
-    ``stabilization`` of ``None`` resolves to the potential's curvature bound;
-    a value below that bound is rejected.  ``mobility`` enters the conserved
-    flows only; the Allen-Cahn flows reject any value but 1.
-    """
+    """Run parameters shared by all equations: the step, the final time and
+    the record cadence."""
 
     tau: float
     t_final: float
-    mobility: float = 1.0
-    stabilization: float | None = None
     record_every: int = 1
 
     def __post_init__(self):
-        for name in ("tau", "t_final", "mobility", "stabilization"):
+        for name in ("tau", "t_final"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not isinstance(self.record_every, numbers.Integral):
             raise ValueError(f"record_every must be an integer, got {self.record_every!r}")
@@ -115,8 +109,6 @@ class SolverConfig:
         if not math.isfinite(self.t_final / self.tau):
             raise ValueError(f"t_final / tau = {self.t_final:g} / {self.tau:g} overflows a float; "
                              "the step count is not finite")
-        if not self.mobility > 0:
-            raise ValueError("mobility must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -141,17 +133,6 @@ class TrajectoryRecord:
             object.__setattr__(self, name, arr)
 
 
-def resolve_stabilization(config: SolverConfig, potential) -> float:
-    if config.stabilization is None:
-        return float(potential.alpha)
-    s = float(config.stabilization)
-    if s < potential.alpha:
-        raise ValueError(
-            f"stabilization {s} is below the potential curvature bound {potential.alpha}"
-        )
-    return s
-
-
 class _Stepper:
     """One IMEX step for a batch of members that share a grid, an equation,
     a config and a potential and differ in their kernels (one per member,
@@ -161,10 +142,6 @@ class _Stepper:
                  potential, kernels):
         if equation not in EQUATIONS:
             raise ValueError(f"equation must be one of {EQUATIONS}")
-        conserved = equation.endswith("ch")
-        if not conserved and config.mobility != 1.0:
-            raise ValueError(f"mobility {config.mobility:g} has no effect on {equation}: "
-                             "only the conserved (-ch) flows take a mobility")
         nonlocal_eq = equation.startswith("nonlocal")
         if nonlocal_eq:
             if any(k is None for k in kernels):
@@ -179,16 +156,17 @@ class _Stepper:
         self.nonlocal_eq = nonlocal_eq
 
         lam = laplacian_symbol(grid)
-        drive = config.mobility * lam if conserved else np.ones_like(lam)
-        stabilization = resolve_stabilization(config, potential)
+        # the cached, read-only symbol: never written in place
+        drive = lam if equation.endswith("ch") else np.ones_like(lam)
+        s = potential.alpha
         nu = np.stack([stencil_symbol(k, grid) if nonlocal_eq else lam for k in self.kernels])
         with np.errstate(over="ignore", invalid="ignore"):
             rate = config.tau * drive
-            denom = 1.0 + rate * (nu + stabilization)
+            denom = 1.0 + rate * (nu + s)
             gain = rate / denom
         # where the denominator overflows, the gain has reached its limit
         # 1 / (nu + s) to full precision (inf / inf would give nan)
-        np.divide(1.0, nu + stabilization, out=gain, where=np.isinf(denom))
+        np.divide(1.0, nu + s, out=gain, where=np.isinf(denom))
         self.gain = gain
         self.nu = nu
         # the share of chat a step keeps: exactly 1 on the conserved mass
@@ -334,5 +312,4 @@ def reference_config(config: SolverConfig) -> SolverConfig:
         config,
         tau=config.tau / _REFERENCE_REFINEMENT,
         record_every=config.record_every * _REFERENCE_REFINEMENT,
-        stabilization=None,
     )

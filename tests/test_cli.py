@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing.process
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -399,8 +400,6 @@ class TestSolveCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--T", "inf", "t_final must be finite"),
         ("--tau", "nan", "tau must be finite"),
-        ("--mobility", "inf", "mobility must be finite"),
-        ("--stabilization", "inf", "stabilization must be finite"),
         ("--N", "32,abc", "--N takes comma-separated int values, got '32,abc'"),
         ("--N", "32.5", "--N takes comma-separated int values, got '32.5'"),
         ("--N", "32,", "--N takes comma-separated int values, got '32,'"),
@@ -464,38 +463,22 @@ class TestSolveCommand:
                         "--out", str(out)]) == 0
         assert (out / "trajectory.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--eq", "local-ac", "--N", "64", "--T", "0.001", "--tau", "1e-4",
-         "--mobility", "5"],
-        ["solve", "--eq", "nonlocal-ac", "--eps", "0.2", "--N", "64", "--T", "0.001",
-         "--tau", "1e-4", "--mobility", "0.5"],
-        ["solution-rate", "--eq", "nonlocal-ac", "--mobility", "7"],
-        ["gronwall", "--eq", "nonlocal-ac", "--mobility", "7"],
-    ])
-    def test_mobility_on_an_allen_cahn_flow_is_usage_error(self, tmp_path, monkeypatch, capsys,
-                                                          argv):
-        # the stepper reads the mobility only in the conserved (-ch) flows
-        def no_run(*args, **kwargs):
-            raise AssertionError("an -ac flow ran with a mobility it ignores")
-
-        monkeypatch.setattr(cli, "run", no_run)
-        monkeypatch.setattr(cli, "solution_convergence_study", no_run)
-        out = tmp_path / "mob"
-        assert run_cli([*argv, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "--mobility" in err
+    @pytest.mark.parametrize("command", ["solve", "solution-rate", "gronwall"])
+    @pytest.mark.parametrize("entry", ["mobility=1.0", "stabilization=4.0"])
+    def test_config_naming_a_removed_flow_setting_is_usage_error(self, tmp_path, capsys,
+                                                                  command, entry):
+        # the flows run at unit mobility with the curvature-bound stabilizer,
+        # so a saved config that sets either no longer replays
+        config = tmp_path / "old.txt"
+        config.write_text(f"# nonloclab {command}\n{entry}\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "solve":
+            argv[1:1] = ["--eq", "local-ch"]
+        assert run_cli(argv) == 2
+        key = entry.partition("=")[0]
+        assert capsys.readouterr().err == f"config error: unknown keys ['{key}']\n"
         assert not out.exists()
-
-    def test_saved_unit_mobility_replays_on_an_allen_cahn_flow(self, tmp_path):
-        first, second = tmp_path / "first", tmp_path / "second"
-        assert run_cli(["solve", "--eq", "local-ac", "--N", "64", "--T", "0.001",
-                        "--tau", "1e-4", "--out", str(first)]) == 0
-        resolved = first / "resolved_config.txt"
-        assert "mobility=1.0\n" in resolved.read_text()
-        assert run_cli(["solve", "--config", str(resolved), "--out", str(second)]) == 0
-        name = "trajectory.csv"
-        assert (second / name).read_bytes() == (first / name).read_bytes()
 
     @pytest.mark.parametrize("argv, message", [
         (["--eq", "local-ch", "--N", "32", "--T", "1e300", "--tau", "1e-300"],
@@ -596,21 +579,14 @@ class TestSolveProperty:
         # T is a whole number of steps, or drawn on its own
         steps=st.one_of(st.integers(1, _MAX_STEPS), st.none()),
         free_T=_extreme_floats(1e-8, 1.0),
-        mobility=_extreme_floats(1e-3, 1e3),
-        stabilization=st.one_of(st.none(), _extreme_floats(0.0, 1e6)),
         K=_extreme_floats(1e-3, 1e8),
     )
-    def test_solve_exits_0_or_2(self, eq, tau, steps, free_T, mobility, stabilization, K):
+    def test_solve_exits_0_or_2(self, eq, tau, steps, free_T, K):
         T = free_T if steps is None else steps * tau
         # a run of more steps than the cap may be valid and only slow
         assume(not (tau > 0 and math.isfinite(T / tau) and T / tau > self._MAX_STEPS))
         argv = ["solve", "--eq", eq, "--N", "16", "--T", repr(T), "--tau", repr(tau),
                 "--potential", f"doublewell:K={K!r}"]
-        if eq == "local-ch":
-            # only the conserved flow reads a mobility; local-ac rejects one
-            argv += ["--mobility", repr(mobility)]
-        if stabilization is not None:
-            argv += ["--stabilization", repr(stabilization)]
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
             out = Path(tmp) / "out"
@@ -618,6 +594,8 @@ class TestSolveProperty:
             made, resolved = out.exists(), (out / "resolved_config.txt").exists()
         assert code in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        # the call reached the run: argparse knows every flag it passes
+        assert "unrecognized arguments" not in err.getvalue()
         assert resolved == made == (code == 0)
 
 
@@ -1054,6 +1032,26 @@ class TestConfigRoundTrip:
                         "--out", str(second)]) == 0
         name = "oracle_check_summary.json"
         assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+class TestEveryOptionIsRead:
+    # read by nothing until the flag is deleted; help and config are the
+    # parser's own
+    UNREAD = {"workers"}
+
+    def test_every_subcommand_option_is_read(self):
+        source = Path(cli.__file__).read_text()
+        read = set(re.findall(r"\bargs\.(\w+)", source))
+        read |= set(re.findall(r"getattr\(args, \"(\w+)\"", source))
+        parser = cli.build_parser()
+        unread = {
+            (command, action.dest)
+            for command, sub in parser.commands.items()
+            for action in sub._actions
+            if action.option_strings and action.dest not in ("help", "config")
+            and action.dest not in read
+        }
+        assert {dest for _, dest in unread} == self.UNREAD, sorted(unread)
 
 
 class TestReproducibility:

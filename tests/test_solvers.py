@@ -31,7 +31,6 @@ from nonloclab.solvers import (
     TrajectoryRecord,
     _Stepper,
     reference_config,
-    resolve_stabilization,
     run,
     run_batch,
 )
@@ -193,13 +192,6 @@ class TestSchemeProperties:
         with pytest.raises(SolverDivergedError, match="diverged"):
             run(init, cfg, DoubleWell(K=1.0), "local-ch")
 
-    def test_stabilization_floor_enforced(self, grid, pot):
-        cfg = SolverConfig(tau=1e-4, t_final=1e-3, stabilization=1.0)
-        init = sample(grid, lambda x: 0.1 * np.cos(np.pi * x))
-        with pytest.raises(ValueError, match="curvature bound"):
-            run(init, cfg, pot, "local-ch")
-        assert resolve_stabilization(SolverConfig(tau=1e-4, t_final=1e-3), pot) == pot.alpha
-
     def test_kernel_required_for_nonlocal(self, grid, pot):
         init = sample(grid, lambda x: 0.1 * np.cos(np.pi * x))
         with pytest.raises(ValueError, match="kernel"):
@@ -312,20 +304,6 @@ class TestRecords:
         with pytest.raises(ValueError, match="increasing"):
             TrajectoryRecord(np.asarray([0.0, 0.0]), np.zeros(2), np.zeros(2))
 
-    @pytest.mark.parametrize("mobility", [3.0, 0.5])
-    def test_allen_cahn_flows_reject_a_mobility(self, grid, pot, mobility):
-        init = make_initial_field(grid, "cosmix")
-        cfg = replace(SMALL, mobility=mobility)
-        kernel = make_kernel(1, 0.2)
-        for equation, k in (("local-ac", None), ("nonlocal-ac", kernel)):
-            with pytest.raises(ValueError, match=f"mobility {mobility:g} has no effect"):
-                run(init, cfg, pot, equation, k)
-            with pytest.raises(ValueError, match="mobility"):
-                run_batch([init, init], cfg, pot, equation, [k, k])
-        # the conserved flows take it
-        for equation, k in (("local-ch", None), ("nonlocal-ch", kernel)):
-            assert run(init, cfg, pot, equation, k).times[-1] == pytest.approx(SMALL.t_final)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tau=0.0, t_final=1.0)
@@ -341,8 +319,8 @@ def _reference_stepper(grid, equation, config, potential, kernel):
     true operator through the padded FFT."""
     nonlocal_eq = equation.startswith("nonlocal")
     lam = laplacian_symbol(grid)
-    drive = config.mobility * lam if equation.endswith("ch") else np.ones_like(lam)
-    stab = resolve_stabilization(config, potential)
+    drive = lam if equation.endswith("ch") else np.ones_like(lam)
+    stab = potential.alpha
     nu = stencil_symbol(kernel, grid) if nonlocal_eq else lam
     denom = 1.0 + config.tau * drive * (nu + stab)
 
@@ -359,16 +337,12 @@ def _reference_stepper(grid, equation, config, potential, kernel):
     return step_values
 
 
-def _assert_matches_five_transform_reference(equation, lengths, cells, eps, boundary, gains):
+def _assert_matches_five_transform_reference(equation, lengths, cells, eps, boundary, tau, K):
     g = UniformGrid(lengths, cells, boundary)
     kernel = make_kernel(g.dimension, eps) if equation.startswith("nonlocal") else None
-    if equation.endswith("ac"):
-        # the Allen-Cahn flows reject a mobility; they keep the raised stabilization
-        gains = {k: v for k, v in gains.items() if k != "mobility"}
-    pot = DoubleWell(K=1.0)
-    tau = 1e-4
+    pot = DoubleWell(K=K)
     n_steps = 200
-    cfg = SolverConfig(tau=tau, t_final=n_steps * tau, record_every=n_steps, **gains)
+    cfg = SolverConfig(tau=tau, t_final=n_steps * tau, record_every=n_steps)
     rng = np.random.default_rng(7)
     smooth = sample(g, lambda *xs: 0.3 * math.prod(np.cos(np.pi * x) for x in xs))
     init = Field(g, smooth.values + 0.05 * rng.standard_normal(g.shape))
@@ -381,12 +355,12 @@ def _assert_matches_five_transform_reference(equation, lengths, cells, eps, boun
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-# the default gain, and one with a mobility (conserved flows only) and a
-# stabilization above the curvature bound, so every factor of the decay and
-# gain is checked away from 1 and from alpha
-GAINS = pytest.mark.parametrize("gains", [
-    pytest.param({}, id="default-gain"),
-    pytest.param({"mobility": 3.0, "stabilization": 5.0}, id="raised-gain"),
+# the default gain, and one raised through a longer step and a steeper
+# well (so a larger stabilizer alpha = 4 K), so every factor of the decay and
+# gain is checked away from its default
+GAINS = pytest.mark.parametrize("tau, K", [
+    pytest.param(1e-4, 1.0, id="default-gain"),
+    pytest.param(3e-4, 1.25, id="raised-gain"),
 ])
 
 
@@ -400,17 +374,18 @@ class TestSpectralStateStepper:
     ])
     @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
     def test_matches_five_transform_reference(self, equation, lengths, cells, eps, boundary,
-                                              gains):
-        _assert_matches_five_transform_reference(equation, lengths, cells, eps, boundary, gains)
+                                              tau, K):
+        _assert_matches_five_transform_reference(equation, lengths, cells, eps, boundary,
+                                                 tau, K)
 
     # 2D wall strips of reach 9; the local flows take no kernel, so a second
     # scale would repeat their eps 0.1 cases exactly
     @GAINS
     @pytest.mark.parametrize("equation", ["nonlocal-ch", "nonlocal-ac"])
     @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
-    def test_matches_five_transform_reference_narrow_kernel(self, equation, boundary, gains):
+    def test_matches_five_transform_reference_narrow_kernel(self, equation, boundary, tau, K):
         _assert_matches_five_transform_reference(equation, (1.0, 1.0), (128, 128), 0.07,
-                                                 boundary, gains)
+                                                 boundary, tau, K)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -530,7 +505,7 @@ class TestRunBatch:
 
 
 class TestConfigValues:
-    @pytest.mark.parametrize("field", ["tau", "t_final", "mobility", "stabilization"])
+    @pytest.mark.parametrize("field", ["tau", "t_final"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_values_rejected(self, field, value):
         params = {"tau": 1e-3, "t_final": 1.0, field: value}
@@ -608,25 +583,18 @@ class TestGainOverflow:
 
     @pytest.mark.parametrize("equation, eps", [("local-ch", None), ("nonlocal-ch", 0.3),
                                                ("local-ac", None), ("nonlocal-ac", 0.3)])
-    # the flows (by their drive, mobility * lam or 1) whose denominator overflows
-    @pytest.mark.parametrize("tau, mobility, overflowing", [
-        (1e-4, 1.0, ""), (1e300, 1.0, ""), (1e300, 1e3, "ch"), (1e300, 1e10, "ch"),
-        (1e308, 1e300, "ch ac"), (1e308, 1.0, "ch ac"),
+    # the flows (by their drive, lam or 1) whose denominator overflows
+    @pytest.mark.parametrize("tau, overflowing", [
+        (1e-4, ""), (1e300, ""), (1e303, "ch"), (1e308, "ch ac"),
     ])
-    def test_overflowed_gains_take_their_limit(self, equation, eps, tau, mobility,
-                                               overflowing):
-        config = SolverConfig(tau=tau, t_final=tau, mobility=mobility)
-        if equation.endswith("ac") and mobility != 1.0:
-            # the Allen-Cahn flows take no mobility
-            with pytest.raises(ValueError, match="mobility"):
-                self._stepper(equation, config, eps)
-            return
+    def test_overflowed_gains_take_their_limit(self, equation, eps, tau, overflowing):
+        config = SolverConfig(tau=tau, t_final=tau)
         stepper = self._stepper(equation, config, eps)
         gain = stepper.gain
         assert np.all(np.isfinite(gain))
-        s = resolve_stabilization(config, stepper.potential)
+        s = stepper.potential.alpha
         lam = laplacian_symbol(stepper.grid)
-        drive = mobility * lam if equation.endswith("ch") else np.ones_like(lam)
+        drive = lam if equation.endswith("ch") else np.ones_like(lam)
         with np.errstate(over="ignore", invalid="ignore"):
             rate = tau * drive
             denom = 1.0 + rate * (stepper.nu + s)
@@ -645,14 +613,15 @@ class TestGainOverflow:
         np.testing.assert_allclose(decay[overflowed], limit, rtol=0, atol=4 * np.finfo(float).eps)
 
     def test_cli_run_with_overflowing_rate_exits_0(self, tmp_path):
-        out = tmp_path / "huge"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["solve", "--eq", "local-ch", "--N", "16", "--T", "1e300",
-                         "--tau", "1e300", "--mobility", "1e10", "--out", str(out)])
-        assert code == 0
-        # past the float range the gain no longer depends on the mobility
-        assert main(["solve", "--eq", "local-ch", "--N", "16", "--T", "1e300", "--tau", "1e300",
-                     "--mobility", "1e3", "--out", str(tmp_path / "m3")]) == 0
-        assert ((out / "trajectory.csv").read_bytes()
-                == (tmp_path / "m3" / "trajectory.csv").read_bytes())
+        columns = []
+        for tau in ("1e303", "1e305"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["solve", "--eq", "local-ch", "--N", "16", "--T", tau,
+                             "--tau", tau, "--out", str(tmp_path / tau)])
+            assert code == 0
+            lines = (tmp_path / tau / "trajectory.csv").read_text().splitlines()
+            columns.append([line.split(",", 1)[1] for line in lines])
+        # past the float range the step no longer depends on the rate: the
+        # mass and energy columns match (the times differ)
+        assert columns[0] == columns[1]

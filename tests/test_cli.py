@@ -480,6 +480,33 @@ class TestSolveCommand:
         assert capsys.readouterr().err == f"config error: unknown keys ['{key}']\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--mobility"), ("solution-rate", "--mobility"), ("gronwall", "--mobility"),
+        ("solve", "--stabilization"),
+    ])
+    def test_removed_flow_flag_is_usage_error(self, tmp_path, capsys, command, flag):
+        # an old command line fails before any run rather than running at
+        # settings it did not ask for
+        out = tmp_path / "out"
+        argv = [command, flag, "1.0", "--out", str(out)]
+        if command == "solve":
+            argv[1:1] = ["--eq", "local-ch"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+        assert not out.exists()
+
+    def test_saved_config_replays_on_an_allen_cahn_flow(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(["solve", "--eq", "local-ac", "--N", "64", "--T", "0.001",
+                        "--tau", "1e-4", "--out", str(first)]) == 0
+        resolved = first / "resolved_config.txt"
+        text = resolved.read_text()
+        assert "mobility" not in text and "stabilization" not in text
+        assert run_cli(["solve", "--config", str(resolved), "--out", str(second)]) == 0
+        name = "trajectory.csv"
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
     @pytest.mark.parametrize("argv, message", [
         (["--eq", "local-ch", "--N", "32", "--T", "1e300", "--tau", "1e-300"],
          "step count is not finite"),

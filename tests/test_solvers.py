@@ -192,6 +192,21 @@ class TestSchemeProperties:
         with pytest.raises(SolverDivergedError, match="diverged"):
             run(init, cfg, DoubleWell(K=1.0), "local-ch")
 
+    @pytest.mark.parametrize("potential", [
+        DoubleWell(K=1.0), DoubleWell(K=2.5), LogarithmicPotential(theta=0.8, theta_c=1.0),
+    ], ids=["doublewell", "steep-doublewell", "logarithmic"])
+    def test_stabilizer_is_the_curvature_bound(self, grid, potential):
+        # every flow's step is stabilized by the potential's alpha, the least
+        # stabilizer that keeps the explicit part monotone
+        config = SolverConfig(tau=1e-3, t_final=1e-3)
+        lam = laplacian_symbol(grid)
+        for equation in ("local-ch", "nonlocal-ch", "local-ac", "nonlocal-ac"):
+            kernel = make_kernel(1, 0.1) if equation.startswith("nonlocal") else None
+            stepper = _Stepper(grid, equation, config, potential, [kernel])
+            rate = config.tau * (lam if equation.endswith("ch") else np.ones_like(lam))
+            gain = rate / (1.0 + rate * (stepper.nu + potential.alpha))
+            np.testing.assert_allclose(stepper.gain, gain, rtol=1e-14, atol=0)
+
     def test_kernel_required_for_nonlocal(self, grid, pot):
         init = sample(grid, lambda x: 0.1 * np.cos(np.pi * x))
         with pytest.raises(ValueError, match="kernel"):
@@ -585,7 +600,8 @@ class TestGainOverflow:
                                                ("local-ac", None), ("nonlocal-ac", 0.3)])
     # the flows (by their drive, lam or 1) whose denominator overflows
     @pytest.mark.parametrize("tau, overflowing", [
-        (1e-4, ""), (1e300, ""), (1e303, "ch"), (1e308, "ch ac"),
+        (1e-4, ""), (1e300, ""), (1e303, "ch"), (1e306, "ch ac"), (1e307, "ch ac"),
+        (1e308, "ch ac"),
     ])
     def test_overflowed_gains_take_their_limit(self, equation, eps, tau, overflowing):
         config = SolverConfig(tau=tau, t_final=tau)

@@ -31,6 +31,7 @@ __all__ = [
     "second_moment_per_axis",
     "total_mass",
     "fourier_symbol",
+    "fourier_symbols",
     "sphere_area",
     "radial_mass",
     "radial_mass_target",
@@ -48,10 +49,14 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi}
 _N_ANGLE = 128
 _ANGLES = np.arange(_N_ANGLE) * (2.0 * math.pi / _N_ANGLE)
 
-# first coordinates of equispaced points on S^{n-1}: the angular nodes on S^1,
-# and one point of S^0, since the integrands are even in the cosine; a mean
-# over them is the mean over the sphere
-_DIRECTION_COSINES = {1: np.array([1.0]), 2: np.cos(_ANGLES)}
+# the angular mean of an integrand even in the direction cosine c: the mean
+# over the 128 angular nodes on S^1 folds onto its 33 nodes in [0, pi/2], the
+# two ends shared by two nodes and the others by four; S^0 is one point, c = 1
+_QUARTER = _N_ANGLE // 4 + 1
+_QUARTER_WEIGHTS = np.full(_QUARTER, 4.0 / _N_ANGLE)
+_QUARTER_WEIGHTS[[0, -1]] = 2.0 / _N_ANGLE
+_DIRECTIONS = {1: (np.array([1.0]), np.array([1.0])),
+               2: (np.cos(_ANGLES[:_QUARTER]), _QUARTER_WEIGHTS)}
 
 
 def sphere_area(n: int) -> float:
@@ -81,37 +86,51 @@ _RTOL = 1e-12
 _MAX_DEPTH = 14
 
 
-def _gl_panel(f, a: float, b: float, rule) -> float:
-    x, w = rule
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(w, f(mid + half * x)))
-
-
-def adaptive_gauss_legendre(f, a: float, b: float) -> float:
+def adaptive_gauss_legendre(f, a: float, b: float, params=None):
     """Panel-splitting Gauss-Legendre quadrature of a vectorized integrand.
 
-    Each panel is accepted when the 20- and 40-point estimates agree to a
-    relative ``_RTOL``, or at bisection depth ``_MAX_DEPTH``; otherwise it
-    is bisected.
+    ``f(x)`` returns the integrand at the points ``x``.  Given ``params``, it
+    integrates the family of integrands ``f(x, p)``, one per entry of
+    ``params``, and returns their integrals: ``f(x, p)`` takes a vector of
+    entries and returns a ``(len(p), len(x))`` array, a row per entry.
+
+    Each panel is accepted, integrand by integrand, when its 20- and
+    40-point estimates agree to a relative ``_RTOL``, or at bisection depth
+    ``_MAX_DEPTH``; otherwise it is bisected, for the integrands not yet
+    accepted only.  Each row is summed on its own, so an integrand's panel
+    tree and bits do not depend on the family it is integrated in.
     """
-    def recurse(lo: float, hi: float, depth: int) -> float:
-        coarse = _gl_panel(f, lo, hi, _GL_COARSE)
-        fine = _gl_panel(f, lo, hi, _GL_FINE)
-        if abs(fine - coarse) <= _RTOL * abs(fine) or depth >= _MAX_DEPTH:
+    def panel(lo: float, hi: float, rule, p):
+        x, w = rule
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        if p is None:
+            return half * float(np.dot(w, f(mid + half * x)))
+        return half * np.sum(f(mid + half * x, p) * w, axis=-1)
+
+    def recurse(lo: float, hi: float, depth: int, p):
+        coarse = panel(lo, hi, _GL_COARSE, p)
+        fine = panel(lo, hi, _GL_FINE, p)
+        split = ~(np.abs(fine - coarse) <= _RTOL * np.abs(fine)) & (depth < _MAX_DEPTH)
+        if not split.any():
             return fine
         mid = 0.5 * (lo + hi)
-        return recurse(lo, mid, depth + 1) + recurse(mid, hi, depth + 1)
+        if p is None:
+            return recurse(lo, mid, depth + 1, None) + recurse(mid, hi, depth + 1, None)
+        fine[split] = (recurse(lo, mid, depth + 1, p[split])
+                       + recurse(mid, hi, depth + 1, p[split]))
+        return fine
 
     if not b > a:
         raise ValueError("integration interval must have b > a")
-    return recurse(float(a), float(b), 0)
+    return recurse(float(a), float(b), 0, None if params is None else np.asarray(params))
 
 
-def _radial_moment(f, n: int, radius: float) -> float:
+def _radial_moment(f, n: int, radius: float, params=None):
     """``int_0^radius f(r) r**(n-1) dr``: the radial factor of the integral
-    over R^n of the radial function ``f``, zero beyond ``radius``."""
-    return adaptive_gauss_legendre(lambda r: f(r) * r ** (n - 1), 0.0, radius)
+    over R^n of the radial function ``f``, zero beyond ``radius``; a family
+    ``f(r, p)`` over ``params`` as in :func:`adaptive_gauss_legendre`."""
+    return adaptive_gauss_legendre(lambda r, *p: f(r, *p) * r ** (n - 1), 0.0, radius, params)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +317,12 @@ def moment_first_absolute(kernel: Kernel) -> float:
     return mean_abs_cosine * _radial_integral(kernel, lambda r: kernel.value_radial(r) * r)
 
 
-def _radial_integral(kernel: Kernel, f) -> float:
+def _radial_integral(kernel: Kernel, f, params=None):
     """Integral over all of space of the radial function ``f(r)``, which
-    vanishes beyond the kernel support: ``sphere_area(n) * int f(r) r**(n-1) dr``."""
+    vanishes beyond the kernel support: ``sphere_area(n) * int f(r) r**(n-1) dr``;
+    a family ``f(r, p)`` over ``params`` as in :func:`adaptive_gauss_legendre`."""
     n = kernel.dimension
-    return sphere_area(n) * _radial_moment(f, n, kernel.support_radius)
+    return sphere_area(n) * _radial_moment(f, n, kernel.support_radius, params)
 
 
 def radial_mass(kernel: Kernel) -> float:
@@ -332,25 +352,41 @@ def total_mass(kernel: Kernel) -> float:
 def fourier_symbol(kernel: Kernel, xi) -> float:
     """Multiplier of the induced nonlocal operator at frequency xi.
 
-    Computed as the real cosine integral of the kernel against
-    ``1 - cos(x . xi) = 2 sin(x . xi / 2)**2`` over the support (the odd part
-    integrates to zero), which avoids any domain-truncation error; the sine
-    form keeps full precision where ``x . xi`` is small and the difference
-    would cancel.  Nonnegative, vanishes at xi = 0, and approaches
+    The symbol depends on xi only through ``|xi|``: this is
+    :func:`fourier_symbols` at that one radius, with the same bits as that
+    radius among others.  Nonnegative, vanishes at xi = 0, and approaches
     ``|xi|**2`` as epsilon shrinks.
     """
     n = kernel.dimension
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.size != n:
         raise ValueError(f"frequency has {xi.size} components, kernel lives in {n}D")
-    q = float(np.sqrt(np.sum(xi * xi)))
-    if q == 0.0:
-        return 0.0
-    cosines = _DIRECTION_COSINES[n]
+    with np.errstate(over="ignore"):  # an |xi| past the float range is rejected below
+        q = float(np.sqrt(np.sum(xi * xi)))
+    if not math.isfinite(q):
+        raise ValueError(f"frequency xi = {xi.tolist()} must be finite with a finite |xi|")
+    return float(fourier_symbols(kernel, [q])[0])
 
-    def integrand(r):
-        # mean of 2 sin(q r c / 2)**2 over the direction cosines c of the unit sphere
-        sine = np.sin(r[:, None] * cosines * (0.5 * q))
-        return kernel.value_radial(r) * ((2.0 * sine * sine).sum(axis=1) / cosines.size)
 
-    return _radial_integral(kernel, integrand)
+def fourier_symbols(kernel: Kernel, radii) -> np.ndarray:
+    """Multipliers of the induced nonlocal operator at the frequency
+    magnitudes ``radii``, by one quadrature for all of them.
+
+    Computed as the real cosine integral of the kernel against
+    ``1 - cos(x . xi) = 2 sin(x . xi / 2)**2`` over the support (the odd part
+    integrates to zero), which avoids any domain-truncation error; the sine
+    form keeps full precision where ``x . xi`` is small and the difference
+    would cancel.  Each radius keeps its own panel tree, so its value has
+    the same bits whatever other radii it is batched with.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if not np.isfinite(radii).all():
+        raise ValueError(f"frequency magnitudes must be finite, got {radii.tolist()}")
+    cosines, weights = _DIRECTIONS[kernel.dimension]
+
+    def integrand(r, q):
+        # weighted mean of 2 sin(q r c / 2)**2 over the direction cosines c
+        sine = np.sin(r[:, None] * cosines * (0.5 * q)[:, None, None])
+        return kernel.value_radial(r) * np.sum(sine * sine * (2.0 * weights), axis=-1)
+
+    return _radial_integral(kernel, integrand, radii)

@@ -237,7 +237,9 @@ def _pair_blocks(kernel: Kernel, field: Field):
     with at most about ``_BLOCK_TERMS`` pairs per block.  A block's weights
     are evaluated once per distinct squared distance along the first axis,
     not once per row: equal inputs give equal bits, and on a uniform spacing
-    that is one or a few rows' worth.  Each ``J`` is a fresh block-shaped array.
+    that is one or a few rows' worth.  A row chunk whose distinct distances
+    are the previous chunk's at the same offset reuses that chunk's table.
+    Each ``J`` is a fresh block-shaped array.
     """
     grid = field.grid
     reach = _stencil_data(kernel, grid).reach
@@ -259,20 +261,24 @@ def _pair_blocks(kernel: Kernel, field: Field):
         for o in range(-k0, k0 + 1):
             # the rows whose partner row at this offset lies in the box
             first, end = (0, R) if grid.boundary == PERIODIC else (max(0, -o), min(R, R - o))
+            lead = None
             for r in range(first, end, step):
                 i = slice(r, min(r + step, end))
-                # rows with equal squared lead distances share their weights
-                lead, inv = np.unique(lead_sq[i, k0 + o], return_inverse=True)
-                dist = lead[:, None, None] + sq
-                np.sqrt(dist, out=dist)
-                # the profile vanishes from its support radius on, so every
-                # skipped pair is a zero.  For positive floats dist < eps
-                # exactly when value_radial's scaled radius dist / eps < 1
-                inside = dist < kernel.support_radius
-                r_inside = dist[inside]
-                dist.fill(0.0)
-                dist[inside] = kernel.value_radial(r_inside)
-                yield (i, block), windows[k0 + o + r:k0 + o + i.stop, block], dist[inv]
+                # rows with equal squared lead distances share their weights,
+                # and so do row chunks with equal sets of them
+                chunk_lead, inv = np.unique(lead_sq[i, k0 + o], return_inverse=True)
+                if not np.array_equal(chunk_lead, lead):
+                    lead = chunk_lead
+                    table = lead[:, None, None] + sq
+                    np.sqrt(table, out=table)
+                    # the profile vanishes from its support radius on, so every
+                    # skipped pair is a zero.  For positive floats dist < eps
+                    # exactly when value_radial's scaled radius dist / eps < 1
+                    inside = table < kernel.support_radius
+                    r_inside = table[inside]
+                    table.fill(0.0)
+                    table[inside] = kernel.value_radial(r_inside)
+                yield (i, block), windows[k0 + o + r:k0 + o + i.stop, block], table[inv]
 
 
 def _pair_pass(kernel: Kernel, field: Field) -> tuple[Field, float]:

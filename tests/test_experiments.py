@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonloclab import experiments
+from nonloclab import experiments, kernels
 from nonloclab.grid import Field, UniformGrid, hminus1_norm, l2_norm, lp_norm, sample, sobolev_norm
-from nonloclab.kernels import Kernel, fourier_symbol, make_mollifier
+from nonloclab.kernels import Kernel, fourier_symbol, fourier_symbols, make_mollifier
 from nonloclab.local_ops import laplacian
 from nonloclab.nonlocal_ops import apply_fft, nonlocal_energy
 from nonloclab.potentials import DoubleWell
@@ -190,13 +190,44 @@ class TestSymbolQuadraturePerRadius:
         assert table.errors == tuple(_symbol_errors_per_point(mollifier, self.LADDER, points))
 
     @pytest.mark.parametrize("n, per_scale", [(1, 8), (2, 34)])
-    def test_one_quadrature_per_distinct_radius(self, n, per_scale):
-        with mock.patch.object(experiments, "fourier_symbol",
-                               wraps=experiments.fourier_symbol) as spy:
-            symbol_study(make_mollifier(n), self.LADDER)
-        assert spy.call_count == per_scale * len(self.LADDER)
-        radii = [float(np.sqrt(np.sum(np.asarray(c.args[1]) ** 2))) for c in spy.call_args_list]
-        assert len(set(radii)) == per_scale
+    def test_one_batched_quadrature_per_scale(self, n, per_scale):
+        mollifier = make_mollifier(n)
+        with mock.patch.object(kernels, "adaptive_gauss_legendre",
+                               wraps=kernels.adaptive_gauss_legendre) as spy:
+            symbol_study(mollifier, self.LADDER)
+        assert spy.call_count == len(self.LADDER)
+        for call in spy.call_args_list:
+            radii = call.args[3]
+            assert len(radii) == len(set(radii.tolist())) == per_scale
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("eps", [3.0, 1.5, 0.75])
+    def test_batch_keeps_each_radius_bits(self, n, eps):
+        kernel = Kernel(make_mollifier(n), eps)
+        points = {float(np.sqrt(np.sum(np.square(xi)))): xi for xi in default_symbol_lattice(n)}
+        radii = sorted(points)
+        batch = fourier_symbols(kernel, radii)
+        assert batch.tolist() == [fourier_symbol(kernel, points[q]) for q in radii]
+
+    def test_only_unaccepted_radii_take_the_bisected_panels(self):
+        # at eps 3 only the two largest 2D radii, sqrt(113) and 8 sqrt(2), bisect
+        rows = []
+        quadrature = kernels.adaptive_gauss_legendre
+
+        def recording(f, a, b, params=None):
+            def integrand(x, p):
+                rows.append(p.tolist())
+                return f(x, p)
+            return quadrature(integrand, a, b, params)
+
+        lattice = np.array(default_symbol_lattice(2))
+        radii = np.unique(np.sqrt(np.sum(lattice * lattice, axis=1)))
+        kernel = Kernel(make_mollifier(2), 3.0)
+        with mock.patch.object(kernels, "adaptive_gauss_legendre", recording):
+            fourier_symbols(kernel, radii)
+        # the 20- and 40-point rules on the whole support, then on each half
+        assert rows[:2] == [radii.tolist()] * 2
+        assert rows[2:] == [radii[-2:].tolist()] * 4
 
 
 class TestOperatorStudy:

@@ -9,7 +9,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonloclab import nonlocal_ops
+from nonloclab import kernels, nonlocal_ops
 from nonloclab.grid import UniformGrid
 from nonloclab.kernels import (
     PROFILES,
@@ -18,6 +18,7 @@ from nonloclab.kernels import (
     adaptive_gauss_legendre,
     eval_J,
     fourier_symbol,
+    fourier_symbols,
     make_kernel,
     make_mollifier,
     moment_first,
@@ -282,6 +283,31 @@ class TestMoments:
 
 
 class TestFourierSymbol:
+    @pytest.mark.parametrize("xi", [(math.nan,), (math.inf,), (1e300,), (-math.inf, 1.0),
+                                    (1e200, 1e200)])
+    def test_rejects_non_finite_frequency(self, xi):
+        # (1e300,) and (1e200, 1e200) are finite, but |xi| overflows
+        with pytest.raises(ValueError, match="frequency") as info:
+            fourier_symbol(make_kernel(len(xi), 0.1), xi)
+        assert str(xi[0]) in str(info.value)
+
+    def test_rejects_non_finite_radius(self):
+        with pytest.raises(ValueError, match="magnitudes must be finite"):
+            fourier_symbols(make_kernel(2, 0.1), [1.0, math.nan])
+
+    def test_quarter_rule_equals_the_full_angular_mean(self):
+        # 2 sin(t c / 2)**2 is even in the direction cosine c, so the 33
+        # nodes in [0, pi/2] carry the mean of all 128; the two sums round
+        # differently, and the mirrored nodes' cosines differ by an ulp
+        cosines, weights = kernels._DIRECTIONS[2]
+        full = np.cos(np.arange(128) * (2.0 * math.pi / 128))
+        t = np.concatenate([np.geomspace(1e-9, 0.1, 200), np.linspace(0.1, 40.0, 4000)])
+        sine = np.sin(t[:, None] * cosines * 0.5)
+        quarter = np.sum(sine * sine * (2.0 * weights), axis=-1)
+        sine = np.sin(t[:, None] * full * 0.5)
+        mean = np.mean(2.0 * sine * sine, axis=-1)
+        assert np.all(np.abs(quarter - mean) <= 16 * np.spacing(mean))
+
     def test_zero_frequency(self):
         assert fourier_symbol(make_kernel(1, 0.1), 0.0) == 0.0
         assert fourier_symbol(make_kernel(2, 0.1), (0.0, 0.0)) == 0.0
@@ -358,6 +384,16 @@ class TestFourierSymbol:
 
 
 class TestQuadrature:
+    def test_family_keeps_each_integrands_bits(self):
+        # int_0^3 cos(p x) dx = sin(3 p) / p; p = 40 needs bisected panels
+        family = lambda x, p: np.cos(p[:, None] * x)
+        params = [0.5, 40.0, 2.0]
+        values = adaptive_gauss_legendre(family, 0.0, 3.0, params)
+        exact = [math.sin(3.0 * p) / p for p in params]
+        assert values == pytest.approx(exact, rel=1e-12, abs=1e-14)
+        alone = [adaptive_gauss_legendre(family, 0.0, 3.0, [p])[0] for p in params]
+        assert values.tolist() == alone
+
     def test_adaptive_panels_match_scipy(self):
         f = lambda x: np.exp(-3 * x) * np.sin(7 * x)
         mine = adaptive_gauss_legendre(f, 0.0, 2.0)

@@ -16,7 +16,6 @@ import errno
 import functools
 import io
 import math
-import shutil
 import sys
 from pathlib import Path
 
@@ -413,7 +412,7 @@ def _add_flow(p, *, T, tau, record_every):
 class _Parser(argparse.ArgumentParser):
     """Argument parser that keeps what ``--config`` files need: its own
     options by config key (the long flag name, dashes as underscores) and its
-    subcommand parsers by name, which share its help formatter."""
+    subcommand parsers by name."""
 
     def __init__(self, *args, **kwargs):
         self.options: dict[str, argparse.Action] = {}
@@ -429,21 +428,15 @@ class _Parser(argparse.ArgumentParser):
         return action
 
     def add_subparsers(self, **kwargs):
-        kwargs.setdefault("parser_class",
-                          functools.partial(_Parser, formatter_class=self.formatter_class))
         sub = super().add_subparsers(**kwargs)
         self.commands = sub.choices
         return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # a help formatter probes the terminal for its width, and argparse makes
-    # one per argument; every parser here shares the width, read once
-    width = shutil.get_terminal_size().columns - 2
     parser = _Parser(
         prog="nonloclab",
         description="Nonlocal-operator laboratory: kernel checks, rate studies, gradient-flow runs.",
-        formatter_class=functools.partial(argparse.HelpFormatter, width=width),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

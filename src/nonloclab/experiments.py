@@ -27,7 +27,7 @@ from .grid import (
     lp_norm,
     sobolev_norm,
 )
-from .kernels import Kernel, MollifierSpec, fourier_symbols
+from .kernels import Kernel, MollifierSpec, fourier_symbol
 from .local_ops import dirichlet_energy, laplacian
 from .nonlocal_ops import apply_fft, interior_remainder, nonlocal_energy, stencil_symbol
 from .solvers import SolverConfig, TrajectoryRecord, reference_config, run, run_batch
@@ -351,8 +351,9 @@ def default_symbol_lattice(n: int):
     return list(itertools.product(components, repeat=n))
 
 
-def _symbol_point(kernel: Kernel, radii: np.ndarray, cubes: np.ndarray) -> float:
-    symbols = fourier_symbols(kernel, radii)
+def _symbol_point(kernel: Kernel, points: np.ndarray, radii: np.ndarray,
+                  cubes: np.ndarray) -> float:
+    symbols = fourier_symbol(kernel, points)
     return float(np.max(np.abs(symbols - radii * radii) / cubes))
 
 
@@ -361,12 +362,12 @@ def symbol_study(mollifier: MollifierSpec, eps_list) -> RateTable:
     lattice of the mollifier's dimension."""
     eps = _check_ladder(eps_list)
     # the symbol depends on xi only through |xi|, formed as fourier_symbol
-    # forms it: one batched quadrature per scale over the distinct radii
+    # forms it: one stacked call per scale over a point of each distinct radius
     lattice = np.array(default_symbol_lattice(mollifier.dimension))
-    radii = np.unique(np.sqrt(np.sum(lattice * lattice, axis=1)))
+    radii, first = np.unique(np.sqrt(np.sum(lattice * lattice, axis=1)), return_index=True)
     # Python's pow, whose bits the vectorized np.power does not always match
     cubes = np.array([q**3 for q in radii.tolist()])
-    errors = [_symbol_point(Kernel(mollifier, e), radii, cubes) for e in eps]
+    errors = [_symbol_point(Kernel(mollifier, e), lattice[first], radii, cubes) for e in eps]
     return _fit_with_floor(eps, errors, FLOOR_FACTOR)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "second_moment_per_axis",
     "total_mass",
     "fourier_symbol",
-    "fourier_symbols",
     "sphere_area",
     "radial_mass",
     "radial_mass_target",
@@ -349,44 +348,36 @@ def total_mass(kernel: Kernel) -> float:
     return _radial_integral(kernel, kernel.value_radial)
 
 
-def fourier_symbol(kernel: Kernel, xi) -> float:
-    """Multiplier of the induced nonlocal operator at frequency xi.
-
-    The symbol depends on xi only through ``|xi|``: this is
-    :func:`fourier_symbols` at that one radius, with the same bits as that
-    radius among others.  Nonnegative, vanishes at xi = 0, and approaches
-    ``|xi|**2`` as epsilon shrinks.
-    """
-    n = kernel.dimension
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.size != n:
-        raise ValueError(f"frequency has {xi.size} components, kernel lives in {n}D")
-    with np.errstate(over="ignore"):  # an |xi| past the float range is rejected below
-        q = float(np.sqrt(np.sum(xi * xi)))
-    if not math.isfinite(q):
-        raise ValueError(f"frequency xi = {xi.tolist()} must be finite with a finite |xi|")
-    return float(fourier_symbols(kernel, [q])[0])
-
-
-def fourier_symbols(kernel: Kernel, radii) -> np.ndarray:
-    """Multipliers of the induced nonlocal operator at the frequency
-    magnitudes ``radii``, by one quadrature for all of them.
+def fourier_symbol(kernel: Kernel, xi):
+    """Multiplier of the induced nonlocal operator at frequency xi, or at
+    each row of an ``(m, n)`` stack of frequencies by one quadrature for all.
 
     Computed as the real cosine integral of the kernel against
     ``1 - cos(x . xi) = 2 sin(x . xi / 2)**2`` over the support (the odd part
     integrates to zero), which avoids any domain-truncation error; the sine
     form keeps full precision where ``x . xi`` is small and the difference
-    would cancel.  Each radius keeps its own panel tree, so its value has
-    the same bits whatever other radii it is batched with.
+    would cancel.  The symbol depends on xi only through ``|xi|``, and each
+    row keeps its own panel tree, so its value has the same bits whatever
+    other rows it is stacked with.  Nonnegative, vanishes at xi = 0, and
+    approaches ``|xi|**2`` as epsilon shrinks.
     """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    n = kernel.dimension
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim > 2:
+        raise ValueError(f"frequencies must be one point or an (m, {n}) stack, got shape {xi.shape}")
+    rows = xi if xi.ndim == 2 else np.atleast_1d(xi)[None, :]
+    if rows.shape[1] != n:
+        raise ValueError(f"frequency has {rows.shape[-1]} components, kernel lives in {n}D")
+    with np.errstate(over="ignore"):  # an |xi| past the float range is rejected below
+        radii = np.sqrt(np.sum(rows * rows, axis=1))
     if not np.isfinite(radii).all():
-        raise ValueError(f"frequency magnitudes must be finite, got {radii.tolist()}")
-    cosines, weights = _DIRECTIONS[kernel.dimension]
+        raise ValueError(f"frequency xi = {xi.tolist()} must be finite with a finite |xi|")
+    cosines, weights = _DIRECTIONS[n]
 
     def integrand(r, q):
         # weighted mean of 2 sin(q r c / 2)**2 over the direction cosines c
         sine = np.sin(r[:, None] * cosines * (0.5 * q)[:, None, None])
         return kernel.value_radial(r) * np.sum(sine * sine * (2.0 * weights), axis=-1)
 
-    return _radial_integral(kernel, integrand, radii)
+    symbols = _radial_integral(kernel, integrand, radii)
+    return symbols if xi.ndim == 2 else float(symbols[0])

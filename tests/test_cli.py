@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -6,7 +5,6 @@ import math
 import multiprocessing.process
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -934,32 +932,6 @@ class TestUsageAndConfig:
             for name in ("a", "b"):
                 assert run_cli(["check-kernel", "--out", str(tmp_path / name)]) == 0
         assert build.call_count == 1
-
-    def test_a_build_probes_the_terminal_once(self):
-        with mock.patch.object(shutil, "get_terminal_size",
-                               wraps=shutil.get_terminal_size) as probe:
-            cli.build_parser()
-        assert probe.call_count == 1
-
-    @pytest.mark.parametrize("columns", ["60", "200"])
-    def test_help_text_is_argparse_default(self, monkeypatch, capsys, columns):
-        monkeypatch.setenv("COLUMNS", columns)
-        parser = cli.build_parser()
-        calls = [["--help"]] + [[command, "-h"] for command in parser.commands]
-
-        def helps():
-            texts = []
-            for argv in calls:
-                with pytest.raises(SystemExit):
-                    parser.parse_args(argv)
-                texts.append(capsys.readouterr().out)
-            return texts
-
-        texts = helps()
-        # the stock formatter reads the terminal width whenever it formats
-        for p in [parser, *parser.commands.values()]:
-            p.formatter_class = argparse.HelpFormatter
-        assert texts == helps()
 
     @pytest.mark.parametrize("argv", [
         ["check-kernel", "--eps", "1e-300"],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nonloclab import experiments, kernels
 from nonloclab.grid import Field, UniformGrid, hminus1_norm, l2_norm, lp_norm, sample, sobolev_norm
-from nonloclab.kernels import Kernel, fourier_symbol, fourier_symbols, make_mollifier
+from nonloclab.kernels import Kernel, fourier_symbol, make_mollifier
 from nonloclab.local_ops import laplacian
 from nonloclab.nonlocal_ops import apply_fft, nonlocal_energy
 from nonloclab.potentials import DoubleWell
@@ -193,9 +193,11 @@ class TestSymbolQuadraturePerRadius:
     def test_one_batched_quadrature_per_scale(self, n, per_scale):
         mollifier = make_mollifier(n)
         with mock.patch.object(kernels, "adaptive_gauss_legendre",
-                               wraps=kernels.adaptive_gauss_legendre) as spy:
+                               wraps=kernels.adaptive_gauss_legendre) as spy, \
+                mock.patch.object(experiments, "fourier_symbol",
+                                  wraps=experiments.fourier_symbol) as symbol:
             symbol_study(mollifier, self.LADDER)
-        assert spy.call_count == len(self.LADDER)
+        assert spy.call_count == symbol.call_count == len(self.LADDER)
         for call in spy.call_args_list:
             radii = call.args[3]
             assert len(radii) == len(set(radii.tolist())) == per_scale
@@ -206,7 +208,7 @@ class TestSymbolQuadraturePerRadius:
         kernel = Kernel(make_mollifier(n), eps)
         points = {float(np.sqrt(np.sum(np.square(xi)))): xi for xi in default_symbol_lattice(n)}
         radii = sorted(points)
-        batch = fourier_symbols(kernel, radii)
+        batch = fourier_symbol(kernel, np.array([points[q] for q in radii]))
         assert batch.tolist() == [fourier_symbol(kernel, points[q]) for q in radii]
 
     def test_only_unaccepted_radii_take_the_bisected_panels(self):
@@ -221,10 +223,10 @@ class TestSymbolQuadraturePerRadius:
             return quadrature(integrand, a, b, params)
 
         lattice = np.array(default_symbol_lattice(2))
-        radii = np.unique(np.sqrt(np.sum(lattice * lattice, axis=1)))
+        radii, first = np.unique(np.sqrt(np.sum(lattice * lattice, axis=1)), return_index=True)
         kernel = Kernel(make_mollifier(2), 3.0)
         with mock.patch.object(kernels, "adaptive_gauss_legendre", recording):
-            fourier_symbols(kernel, radii)
+            fourier_symbol(kernel, lattice[first])
         # the 20- and 40-point rules on the whole support, then on each half
         assert rows[:2] == [radii.tolist()] * 2
         assert rows[2:] == [radii[-2:].tolist()] * 4

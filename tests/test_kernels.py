@@ -18,7 +18,6 @@ from nonloclab.kernels import (
     adaptive_gauss_legendre,
     eval_J,
     fourier_symbol,
-    fourier_symbols,
     make_kernel,
     make_mollifier,
     moment_first,
@@ -291,9 +290,20 @@ class TestFourierSymbol:
             fourier_symbol(make_kernel(len(xi), 0.1), xi)
         assert str(xi[0]) in str(info.value)
 
-    def test_rejects_non_finite_radius(self):
-        with pytest.raises(ValueError, match="magnitudes must be finite"):
-            fourier_symbols(make_kernel(2, 0.1), [1.0, math.nan])
+    def test_rejects_a_stack_with_a_non_finite_row(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            fourier_symbol(make_kernel(2, 0.1), [[1.0, 0.0], [math.nan, 0.0]])
+
+    @pytest.mark.parametrize("xi", [(1.0, 2.0), [[1.0, 2.0]], np.ones((2, 1, 1))])
+    def test_rejects_a_frequency_of_the_wrong_shape(self, xi):
+        with pytest.raises(ValueError, match="frequenc"):
+            fourier_symbol(make_kernel(1, 0.1), xi)
+
+    def test_a_stack_gives_one_symbol_per_row(self):
+        k = make_kernel(2, 0.3)
+        stack = fourier_symbol(k, [[3.0, 4.0], [0.0, 0.0], [1.0, -2.0]])
+        assert stack.shape == (3,)
+        assert stack.tolist() == [fourier_symbol(k, (3.0, 4.0)), 0.0, fourier_symbol(k, (1.0, -2.0))]
 
     def test_quarter_rule_equals_the_full_angular_mean(self):
         # 2 sin(t c / 2)**2 is even in the direction cosine c, so the 33

@@ -303,7 +303,8 @@ class TestFourierSymbol:
         k = make_kernel(2, 0.3)
         stack = fourier_symbol(k, [[3.0, 4.0], [0.0, 0.0], [1.0, -2.0]])
         assert stack.shape == (3,)
-        assert stack.tolist() == [fourier_symbol(k, (3.0, 4.0)), 0.0, fourier_symbol(k, (1.0, -2.0))]
+        alone = [fourier_symbol(k, (3.0, 4.0)), 0.0, fourier_symbol(k, (1.0, -2.0))]
+        assert stack.tolist() == alone
 
     def test_quarter_rule_equals_the_full_angular_mean(self):
         # 2 sin(t c / 2)**2 is even in the direction cosine c, so the 33

@@ -384,13 +384,20 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
     value).
 
     Only the layers of ``box`` within ``reach`` of a wall have ghost offsets,
-    and only those are visited.  In 1D they are summed in blocks of layers.  In 2D
-    the walk goes over the ghost distances ``m`` from each wall: the layers
-    closer to the wall than ``m`` all reach the stencil row at distance
-    ``m``, whose nonzero span is slid along the other axis.  Each term is
-    formed from the two values themselves and every other term is an exact
-    zero, so a field that is flat wherever the stencil reaches past a wall
-    gives exactly zero there.
+    and only those are visited.  In 1D they are summed in blocks of layers,
+    each term formed from the two values themselves.  In 2D the walk goes
+    over the reflected ghost rows ``s`` of each wall: layer ``i`` reaches row
+    ``s`` at distance ``i + s + 1`` when that is at most ``reach``.  A term
+    ``w * (v[i, x] - g)`` is summed as ``w * (v[i, x] - c) + w * (c - g)``,
+    with ``c = v[s, x]`` the ghost straight across.  The differences
+    ``c - g`` are formed once per row, over the nonzero span of the nearest
+    layer's stencil row (the widest), and one matmul with the stacked stencil
+    rows weighs them for every layer; the first part is each layer's counted
+    weight on the row times ``v[i, x] - c``.  A radial weight is largest
+    straight across, so ``c`` is reached whenever any ghost of its row is:
+    where the field is flat as far as the stencil reaches past a wall, both
+    differences are exact zeros, and every difference the stencil does not
+    reach gets an exact zero weight, so the sum is an exact zero there.
     """
     reach = data.reach
     padded = np.pad(values, [(k, k) for k in reach], mode="symmetric")
@@ -420,24 +427,31 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
         # ghosts also outside along axis b are counted with axis b
         pos_b = np.arange(-kb, kb + 1)[:, None] + np.arange(nodes.start, nodes.stop)
         inside_b = (pos_b >= 0) & (pos_b < grid.cells[b])
+        # each stencil row's weight on the ghosts this pass counts, per node
+        counted = w_a @ inside_b if b < a else w_a.sum(axis=1)[:, None]
         for direction in (1, -1):
             # the far wall is the near wall of the box flipped along axis a
             v, p, o = (arr[::direction] for arr in (v_a, windows, out_a))
             first, stop = box[a].start, box[a].stop
             if direction < 0:
                 first, stop = N - stop, N - first
-            for m in range(first + 1, k + 1):
-                # layer i reaches ghost row i - m (padded row i - m + k)
-                w = w_a[k - m]
-                span = np.flatnonzero(w)
+            for s in range(k - first):
+                # layers first..top - 1 reach reflected row s (padded row
+                # k - 1 - s) at distances i + s + 1, the stencil rows k + i + s + 1
+                top = min(stop, k - s)
+                rows = slice(k + s + 1 + first, k + s + 1 + top)
+                span = np.flatnonzero(w_a[rows.start])  # the nearest row is the widest
                 if span.size == 0:
                     continue
                 lo, hi = span[0], span[-1] + 1
-                top = min(m, stop)
-                diff = v[first:top, None, nodes] - p[first - m + k:top - m + k, lo:hi]
+                across = v[s, nodes]
+                diff = across - p[k - 1 - s, lo:hi]  # [o, x]
                 if b < a:
                     diff *= inside_b[lo:hi]
-                o[:top - first] += w[lo:hi] @ diff  # diff is [layer, o, x]
+                terms = v[first:top, nodes] - across
+                terms *= counted[rows]
+                terms += w_a[rows, lo:hi] @ diff
+                o[:top - first] += terms
     return out
 
 

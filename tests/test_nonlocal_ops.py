@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -919,6 +920,39 @@ class TestInteriorRemainder:
         f = random_field(g, 12)
         with pytest.raises(ValueError, match="bounded"):
             interior_remainder(kernel_1d, f, margin=0.05)
+
+    @pytest.mark.parametrize("margin_factor", [0.0, 0.5])
+    @pytest.mark.parametrize("eps", [0.4, 0.2, 0.1, 0.07])
+    def test_2d_matches_wall_remainder_at_rate_sweep_reaches(self, eps, margin_factor):
+        # the 2D remainder-rate ladder: reach 52 down to 9, far beyond the
+        # 48-cell boxes of the ghost-loop references
+        g = UniformGrid((1.0, 1.0), (128, 128), "neumann")
+        k = make_kernel(2, eps)
+        v = random_field(g, 34).values
+        box = _interior_box(g, margin_factor * eps)
+        walls = np.zeros(g.shape)
+        nonlocal_ops.wall_remainder(k, g).subtract(v, walls)
+        out = _ghost_remainder(_stencil_data(k, g), g, v, box)
+        assert np.max(np.abs(out + walls[box])) <= 1e-13 * np.max(np.abs(out))
+
+    @pytest.mark.parametrize("margin_factor", [0.0, 0.5])
+    def test_2d_walk_keeps_one_reflected_row_of_temporaries(self, margin_factor):
+        # at eps 0.4 on 128^2 (reach 52) a wall has up to 52 layers; the walk
+        # may hold the padded field and a few blocks of one reflected row,
+        # (2 reach + 1) x width, but nothing that grows with the layer count
+        g = UniformGrid((1.0, 1.0), (128, 128), "neumann")
+        data = _stencil_data(make_kernel(2, 0.4), g)
+        v = random_field(g, 7).values
+        box = _interior_box(g, margin_factor * 0.4)
+        padded = np.prod([n + 2 * k for n, k in zip(g.cells, data.reach)]) * v.itemsize
+        row = (2 * data.reach[1] + 1) * (box[1].stop - box[1].start) * v.itemsize
+        tracemalloc.start()
+        try:
+            _ghost_remainder(data, g, v, box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < padded + 10 * row
 
     def test_2d_zero_beyond_support(self):
         g = UniformGrid((1.0, 1.0), (48, 48), "neumann")

@@ -391,13 +391,14 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
     ``w * (v[i, x] - g)`` is summed as ``w * (v[i, x] - c) + w * (c - g)``,
     with ``c = v[s, x]`` the ghost straight across.  The differences
     ``c - g`` are formed once per row, over the nonzero span of the nearest
-    layer's stencil row (the widest), and one matmul with the stacked stencil
-    rows weighs them for every layer; the first part is each layer's counted
-    weight on the row times ``v[i, x] - c``.  A radial weight is largest
-    straight across, so ``c`` is reached whenever any ghost of its row is:
-    where the field is flat as far as the stencil reaches past a wall, both
-    differences are exact zeros, and every difference the stencil does not
-    reach gets an exact zero weight, so the sum is an exact zero there.
+    layer's stencil row (the widest), the two columns of each equal weight
+    added, and one matmul with the stacked half rows weighs them for every
+    layer; the first part is each layer's counted weight on the row times
+    ``v[i, x] - c``.  A radial weight is largest straight across, so ``c``
+    is reached whenever any ghost of its row is: where the field is flat as
+    far as the stencil reaches past a wall, both differences are exact
+    zeros, and every difference the stencil does not reach gets an exact
+    zero weight, so the sum is an exact zero there.
     """
     reach = data.reach
     padded = np.pad(values, [(k, k) for k in reach], mode="symmetric")
@@ -440,17 +441,21 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
                 # k - 1 - s) at distances i + s + 1, the stencil rows k + i + s + 1
                 top = min(stop, k - s)
                 rows = slice(k + s + 1 + first, k + s + 1 + top)
-                span = np.flatnonzero(w_a[rows.start])  # the nearest row is the widest
-                if span.size == 0:
+                half = np.flatnonzero(w_a[rows.start, kb:])  # the nearest row is the widest
+                if half.size == 0:
                     continue
-                lo, hi = span[0], span[-1] + 1
+                lo, hi = kb - half[-1], kb + half[-1] + 1
                 across = v[s, nodes]
-                diff = across - p[k - 1 - s, lo:hi]  # [o, x]
+                diff = across - p[k - 1 - s, lo:hi]  # [stencil column, x]
                 if b < a:
                     diff *= inside_b[lo:hi]
+                # the rows are even: fold columns kb - j onto kb + j, which
+                # share a weight, so differences of opposite sign cancel exactly
+                fold = diff[kb - lo:]
+                fold[1:] += diff[:kb - lo][::-1]
                 terms = v[first:top, nodes] - across
                 terms *= counted[rows]
-                terms += w_a[rows, lo:hi] @ diff
+                terms += w_a[rows, kb:hi] @ fold
                 o[:top - first] += terms
     return out
 

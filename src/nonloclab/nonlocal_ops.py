@@ -376,47 +376,55 @@ def pair_difference_double_sum(kernel: Kernel, field: Field) -> float:
 # ---------------------------------------------------------------------------
 # interior remainder
 
-def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
-                     box: tuple) -> np.ndarray:
+def _ghost_hankel(ghost: np.ndarray) -> np.ndarray:
+    """The read-only view ``H[i, ..., r] = ghost[i + r]`` of the ghost weights
+    ``ghost[d - 1]`` at distances ``d = 1..k`` from a wall (trailing axes pass
+    through), zero from ``i + r = k`` on: the weight with which wall layer
+    ``i`` reaches the ghost that reflects onto layer ``r``."""
+    k = len(ghost)
+    return sliding_window_view(np.concatenate((ghost, np.zeros_like(ghost))), k, axis=0)[:k]
+
+
+def _ghost_remainder(data: _StencilData, values: np.ndarray, box: tuple) -> np.ndarray:
     """Reflected minus true stencil operator on the node sub-box ``box`` (one
     ``slice`` per axis): the sum, over the stencil offsets that land on a
     ghost node of the reflected extension, of weight * (node value - ghost
     value).
 
     Only the layers of ``box`` within ``reach`` of a wall have ghost offsets,
-    and only those are visited.  In 1D they are summed in blocks of layers,
-    each term formed from the two values themselves.  In 2D the walk goes
-    over the reflected ghost rows ``s`` of each wall: layer ``i`` reaches row
-    ``s`` at distance ``i + s + 1`` when that is at most ``reach``.  A term
-    ``w * (v[i, x] - g)`` is summed as ``w * (v[i, x] - c) + w * (c - g)``,
-    with ``c = v[s, x]`` the ghost straight across.  The differences
-    ``c - g`` are formed once per row, over the nonzero span of the nearest
-    layer's stencil row (the widest), the two columns of each equal weight
-    added, and one matmul with the stacked half rows weighs them for every
-    layer; the first part is each layer's counted weight on the row times
-    ``v[i, x] - c``.  A radial weight is largest straight across, so ``c``
-    is reached whenever any ghost of its row is: where the field is flat as
-    far as the stencil reaches past a wall, both differences are exact
-    zeros, and every difference the stencil does not reach gets an exact
-    zero weight, so the sum is an exact zero there.
+    and only those are visited, each far wall as the near wall of the
+    flipped box.  In 1D blocks of layers ``i`` weigh ``v[i] - v[r]`` with
+    their rows of :func:`_ghost_hankel`, each term formed from the two values
+    themselves.  In 2D the walk goes over the reflected ghost rows ``s`` of
+    each wall: layer ``i`` reaches row ``s`` at distance ``i + s + 1`` when
+    that is at most ``reach``.  A term ``w * (v[i, x] - g)`` is summed as
+    ``w * (v[i, x] - c) + w * (c - g)``, with ``c = v[s, x]`` the ghost
+    straight across.  The differences ``c - g`` are formed once per row, over
+    the nonzero span of the nearest layer's stencil row (the widest), the two
+    columns of each equal weight added, and one matmul with the stacked half
+    rows weighs them for every layer; the first part is each layer's counted
+    weight on the row times ``v[i, x] - c``.  A radial weight is largest
+    straight across, so ``c`` is reached whenever any ghost of its row is:
+    where the field is flat as far as the stencil reaches past a wall, both
+    differences are exact zeros, and every difference the stencil does not
+    reach gets an exact zero weight, so the sum is an exact zero there.
     """
-    reach = data.reach
-    padded = np.pad(values, [(k, k) for k in reach], mode="symmetric")
+    grid, reach = data.grid, data.reach
     out = np.zeros(tuple(s.stop - s.start for s in box))
-    # 1D sums blocks of layers: the 2D walk on a one-node-wide box is 2-4x slower
+    # 1D sums blocks of layers: the 2D walk on a one-node-wide box is 40-50x slower
     if grid.dimension == 1:
         (N,), (k,), (nodes,) = grid.cells, reach, box
-        layers = np.arange(nodes.start, nodes.stop)
-        layers = layers[(layers < k) | (layers >= N - k)]
-        pos = layers[:, None] + np.arange(-k, k + 1)
-        ghost = (pos < 0) | (pos >= N)
-        windows = sliding_window_view(padded, 2 * k + 1)
-        step = max(1, _BLOCK_TERMS // (2 * k + 1))
-        for s in range(0, len(layers), step):
-            i = layers[s:s + step]
-            terms = np.where(ghost[s:s + step], values[i, None] - windows[i], 0.0)
-            out[i - nodes.start] += terms @ data.weights
+        hankel = _ghost_hankel(data.weights[k - 1::-1])  # [i, r] = w(i + r + 1)
+        step = max(1, _BLOCK_TERMS // k)
+        for direction in (1, -1):
+            v, o = values[::direction], out[::direction]
+            first = nodes.start if direction > 0 else N - nodes.stop
+            stop = min(k, nodes.stop if direction > 0 else N - nodes.start)
+            for start in range(first, stop, step):
+                i, r = slice(start, min(start + step, stop)), slice(k - start)
+                o[i.start - first:i.stop - first] += np.vecdot(hankel[i, r], v[i, None] - v[r])
         return out
+    padded = np.pad(values, [(k, k) for k in reach], mode="symmetric")
     for a, (N, k) in enumerate(zip(grid.cells, reach)):
         # wall axis first; windows[row, j, x] is the padded value that stencil
         # column j reaches from node nodes.start + x of the other axis
@@ -461,21 +469,18 @@ def _ghost_remainder(data: _StencilData, grid: UniformGrid, values: np.ndarray,
 
 
 def _wall_matrices(ghost: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Remainder of one wall as ``k x k`` matrices ``M[i, r]``, any trailing
-    axes of ``ghost`` passing through: the ghost offsets of wall layer ``i``
+    """Remainder of one wall as ``k x k`` matrices ``M[..., i, r]``, any
+    trailing axes of ``ghost`` leading: the ghost offsets of wall layer ``i``
     at distances ``i + r + 1 <= k`` reflect onto layer ``r``.
 
     ``ghost[d - 1]`` is what a ghost at distance ``d = 1..k`` contributes from
     its reflected node, and ``totals[d - 1]`` its weight at the node itself:
-    ``M[i, r] = delta_ir * c_i - ghost[i + r]`` with ``c_i`` the sum of the
-    totals over ``d > i`` (compare :func:`_ghost_remainder`).
+    ``M[..., i, r] = delta_ir * c_i - H[i, ..., r]``, ``H`` the
+    :func:`_ghost_hankel` view and ``c_i`` the sum of the totals over ``d > i``.
     """
     k = len(ghost)
-    dist = np.add.outer(np.arange(k), np.arange(k))  # i + r, i.e. distance - 1
-    inside = (dist < k).reshape(dist.shape + (1,) * (ghost.ndim - 1))
-    strip = -np.where(inside, ghost[np.minimum(dist, k - 1)], 0.0)
-    c = np.cumsum(totals[::-1])[::-1]
-    strip[np.diag_indices(k)] += c.reshape(c.shape + (1,) * (ghost.ndim - 1))
+    strip = -np.moveaxis(_ghost_hankel(ghost), 0, -2)
+    strip[..., np.arange(k), np.arange(k)] += np.cumsum(totals[::-1])[::-1]
     return strip
 
 
@@ -487,7 +492,8 @@ _CORNERS = tuple((slice(None, None, s0), slice(None, None, s1))
 @dataclass(frozen=True)
 class WallRemainder:
     """The boundary remainder of a zero-flux box, the reflected minus the true
-    stencil operator, as tables over the ``reach``-deep layers at the walls.
+    stencil operator, as tables over the ``reach``-deep layers at the walls,
+    each built on the :func:`_ghost_hankel` view of its ghost weights.
 
     In 1D, ``strips`` are the two ``reach x reach`` wall matrices, the left
     one ``S`` and its mirror ``S[::-1, ::-1]``: ``S @ c[:reach]`` is the
@@ -495,17 +501,15 @@ class WallRemainder:
     two walls across axis ``a``.  Along such a wall the remainder is a
     convolution with the even stencil rows under a half-sample reflection,
     so a cosine transform along the wall diagonalizes it, leaving one
-    ``reach_a x reach_a`` matrix per cosine mode: :func:`_wall_matrices` of
-    the rows' cosine symbols, shape ``(N_other, reach_a, reach_a)``.  These
-    matrices are symmetric, so they apply from either side.
+    ``reach_a x reach_a`` matrix per cosine mode, ``strips[a][mode, i, r]``:
+    :func:`_wall_matrices` of the rows' cosine symbols, symmetric in ``i, r``.
 
     A ghost node beyond two walls is counted by both wall passes, so each
     corner gives it back once: ``corner_diag[i, j]`` is the weight of the
     offsets of corner node ``(i, j)`` that land beyond both walls, and
-    ``corner_hankel[j, d, s]`` is ``w(d + 1, j + s + 1)``, the weight of the
-    ghost of node ``(d - r, j)`` that reflects onto node ``(r, s)`` (zero
-    where ``j + s`` reaches past the reach).  The corner work grows as
-    ``reach**4``; its arrays stay at ``reach**3``.
+    ``corner_hankel[j, d, s] = w(d + 1, j + s + 1)`` the weight of the ghost
+    of node ``(d - r, j)`` that reflects onto node ``(r, s)``.  The corner
+    work grows as ``reach**4``; its arrays stay at ``reach**3``.
     """
 
     reach: tuple[int, ...]
@@ -565,16 +569,12 @@ def _build_wall_remainder(data: _StencilData) -> WallRemainder:
         rows = np.moveaxis(data.weights, a, 0)[k - 1::-1]  # distances 1..k from the wall
         # each row's cosine symbols: one real FFT of the row wrapped on 2n
         symbols = scipy.fft.rfft(_wrap_stencil(rows, (kb,), (2 * n,))).real[:, :n]  # (k, n)
-        tables = _wall_matrices(symbols, rows.sum(axis=1))  # [i, r, mode], symmetric in i, r
-        strips.append(np.ascontiguousarray(np.moveaxis(tables, -1, 0)))
+        strips.append(np.ascontiguousarray(_wall_matrices(symbols, rows.sum(axis=1))))
     k0, k1 = data.reach
     quadrant = data.weights[k0 + 1:, k1 + 1:]  # w(d0, d1) for d0, d1 >= 1
     corner_diag = quadrant[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
-    padded = np.zeros((k0, 2 * k1 - 1))
-    padded[:, :k1] = quadrant
-    hankel = sliding_window_view(padded, k1, axis=1)  # [d, j, s] = w(d + 1, j + s + 1)
     return WallRemainder(data.reach, tuple(strips), corner_diag.copy(),
-                         np.ascontiguousarray(hankel.transpose(1, 0, 2)))
+                         np.ascontiguousarray(_ghost_hankel(quadrant.T)))  # [j, d, s]
 
 
 def wall_remainder(kernel: Kernel, grid: UniformGrid) -> WallRemainder:
@@ -611,5 +611,5 @@ def interior_remainder(kernel: Kernel, field: Field, margin: float) -> float:
             raise ValueError("margin leaves no grid nodes in the interior sub-box")
         box.append(slice(idx[0], idx[-1] + 1))
 
-    remainder = _ghost_remainder(data, grid, field.values, tuple(box))
+    remainder = _ghost_remainder(data, field.values, tuple(box))
     return float(np.sqrt(np.sum(remainder ** 2) * grid.cell_volume))

@@ -782,16 +782,17 @@ class TestInteriorRemainder:
     @pytest.mark.parametrize("bound", [2**b for b in range(10, 20)])
     def test_1d_ghost_sum_does_not_depend_on_the_block_size(self, monkeypatch, profile,
                                                             bound):
-        # reach 205: 410 wall layers of 411 terms, one block from 2**18 on;
-        # data flat near the left wall, so some wall layers are exact zeros
+        # reach 205: 205 layers per wall of at most 205 terms, one block per
+        # wall from 2**16 on; data flat near the left wall, so some wall
+        # layers are exact zeros
         g = UniformGrid((1.0,), (1024,), "neumann")
         data = _stencil_data(make_kernel(1, 0.2, profile), g)
         v = random_field(g, 3).values.copy()
         v[:123] = 0.7
         box = (slice(0, 1024),)
-        ref = _ghost_remainder(data, g, v, box)
+        ref = _ghost_remainder(data, v, box)
         monkeypatch.setattr(nonlocal_ops, "_BLOCK_TERMS", bound)
-        out = _ghost_remainder(data, g, v, box)
+        out = _ghost_remainder(data, v, box)
         assert np.array_equal(out == 0.0, ref == 0.0)
         assert 0 < np.count_nonzero(ref[:205] == 0.0) < 205
         assert np.max(np.abs(out - ref)) <= 1e-15 * data.weights.sum() * np.max(np.abs(v))
@@ -871,7 +872,7 @@ class TestInteriorRemainder:
         v[frame] = rng.standard_normal()
         f = Field(g, v)
         data = _stencil_data(k, g)
-        new = _ghost_remainder(data, g, v, box)
+        new = _ghost_remainder(data, v, box)
         ref = _ghost_loop_array(k, f)[box]
         bound = 1e-13 * data.weights.sum() * l2_norm(f)
         assert np.max(np.abs(new - ref)) <= bound
@@ -906,7 +907,7 @@ class TestInteriorRemainder:
         stencil = _stencil_data(k, g)
         assert reach == stencil.reach[0]
         bound = 1e-13 * stencil.weights.sum() * l2_norm(f)
-        full = _ghost_remainder(stencil, g, v, (slice(0, cells),))
+        full = _ghost_remainder(stencil, v, (slice(0, cells),))
         assert np.max(np.abs(out - full)) <= bound
         assert abs(l2_norm(Field(g, out)) - _ghost_loop_remainder(k, f, 0.0)) <= bound
 
@@ -932,7 +933,7 @@ class TestInteriorRemainder:
         box = _interior_box(g, margin_factor * eps)
         walls = np.zeros(g.shape)
         nonlocal_ops.wall_remainder(k, g).subtract(v, walls)
-        out = _ghost_remainder(_stencil_data(k, g), g, v, box)
+        out = _ghost_remainder(_stencil_data(k, g), v, box)
         assert np.max(np.abs(out + walls[box])) <= 1e-13 * np.max(np.abs(out))
 
     @pytest.mark.parametrize("margin_factor", [0.0, 0.5])
@@ -948,11 +949,41 @@ class TestInteriorRemainder:
         row = (2 * data.reach[1] + 1) * (box[1].stop - box[1].start) * v.itemsize
         tracemalloc.start()
         try:
-            _ghost_remainder(data, g, v, box)
+            _ghost_remainder(data, v, box)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < padded + 10 * row
+
+    @pytest.mark.parametrize("margin_factor", [0.0, 0.5])
+    @pytest.mark.parametrize("cells, eps", [
+        (1024, 0.2), (1024, 0.1), (1024, 0.05), (1024, 0.025), (4096, 0.2),
+    ])
+    def test_1d_matches_wall_remainder_at_rate_sweep_reaches(self, cells, eps, margin_factor):
+        # the 1D remainder-rate ladder (reach 205 down to 26) and reach 820
+        # at N=4096, eps 0.2
+        g = UniformGrid((1.0,), (cells,), "neumann")
+        k = make_kernel(1, eps)
+        v = random_field(g, 35).values
+        box = _interior_box(g, margin_factor * eps)
+        walls = np.zeros(g.shape)
+        nonlocal_ops.wall_remainder(k, g).subtract(v, walls)
+        out = _ghost_remainder(_stencil_data(k, g), v, box)
+        assert np.max(np.abs(out + walls[box])) <= 1e-13 * np.max(np.abs(out))
+
+    def test_1d_sum_keeps_to_the_block_bound(self):
+        # reach 820: the 1640 wall layers span 1640 x 1641 stencil offsets
+        # (22 MB of doubles); the sum may hold the field and a few blocks
+        g = UniformGrid((1.0,), (4096,), "neumann")
+        data = _stencil_data(make_kernel(1, 0.2), g)
+        v = random_field(g, 8).values
+        tracemalloc.start()
+        try:
+            _ghost_remainder(data, v, (slice(0, 4096),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < v.nbytes + 3 * nonlocal_ops._BLOCK_TERMS * v.itemsize
 
     def test_2d_zero_beyond_support(self):
         g = UniformGrid((1.0, 1.0), (48, 48), "neumann")
@@ -974,7 +1005,7 @@ class TestWallRemainder:
         v = np.random.default_rng(seed).standard_normal(g.shape)
         out = np.zeros(g.shape)
         nonlocal_ops.wall_remainder(k, g).subtract(v, out)
-        full = _ghost_remainder(_stencil_data(k, g), g, v, tuple(slice(0, n) for n in cells))
+        full = _ghost_remainder(_stencil_data(k, g), v, tuple(slice(0, n) for n in cells))
         assert np.max(np.abs(out + full)) <= 1e-13 * np.max(np.abs(full))
 
     @settings(max_examples=40, deadline=None)
@@ -1018,6 +1049,66 @@ class TestWallRemainder:
         with pytest.raises(ValueError, match="bounded"):
             nonlocal_ops.wall_remainder(make_kernel(2, 0.2),
                                         UniformGrid((1.0, 1.0), (32, 32), "periodic"))
+
+
+def _reference_wall_matrices(ghost, totals):
+    """The wall matrices ``[i, r, ...]`` from a distance table, a clamped
+    gather and a mask: an independent construction of :func:`_wall_matrices`."""
+    k = len(ghost)
+    dist = np.add.outer(np.arange(k), np.arange(k))  # i + r, i.e. distance - 1
+    inside = (dist < k).reshape(dist.shape + (1,) * (ghost.ndim - 1))
+    strip = -np.where(inside, ghost[np.minimum(dist, k - 1)], 0.0)
+    c = np.cumsum(totals[::-1])[::-1]
+    strip[np.diag_indices(k)] += c.reshape(c.shape + (1,) * (ghost.ndim - 1))
+    return strip
+
+
+def _reference_wall_tables(data):
+    """The strips, ``corner_diag`` and ``corner_hankel`` of a box, built with
+    :func:`_reference_wall_matrices` and a zero-padded corner quadrant."""
+    if data.grid.dimension == 1:
+        (k,) = data.reach
+        left = _reference_wall_matrices(data.weights[k - 1::-1], data.weights[k - 1::-1])
+        return [left, left[::-1, ::-1].copy()]
+    tables = []
+    for a in range(2):
+        k, kb, n = data.reach[a], data.reach[1 - a], data.grid.cells[1 - a]
+        rows = np.moveaxis(data.weights, a, 0)[k - 1::-1]
+        symbols = scipy.fft.rfft(nonlocal_ops._wrap_stencil(rows, (kb,), (2 * n,))).real[:, :n]
+        strip = _reference_wall_matrices(symbols, rows.sum(axis=1))
+        tables.append(np.ascontiguousarray(np.moveaxis(strip, -1, 0)))
+    k0, k1 = data.reach
+    quadrant = data.weights[k0 + 1:, k1 + 1:]
+    tables.append(quadrant[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1].copy())
+    padded = np.zeros((k0, 2 * k1 - 1))
+    padded[:, :k1] = quadrant
+    hankel = np.lib.stride_tricks.sliding_window_view(padded, k1, axis=1)  # [d, j, s]
+    tables.append(np.ascontiguousarray(hankel.transpose(1, 0, 2)))
+    return tables
+
+
+class TestWallTablesKeepTheirBits:
+    # the stepping paths read these tables, so their outputs keep their bits
+    # only if every table does: shape, layout and bytes
+    @pytest.mark.parametrize("lengths, cells, eps", [
+        ((1.0,), (256,), 0.1), ((1.0,), (1024,), 0.2), ((1.0,), (16,), 1.0),
+        ((1.0, 1.0), (128, 128), 0.1), ((1.0, 1.0), (128, 128), 0.4),
+        ((0.7, 0.9), (24, 30), 0.3), ((1.0, 0.7), (36, 36), 0.15),
+        ((1.0, 1.0), (16, 16), 1.0),
+    ])
+    def test_tables_equal_the_reference_construction(self, lengths, cells, eps):
+        g = UniformGrid(lengths, cells, "neumann")
+        k = make_kernel(g.dimension, eps)
+        remainder = nonlocal_ops.wall_remainder(k, g)
+        built = list(remainder.strips)
+        if g.dimension == 2:
+            built += [remainder.corner_diag, remainder.corner_hankel]
+        reference = _reference_wall_tables(_stencil_data(k, g))
+        assert len(built) == len(reference)
+        for table, ref in zip(built, reference):
+            assert table.shape == ref.shape
+            assert table.flags.c_contiguous
+            assert table.tobytes() == ref.tobytes()
 
 
 class TestCachedTablesAreReadOnly:
